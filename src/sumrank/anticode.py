@@ -17,6 +17,7 @@ from .code import LinearCode, Shape
 from .errors import (
     AmbientMismatch,
     ClassificationNotApplicable,
+    ContextMismatch,
     EnumerationTooLarge,
     IllegalTranspose,
     InvariantViolation,
@@ -24,11 +25,12 @@ from .errors import (
     TrivialCode,
 )
 from .gf import FieldContext
-from .matfq import Subspace, enumerate_subspaces, gaussian_binomial
+from .matfq import Subspace, enumerate_subspaces, gaussian_binomial, rref
 
 __all__ = [
     "BlockSupport",
     "AnticodeDescriptor",
+    "Meet",
     "enumerate_anticodes",
     "is_optimal_anticode",
     "anticode_dual",
@@ -132,10 +134,11 @@ class AnticodeDescriptor:
         return last
 
     def materialize(self) -> LinearCode:
-        key = self
-        cached = _MATERIALIZE_CACHE.get(key)
-        if cached is not None:
-            return cached
+        """The anticode as a code in full ambient coordinates.
+
+        Sweeps measure dim(C ∩ A) through Meet instead; this serves
+        classification, the CLI oracle and the tests.
+        """
         shape, ctx = self.shape, self.ctx
         offsets = shape.block_offsets()
         ambient = shape.ambient_dim
@@ -163,10 +166,8 @@ class AnticodeDescriptor:
                     vec[start + j] = x
                 rows.append(tuple(vec))
         code = LinearCode(shape, ctx, rows)
-        assert code.dim == self.dim()
-        if len(_MATERIALIZE_CACHE) > 8192:
-            _MATERIALIZE_CACHE.clear()
-        _MATERIALIZE_CACHE[key] = code
+        if code.dim != self.dim():
+            raise InvariantViolation("materialized anticode lost dimension")
         return code
 
     def to_dict(self) -> dict:
@@ -194,7 +195,95 @@ class AnticodeDescriptor:
         return cls(shape, ctx, tuple(blocks), tail)
 
 
-_MATERIALIZE_CACHE: dict = {}
+class Meet:
+    """dim(C ∩ A) for one code C against any number of anticodes A.
+
+    A tuple lies in A exactly when a parity-check basis of each block
+    support kills every block row (col supports) or block column (row
+    supports), and a parity check of the tail kills the trailing
+    coordinates.  With G the RREF basis of C and H those checks,
+    dim(C ∩ A) = dim C - rank(G·H).  The columns of G·H are kept per
+    (block, kind, support), so a support that many descriptors of one
+    sweep share is multiplied once; make one Meet per sweep.
+    """
+
+    __slots__ = ("code", "_columns")
+
+    def __init__(self, code: LinearCode):
+        self.code = code
+        self._columns: dict = {}
+
+    def dim(self, desc: AnticodeDescriptor) -> int:
+        code = self.code
+        if desc.shape != code.shape:
+            raise ShapeMismatch("anticode and code live in different ambient spaces")
+        if desc.ctx != code.ctx:
+            raise ContextMismatch("anticode and code over different field contexts")
+        checks: List[Tuple[int, ...]] = []
+        for i, blk in enumerate(desc.blocks):
+            checks += self._checks(i, blk.kind, blk.space)
+        if desc.tail is not None:
+            checks += self._checks(len(desc.blocks), "tail", desc.tail)
+        if not checks:
+            return code.dim
+        return code.dim - len(rref(checks, code.dim, code.ctx)[0])
+
+    def _checks(self, i: int, kind: str, space: Subspace) -> List[Tuple[int, ...]]:
+        """Reduced columns G·h for the parity checks h of one support."""
+        key = (i, kind, space.basis)
+        cols = self._columns.get(key)
+        if cols is None:
+            code = self.code
+            ctx = code.ctx
+            add, mul = ctx.add, ctx.mul
+            cols = []
+            for func in _parity_functionals(code.shape, i, kind, space):
+                col = []
+                for row in code.rows:
+                    acc = 0
+                    for pos, h in func:
+                        x = row[pos]
+                        if x:
+                            acc = add(acc, x if h == 1 else mul(x, h))
+                    col.append(acc)
+                if any(col):
+                    cols.append(tuple(col))
+            if len(cols) > 1:
+                cols = rref(cols, code.dim, ctx)[0]
+            self._columns[key] = cols
+        return cols
+
+
+def _parity_functionals(
+    shape: Shape, i: int, kind: str, space: Subspace
+) -> Iterator[List[Tuple[int, int]]]:
+    """Sparse (flat position, coefficient) functionals cutting out one factor.
+
+    For a block support these apply each parity check of the support to
+    every block row (col) or block column (row); for a tail starting at
+    block i they apply each parity check of the tail to the trailing
+    coordinates.
+    """
+    offsets = shape.block_offsets()
+    checks = [
+        [(t, h) for t, h in enumerate(vec) if h]
+        for vec in space.orthogonal().basis
+    ]
+    if kind == "tail":
+        start = offsets[i] if i < shape.ell else shape.ambient_dim
+        for chk in checks:
+            yield [(start + t, h) for t, h in chk]
+        return
+    mm, nn, off = shape.m[i], shape.n[i], offsets[i]
+    if kind == "col":
+        for s in range(mm):
+            base = off + s * nn
+            for chk in checks:
+                yield [(base + t, h) for t, h in chk]
+    else:
+        for tcol in range(nn):
+            for chk in checks:
+                yield [(off + r * nn + tcol, h) for r, h in chk]
 
 
 def _compositions(bounds: Sequence[int], total: int) -> Iterator[Tuple[int, ...]]:

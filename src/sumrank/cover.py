@@ -17,6 +17,7 @@ from .errors import (
     ContextMismatch,
     DimensionMismatch,
     DimensionTooSmall,
+    InvariantViolation,
     RankOutOfRange,
     SearchExhausted,
     ShapeMismatch,
@@ -152,7 +153,8 @@ def meshulam_search(a: MatrixFq, mats: Sequence[MatrixFq]) -> MeshulamResult:
         else:
             running = running + dmats[j]
             xs.append(1)
-            assert _leading_minor_nonsingular(running, j + 1)
+            if not _leading_minor_nonsingular(running, j + 1):
+                raise InvariantViolation(f"leading minor {j + 1} stayed singular")
     coeffs = [0] * len(mats)
     for j, w in enumerate(cover.witnesses):
         coeffs[w] = xs[j]
@@ -161,7 +163,8 @@ def meshulam_search(a: MatrixFq, mats: Sequence[MatrixFq]) -> MeshulamResult:
         if x:
             total = total + mat
     achieved = total.rank()
-    assert achieved >= r, "guaranteed rank bound failed"
+    if achieved < r:
+        raise InvariantViolation("guaranteed rank bound failed")
     return MeshulamResult(tuple(coeffs), achieved, r)
 
 
@@ -196,14 +199,16 @@ def coset_rank_lower(a: MatrixFq, v: LinearCode, t: int) -> CosetWitness:
         raise DimensionTooSmall(f"dim = {v.dim} must exceed m t = {m * t}")
     mats = _single_block_matrices(v)
     res = meshulam_search(a, mats)
-    assert res.rho >= t + 1
+    if res.rho < t + 1:
+        raise InvariantViolation("distinct leading positions must cover t + 1")
     total = a
     for x, mat in zip(res.coeffs, mats):
         if x:
             total = total + mat
     b = total - a
     achieved = total.rank()
-    assert achieved >= t + 1
+    if achieved < t + 1:
+        raise InvariantViolation("guaranteed rank bound failed")
     return CosetWitness(b, achieved, "meshulam")
 
 

@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .anticode import AnticodeDescriptor, enumerate_anticodes, product_descriptors
+from .anticode import AnticodeDescriptor, Meet, enumerate_anticodes, product_descriptors
 from .code import LinearCode, MatrixTuple, Shape
 from .errors import (
     GammaNotBasis,
@@ -67,9 +67,10 @@ def gen_weight(
     _check_variant_shape(code.shape, variant)
     if not 1 <= r <= code.dim:
         raise RankOutOfRange(f"r={r} outside 1..{code.dim}")
+    meet = Meet(code)
     for mu in range(1, code.shape.ncols + 1):
         for desc in _family(code.ctx, code.shape, mu, variant, cap):
-            if code.intersect(desc.materialize()).dim >= r:
+            if meet.dim(desc) >= r:
                 return mu
     raise InvariantViolation("the full space must meet every rank demand")
 
@@ -111,9 +112,10 @@ def weight_profile(
     found: List[Optional[int]] = [None] * (kdim + 1)
     unset = kdim
     if unset:
+        meet = Meet(code)
         for mu in range(1, code.shape.ncols + 1):
             for desc in _family(code.ctx, code.shape, mu, variant, cap):
-                t = code.intersect(desc.materialize()).dim
+                t = meet.dim(desc)
                 for r in range(1, t + 1):
                     if found[r] is None:
                         found[r] = mu
@@ -216,7 +218,8 @@ def subfield_embedding(small: FieldContext, big: FieldContext) -> Tuple[int, ...
         if acc == 0:
             root = z
             break
-    assert root is not None, "the modulus splits in every overfield"
+    if root is None:
+        raise InvariantViolation("the modulus splits in every overfield")
     table = []
     for x in range(small.q):
         digs = _digits(x, p, e)

@@ -14,6 +14,7 @@ from .errors import (
     ContextMismatch,
     DimensionMismatch,
     EnumerationTooLarge,
+    InvariantViolation,
     ShapeMismatch,
 )
 from .gf import FieldContext
@@ -380,7 +381,8 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     for i in range(k):
         num *= q ** (n - i) - 1
         den *= q ** (i + 1) - 1
-    assert num % den == 0
+    if num % den:
+        raise InvariantViolation("Gaussian binomial numerator must divide evenly")
     return num // den
 
 

@@ -13,7 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from .anticode import AnticodeDescriptor, BlockSupport, enumerate_anticodes, product_descriptors
+from .anticode import (
+    AnticodeDescriptor,
+    BlockSupport,
+    Meet,
+    enumerate_anticodes,
+    product_descriptors,
+)
 from .code import LinearCode, Shape
 from .errors import (
     DimNotAdmissible,
@@ -61,7 +67,8 @@ def dim_decomposition(shape: Shape, dim: int) -> Tuple[int, int, int]:
     j = max(i for i in range(shape.ell) if masses[i] >= dim)
     rest = masses[j] - dim
     delta, s = divmod(rest, shape.m[j])
-    assert delta <= shape.n[j] - 1
+    if delta > shape.n[j] - 1:
+        raise InvariantViolation("the block deficit must stay below the block width")
     return j, delta, s
 
 
@@ -105,7 +112,8 @@ def anticode_dim_extremes(shape: Shape, mu: int) -> Tuple[int, int]:
         take = min(rest, shape.n[i])
         small += take * shape.m[i]
         rest -= take
-    assert small <= big
+    if small > big:
+        raise InvariantViolation("the lightest fill must not exceed the heaviest")
     return small, big
 
 
@@ -139,7 +147,8 @@ def admissible_ranks(shape: Shape, dim: int) -> Dict[int, int]:
             raise InvariantViolation("rank steps must advance by the block row count")
         out[r] = h
         prev = (r, k)
-    assert prev is not None
+    if prev is None:
+        raise InvariantViolation("an admissible dimension has at least one rank")
     if prev[0] + shape.m[prev[1]] - 1 != dim:
         raise InvariantViolation("the rank walk must end at the code dimension")
     return out
@@ -236,14 +245,16 @@ def msrd_check(code: LinearCode, cap: int = 10**6) -> MsrdReport:
     if d > bound:
         raise InvariantViolation("distance exceeds the dimension bound")
     is_msrd = s == 0 and d == bound
+    meet = Meet(code)
 
-    # C0: every largest anticode one short of the distance complements the code
+    # C0: every largest anticode one short of the distance complements the
+    # code, dim(C + A) = dim C + dim A - dim(C ∩ A)
     if d == 1:
         c0 = code.dim == ambient
     else:
         target = r_mu(shape, d - 1)
         c0 = all(
-            code.add(desc.materialize()).dim == ambient
+            code.dim + target - meet.dim(desc) == ambient
             for desc in enumerate_anticodes(ctx, shape, d - 1, "all", cap)
             if desc.dim() == target
         )
@@ -256,7 +267,7 @@ def msrd_check(code: LinearCode, cap: int = 10**6) -> MsrdReport:
             if not c1:
                 break
             for desc in enumerate_anticodes(ctx, shape, mu, "all", cap):
-                if code.intersect(desc.materialize()).dim:
+                if meet.dim(desc):
                     c1 = False
                     break
 
@@ -264,8 +275,9 @@ def msrd_check(code: LinearCode, cap: int = 10**6) -> MsrdReport:
     c2 = True
     for desc in product_descriptors(ctx, shape, d, allow_row=True, cap=cap):
         k = desc.last_support_block()
-        assert k is not None
-        if code.intersect(desc.materialize()).dim < shape.m[k]:
+        if k is None:
+            raise InvariantViolation("an anticode of positive weight has a support block")
+        if meet.dim(desc) < shape.m[k]:
             c2 = False
             break
 
@@ -275,7 +287,7 @@ def msrd_check(code: LinearCode, cap: int = 10**6) -> MsrdReport:
         k = shape.block_of_column(h)
         cols = frozenset(range(1, d)) | {h}
         desc = _column_window_descriptor(shape, ctx, cols)
-        if code.intersect(desc.materialize()).dim != shape.m[k]:
+        if meet.dim(desc) != shape.m[k]:
             window = False
             break
 

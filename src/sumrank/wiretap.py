@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .anticode import AnticodeDescriptor, BlockSupport, product_descriptors
+from .anticode import AnticodeDescriptor, BlockSupport, Meet, product_descriptors
 from .code import LinearCode, Shape
 from .errors import (
     ContextMismatch,
@@ -50,8 +50,8 @@ def canonical_complement(code: LinearCode) -> LinearCode:
         if c not in pivots
     ]
     comp = LinearCode(code.shape, code.ctx, rows)
-    assert comp.dim + code.dim == ambient
-    assert comp.intersect(code).dim == 0
+    if comp.dim + code.dim != ambient or comp.intersect(code).dim != 0:
+        raise InvariantViolation("unit vectors off the pivots must complement the code")
     return comp
 
 
@@ -88,17 +88,17 @@ def leakage_dim(code: LinearCode, taps: Sequence[Optional[MatrixFq]]) -> int:
     support product."""
     spaces = _tap_supports(code, taps)
     desc = support_product(code.shape, code.ctx, spaces)
-    return code.dual().intersect(desc.materialize()).dim
+    return Meet(code.dual()).dim(desc)
 
 
 def worst_case_leakage(code: LinearCode, mu: int, cap: int = 10**6) -> int:
     """Max leakage over all tap profiles with mu links total."""
     if not 0 <= mu <= code.shape.ncols:
         raise ShapeMismatch(f"links {mu} outside 0..{code.shape.ncols}")
-    dual = code.dual()
+    meet = Meet(code.dual())
     best = 0
     for desc in product_descriptors(code.ctx, code.shape, mu, allow_row=False, cap=cap):
-        best = max(best, dual.intersect(desc.materialize()).dim)
+        best = max(best, meet.dim(desc))
     return best
 
 
@@ -188,7 +188,8 @@ def empirical_mi(scenario: WiretapScenario, cap: int = MI_CAP) -> int:
     ctx = code.ctx
     q = ctx.q
     msg = scenario.message_space
-    assert msg is not None
+    if msg is None:
+        raise InvariantViolation("a scenario always holds a message space")
     pairs = q**code.ambient_dim
     if pairs > cap:
         raise EnumerationTooLarge(f"{pairs} pairs exceed cap {cap}")
