@@ -23,6 +23,7 @@ from .errors import (
     InvariantViolation,
     ShapeMismatch,
     TrivialCode,
+    UnknownChoice,
 )
 from .gf import FieldContext
 from .matfq import Subspace, enumerate_subspaces, gaussian_binomial, rref
@@ -60,7 +61,7 @@ class BlockSupport:
 
     def __post_init__(self):
         if self.kind not in ("col", "row"):
-            raise ValueError(f"unknown support kind {self.kind!r}")
+            raise UnknownChoice(f"unknown support kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -379,7 +380,7 @@ def enumerate_anticodes(
     if not shape.strict:
         raise ShapeMismatch("anticode families are defined on strict shapes")
     if variant not in ("product", "all"):
-        raise ValueError(f"unknown variant {variant!r}")
+        raise UnknownChoice(f"unknown variant {variant!r}")
     yield from product_descriptors(ctx, shape, mu, allow_row=True, cap=cap)
     if variant != "all" or ctx.q != 2:
         return

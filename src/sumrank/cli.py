@@ -71,7 +71,10 @@ def _load(path: str) -> dict:
             data = json.load(fh)
     except FileNotFoundError:
         raise UsageError(f"no such file: {path}") from None
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror}") from None
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError and UnicodeDecodeError are ValueErrors
         raise ParseError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise ParseError(f"{path}: expected a JSON object at top level")
@@ -84,7 +87,7 @@ def _build(path: str, build: Callable, data):
         return build(data)
     except SumrankError:
         raise
-    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError, OverflowError) as exc:
         raise ParseError(f"{path}: malformed payload ({exc})") from None
 
 
@@ -143,6 +146,10 @@ def _cmd_dist(config: RunConfig) -> dict:
 
 def _cmd_dual(config: RunConfig) -> dict:
     code = _read_code(config.paths[0])
+    entries = code.ambient_dim * (code.ambient_dim - code.dim)
+    cap = config.cap or FAMILY_CAP
+    if entries > cap:
+        raise EnumerationTooLarge(f"dual basis of {entries} entries exceeds cap {cap}")
     dual = code.dual()
     if config.oracle:
         for t in dual.basis_tuples():

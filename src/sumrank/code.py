@@ -17,6 +17,7 @@ from .errors import (
     EnumerationTooLarge,
     ShapeMismatch,
     TrivialCode,
+    UnknownChoice,
 )
 from .gf import FieldContext, field_from_dict
 from .matfq import MatrixFq, Subspace, rref, reduce_against, vec_add, vec_scale
@@ -457,7 +458,7 @@ class LinearCode:
             from .genweights import gen_weight
 
             return gen_weight(self, 1, "product", cap)
-        raise ValueError(f"unknown method {method!r}")
+        raise UnknownChoice(f"unknown method {method!r}")
 
     def max_srk(self, cap: int = DIST_CAP) -> int:
         return self._scan("max", cap)

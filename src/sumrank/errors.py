@@ -3,7 +3,8 @@
 Two top-level families matter to callers: ``UsageError`` covers bad inputs
 and exceeded enumeration guards (CLI exit code 1), ``InvariantViolation``
 covers contradictions of guaranteed identities (CLI exit code 2, always a
-bug somewhere).
+bug somewhere).  The classes for bad argument values also derive from
+``ValueError``, so callers that catch ``ValueError`` still catch them.
 """
 
 from __future__ import annotations
@@ -35,6 +36,10 @@ __all__ = [
     "IllegalTranspose",
     "DimNotAdmissible",
     "ParseError",
+    "UnknownChoice",
+    "BadDegree",
+    "ElementOutOfRange",
+    "SingularFactor",
 ]
 
 
@@ -140,3 +145,19 @@ class DimNotAdmissible(UsageError):
 
 class ParseError(UsageError):
     pass
+
+
+class UnknownChoice(UsageError, ValueError):
+    """An unknown variant, method or support kind."""
+
+
+class BadDegree(UsageError, ValueError):
+    """A field extension degree below 1."""
+
+
+class ElementOutOfRange(UsageError, ValueError):
+    pass
+
+
+class SingularFactor(UsageError, ValueError):
+    """An isometry factor that is not invertible."""

@@ -17,12 +17,14 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 from .anticode import AnticodeDescriptor, Meet, enumerate_anticodes, product_descriptors
 from .code import LinearCode, MatrixTuple, Shape
 from .errors import (
+    BadDegree,
     GammaNotBasis,
     InvariantViolation,
     NotLinearOverSubfield,
     RankOutOfRange,
     ShapeMismatch,
     UnequalRowDims,
+    UnknownChoice,
 )
 from .gf import FieldContext, _digits, _undigits
 from .matfq import MatrixFq
@@ -51,7 +53,7 @@ def _family(
         return enumerate_anticodes(ctx, shape, mu, variant="all", cap=cap)
     if variant == "support":
         return product_descriptors(ctx, shape, mu, allow_row=False, cap=cap)
-    raise ValueError(f"unknown variant {variant!r}")
+    raise UnknownChoice(f"unknown variant {variant!r}")
 
 
 def _check_variant_shape(shape: Shape, variant: str) -> None:
@@ -86,7 +88,7 @@ class WeightProfile:
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
+            raise UnknownChoice(f"unknown variant {self.variant!r}")
         if len(self.weights) != self.dim:
             raise ShapeMismatch("one weight per dimension")
         if any(b < a for a, b in zip(self.weights, self.weights[1:])):
@@ -188,7 +190,7 @@ def wei_duality_check(code: LinearCode, cap: int = 10**6) -> dict:
 @lru_cache(maxsize=None)
 def extension_context(base: FieldContext, m: int) -> FieldContext:
     if m < 1:
-        raise ValueError("extension degree must be positive")
+        raise BadDegree("extension degree must be positive")
     if m == 1:
         return base
     return FieldContext(base.p, base.e * m)

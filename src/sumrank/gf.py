@@ -12,8 +12,10 @@ from __future__ import annotations
 from typing import Iterator, Optional, Sequence, Tuple
 
 from .errors import (
+    BadDegree,
     ContextMismatch,
     DivideByZero,
+    ElementOutOfRange,
     NotPrime,
     OrderTooLarge,
     ReducibleModulus,
@@ -120,10 +122,15 @@ class FieldContext:
     __slots__ = ("p", "e", "q", "modulus", "generator", "_exp", "_log", "_add_table")
 
     def __init__(self, p: int, e: int, modulus: Optional[Sequence[int]] = None):
+        # bounded before trial division and before p**e is formed
+        if p > MAX_ORDER:
+            raise OrderTooLarge(f"p = {p} exceeds the supported bound {MAX_ORDER}")
         if not is_prime(p):
             raise NotPrime(f"p = {p} is not prime")
         if e < 1:
-            raise ValueError("extension degree must be at least 1")
+            raise BadDegree("extension degree must be at least 1")
+        if e >= MAX_ORDER.bit_length():
+            raise OrderTooLarge(f"q = {p}**{e} exceeds the supported bound {MAX_ORDER}")
         q = p**e
         if q > MAX_ORDER:
             raise OrderTooLarge(f"q = {q} exceeds the supported bound {MAX_ORDER}")
@@ -303,7 +310,7 @@ class FieldElement:
 
     def __init__(self, ctx: FieldContext, value: int):
         if not 0 <= value < ctx.q:
-            raise ValueError(f"representation {value} out of range for q={ctx.q}")
+            raise ElementOutOfRange(f"representation {value} out of range for q={ctx.q}")
         self.ctx = ctx
         self.repr = value
 

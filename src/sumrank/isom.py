@@ -3,15 +3,21 @@
 A linear map preserving the sum-rank weight on a strict product space
 factors as a dimension-preserving permutation of the blocks followed by
 X -> M X N per block, with X -> M X^T N allowed on square blocks.  The
-module applies, samples, composes, and exhaustively searches them.
+module applies, samples and composes them, and decides code equivalence
+exactly: it enumerates permutations, transpose masks and right factors N,
+and for each one solves a linear system for every left tuple (M_j) that
+maps the first code into the second, so the left GL groups are never
+listed.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import permutations, product as iter_product
-from typing import Iterator, List, Optional, Tuple
+from math import factorial
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .code import LinearCode, MatrixTuple, Shape
 from .errors import (
@@ -19,9 +25,10 @@ from .errors import (
     GroupTooLarge,
     IllegalTranspose,
     ShapeMismatch,
+    SingularFactor,
 )
 from .gf import FieldContext
-from .matfq import MatrixFq
+from .matfq import MatrixFq, nullspace_rows, reduce_against, vec_add, vec_scale
 
 __all__ = [
     "Isometry",
@@ -37,6 +44,8 @@ __all__ = [
 
 GROUP_CAP = 10**7
 _GL_ENUM_CAP = 1 << 22
+# groups whose order needs more bits than this are refused unformed
+_ORDER_BITS = 1 << 12
 
 _GL_CACHE: dict = {}
 
@@ -116,7 +125,7 @@ class Isometry:
             if lm.m != mm or lm.n != mm or rn.m != nn or rn.n != nn:
                 raise ShapeMismatch(f"block {j}: factor dimensions do not match")
             if not lm.is_invertible() or not rn.is_invertible():
-                raise ValueError(f"block {j}: factors must be invertible")
+                raise SingularFactor(f"block {j}: factors must be invertible")
 
     @classmethod
     def identity(cls, shape: Shape, ctx: FieldContext) -> "Isometry":
@@ -263,15 +272,27 @@ def admissible_permutations(shape: Shape) -> Iterator[Tuple[int, ...]]:
 
 
 def isometry_count(shape: Shape, q: int) -> int:
-    """Size of the search space walked by equivalent_codes."""
+    """Order of the isometry group: the guard equivalent_codes checks its cap
+    against.  The search itself enumerates only the right factors."""
     per_block = 1
     for mm, nn in zip(shape.m, shape.n):
         factor = gl_order(mm, q) * gl_order(nn, q)
         if mm == nn:
             factor *= 2
         per_block *= factor
-    nperm = sum(1 for _ in admissible_permutations(shape))
+    nperm = 1
+    for dims in set(zip(shape.m, shape.n)):
+        nperm *= factorial(list(zip(shape.m, shape.n)).count(dims))
     return nperm * per_block
+
+
+def _order_floor_bits(shape: Shape, q: int) -> int:
+    """b with 2**b at most the isometry group order; |GL(n, q)| >= q**(n(n-1)/2)."""
+    bits = 0
+    for mm, nn in zip(shape.m, shape.n):
+        bits += (q.bit_length() - 1) * (mm * (mm - 1) + nn * (nn - 1)) // 2
+        bits += mm == nn
+    return bits
 
 
 def _transpose_masks(shape: Shape) -> Iterator[Tuple[bool, ...]]:
@@ -283,17 +304,134 @@ def _transpose_masks(shape: Shape) -> Iterator[Tuple[bool, ...]]:
         yield tuple(mask)
 
 
+def _dot(ctx: FieldContext, u: Sequence[int], v: Sequence[int]) -> int:
+    acc = 0
+    for a, b in zip(u, v):
+        if a and b:
+            acc = ctx.add(acc, ctx.mul(a, b))
+    return acc
+
+
+def _left_equations(ctx, sizes, checks, images, right):
+    """Rows of the linear system in (M_1, ..., M_l) for fixed right factors.
+
+    images[x][j] is op(X_sigma(j)) for basis tuple x and checks[h][j] is block
+    j of parity check h, both as row tuples.  The unknown M_j[a][c] has
+    coefficient (Y_j H_j^T)[c][a] with Y_j = op(X_sigma(j)) N_j, so equation
+    (h, x) says that the image of x has zero pairing with h.
+    """
+    right_cols = [tuple(zip(*n.rows)) for n in right]
+    ys = [
+        [
+            [tuple(_dot(ctx, row, col) for col in cols) for row in blk]
+            for blk, cols in zip(x, right_cols)
+        ]
+        for x in images
+    ]
+    rows = []
+    for y in ys:
+        for h in checks:
+            eq = []
+            for j, mm in enumerate(sizes):
+                hj, yj = h[j], y[j]
+                for a in range(mm):
+                    eq.extend(_dot(ctx, hj[a], yj[c]) for c in range(mm))
+            rows.append(eq)
+    return rows
+
+
+def _extend_echelon(ctx: FieldContext, echelon: tuple, row: Sequence[int]):
+    """(rows, pivots) of an echelon basis plus row, or None when row lies in
+    its span; each new row is reduced against the earlier ones."""
+    rows, pivots = echelon
+    _, rem = reduce_against(row, rows, pivots, ctx)
+    lead = next((k for k, x in enumerate(rem) if x), None)
+    if lead is None:
+        return None
+    return rows + (vec_scale(ctx, ctx.inv(rem[lead]), rem),), pivots + (lead,)
+
+
+def _invertible_points(ctx, sizes, space, bound, first_only):
+    """Vectors of the span of space (an RREF basis) whose square blocks of
+    the given sizes are all invertible, in lexicographic order.
+
+    A depth-first walk over the RREF coefficients: fixing the coefficient of
+    basis row i fixes every coordinate before the pivot of row i + 1, and a
+    branch is cut as soon as the fixed rows of some block are dependent.
+    With bound, only vectors below it count and the walk stops once the
+    fixed prefix passes it; with first_only, it stops at the first hit.
+    """
+    total = sum(mm * mm for mm in sizes)
+    ends = [next(c for c, x in enumerate(row) if x) for row in space] + [total]
+    done_at: List[list] = [[] for _ in ends]
+    off = 0
+    for j, mm in enumerate(sizes):
+        for a in range(mm):
+            start = off + a * mm
+            done_at[bisect_left(ends, start + mm)].append((j, start, start + mm))
+        off += mm * mm
+    scaled = [[None] + [vec_scale(ctx, c, row) for c in range(1, ctx.q)] for row in space]
+    depth = len(space)
+    found: List[Tuple[int, ...]] = []
+
+    def visit(i, vec, echelons, tied) -> bool:
+        # coordinates below ends[i] are fixed; True stops the whole walk
+        if tied:
+            lo = ends[i - 1] if i else 0
+            seg, ref = vec[lo : ends[i]], bound[lo : ends[i]]
+            if seg > ref:
+                return True
+            tied = seg == ref
+        if done_at[i]:
+            echelons = list(echelons)
+            for j, start, end in done_at[i]:
+                echelons[j] = _extend_echelon(ctx, echelons[j], vec[start:end])
+                if echelons[j] is None:
+                    return False
+        if i == depth:
+            if tied:
+                return True
+            found.append(vec)
+            return first_only
+        for step in scaled[i]:
+            nxt = vec if step is None else vec_add(ctx, vec, step)
+            if visit(i + 1, nxt, echelons, tied):
+                return True
+        return False
+
+    visit(0, (0,) * total, [((), ())] * len(sizes), bound is not None)
+    return found
+
+
+def _blocks(flat: Sequence[int], dims) -> list:
+    """Split a flat vector into row tuples of blocks with the given dims."""
+    out = []
+    pos = 0
+    for mm, nn in dims:
+        out.append(tuple(tuple(flat[pos + r * nn : pos + (r + 1) * nn]) for r in range(mm)))
+        pos += mm * nn
+    return out
+
+
 def equivalent_codes(
     first: LinearCode,
     second: LinearCode,
     cap: int = GROUP_CAP,
     all_witnesses: bool = False,
 ):
-    """Search the full isometry group for a map sending first onto second.
+    """Find an isometry sending first onto second.
 
-    Returns a witness Isometry or None; with all_witnesses, the complete
-    list (for first == second, the automorphism group).  The group size
-    is checked against cap before any work happens.
+    Returns the first witness in (sigma, transpose mask, left tuple, right
+    tuple) order, each GL tuple in gl_group order with block 0 slowest, or
+    None; with all_witnesses, every witness in that order (for first ==
+    second, the automorphism group).  The isometry group order is checked
+    against cap before any work happens.
+
+    Only the right factors are enumerated.  For fixed sigma, mask and N the
+    condition "M op(X) N lies in second for every basis tuple X of first"
+    is linear in (M_1, ..., M_l), so one nullspace against the parity
+    checks of second yields every candidate left tuple, and a pruned walk
+    of that space keeps the tuples whose blocks are all invertible.
     """
     if first.shape != second.shape:
         raise ShapeMismatch("codes live in different product spaces")
@@ -303,6 +441,10 @@ def equivalent_codes(
     found: List[Isometry] = []
     if first.dim != second.dim:
         return found if all_witnesses else None
+    # an order too long to write out is refused before it is formed
+    floor_bits = _order_floor_bits(shape, ctx.q)
+    if floor_bits >= max(cap.bit_length(), _ORDER_BITS):
+        raise GroupTooLarge(f"more than 2**{floor_bits} isometries exceed cap {cap}")
     total = isometry_count(shape, ctx.q)
     if total > cap:
         raise GroupTooLarge(f"{total} isometries exceed cap {cap}")
@@ -312,40 +454,49 @@ def equivalent_codes(
             return None
     proj_dims_second = [second.block_projection(j).dim for j in range(shape.ell)]
     proj_dims_first = [first.block_projection(j).dim for j in range(shape.ell)]
-    basis = first.basis_tuples()
-    target = second.rows
-    left_pools = [gl_group(ctx, m) for m in shape.m]
+    ell = shape.ell
+    dims = list(zip(shape.m, shape.n))
+    sizes = shape.m
+    unknowns = sum(mm * mm for mm in sizes)
+    basis = [_blocks(row, dims) for row in first.rows]
+    checks = [_blocks(row, dims) for row in second.dual().rows]
     right_pools = [gl_group(ctx, n) for n in shape.n]
+    lefts: dict = {}
     for sigma in admissible_permutations(shape):
         if any(
-            proj_dims_first[sigma[j]] != proj_dims_second[j] for j in range(shape.ell)
+            proj_dims_first[sigma[j]] != proj_dims_second[j] for j in range(ell)
         ):
             continue
-        ell = shape.ell
-        permuted = [
-            [b.blocks[sigma[j]] for j in range(ell)] for b in basis
-        ]
         for mask in _transpose_masks(shape):
-            blocks_in = [
-                [x.transpose() if mask[j] else x for j, x in enumerate(row)]
-                for row in permuted
+            images = [
+                [tuple(zip(*x[sigma[j]])) if mask[j] else x[sigma[j]] for j in range(ell)]
+                for x in basis
             ]
-            for left in iter_product(*(left_pools[j] for j in range(ell))):
-                half = [
-                    [left[j] @ x for j, x in enumerate(row)] for row in blocks_in
-                ]
-                for right in iter_product(*(right_pools[j] for j in range(ell))):
-                    image = LinearCode.from_tuples(
-                        shape,
-                        ctx,
-                        [
-                            MatrixTuple(shape, [x @ right[j] for j, x in enumerate(row)])
-                            for row in half
-                        ],
-                    )
-                    if image.rows == target:
-                        phi = Isometry(shape, ctx, sigma, mask, left, right)
-                        if not all_witnesses:
-                            return phi
-                        found.append(phi)
+            best = None
+            pairs = []
+            for right in iter_product(*right_pools):
+                eqs = _left_equations(ctx, sizes, checks, images, right)
+                space = nullspace_rows(eqs, unknowns, ctx)
+                points = _invertible_points(
+                    ctx, sizes, space, best[0] if best else None, not all_witnesses
+                )
+                if all_witnesses:
+                    pairs += [(point, right) for point in points]
+                elif points:
+                    best = (points[0], right)
+            if all_witnesses:
+                # stable: for equal left tuples the right tuples stay in order
+                pairs.sort(key=lambda pair: pair[0])
+            elif best is not None:
+                pairs = [best]
+            for point, right in pairs:
+                left = []
+                for blk in _blocks(point, zip(sizes, sizes)):
+                    # one matrix per distinct left block, shared by the witnesses
+                    if blk not in lefts:
+                        lefts[blk] = MatrixFq(ctx, blk)
+                    left.append(lefts[blk])
+                found.append(Isometry(shape, ctx, sigma, mask, tuple(left), right))
+            if found and not all_witnesses:
+                return found[0]
     return found if all_witnesses else None

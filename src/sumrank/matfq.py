@@ -55,6 +55,8 @@ def rref(rows: Iterable[Sequence[int]], ncols: int, ctx: FieldContext):
     pivots: List[int] = []
     rank = 0
     for col in range(ncols):
+        if rank == len(mat):
+            break
         pivot_row = None
         for r in range(rank, len(mat)):
             if mat[r][col] != 0:
@@ -77,8 +79,6 @@ def rref(rows: Iterable[Sequence[int]], ncols: int, ctx: FieldContext):
                         row[c] = ctx.sub(row[c], ctx.mul(f, prow[c]))
         pivots.append(col)
         rank += 1
-        if rank == len(mat):
-            break
     return [tuple(r) for r in mat[:rank]], pivots
 
 

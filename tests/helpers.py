@@ -9,7 +9,16 @@ import random
 from itertools import combinations, product as iter_product
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from sumrank import FieldContext, LinearCode, MatrixFq, Shape
+from sumrank import (
+    FieldContext,
+    Isometry,
+    LinearCode,
+    MatrixFq,
+    MatrixTuple,
+    Shape,
+    admissible_permutations,
+    gl_group,
+)
 
 F2 = FieldContext(2, 1)
 F3 = FieldContext(3, 1)
@@ -205,3 +214,52 @@ def _row_support_rows(shape, i, basis, mm, nn):
                 flat[off + r * nn + c] = vec[r]
             out.append(tuple(flat))
     return out
+
+
+def brute_equivalence(first: LinearCode, second: LinearCode, all_witnesses: bool = False):
+    """Isometry search over both GL factors, one code image per isometry.
+
+    Walks permutations, transpose masks, left tuples and then right tuples
+    (block 0 slowest), so the first witness is the least in that order.
+    Returns that witness or None; with all_witnesses, every witness in
+    walk order.
+    """
+    shape, ctx = first.shape, first.ctx
+    found = []
+    if first.dim != second.dim:
+        return found if all_witnesses else None
+    ell = shape.ell
+    squares = [j for j in range(ell) if shape.m[j] == shape.n[j]]
+    masks = [
+        tuple(j in squares and bool(bits >> squares.index(j) & 1) for j in range(ell))
+        for bits in range(1 << len(squares))
+    ]
+    basis = first.basis_tuples()
+    left_pools = [gl_group(ctx, m) for m in shape.m]
+    right_pools = [gl_group(ctx, n) for n in shape.n]
+    for sigma in admissible_permutations(shape):
+        for mask in masks:
+            blocks_in = [
+                [
+                    b.blocks[sigma[j]].transpose() if mask[j] else b.blocks[sigma[j]]
+                    for j in range(ell)
+                ]
+                for b in basis
+            ]
+            for left in iter_product(*left_pools):
+                half = [[left[j] @ x for j, x in enumerate(row)] for row in blocks_in]
+                for right in iter_product(*right_pools):
+                    image = LinearCode.from_tuples(
+                        shape,
+                        ctx,
+                        [
+                            MatrixTuple(shape, [x @ right[j] for j, x in enumerate(row)])
+                            for row in half
+                        ],
+                    )
+                    if image == second:
+                        phi = Isometry(shape, ctx, sigma, mask, left, right)
+                        if not all_witnesses:
+                            return phi
+                        found.append(phi)
+    return found if all_witnesses else None

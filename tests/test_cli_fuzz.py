@@ -1,0 +1,148 @@
+"""Malformed JSON payloads through the CLI loaders.
+
+Every input, however broken, must end in exit code 0, 1 or 2 with no
+traceback: wrong types, ragged matrices, out-of-range entries, and declared
+dimensions far larger than any payload could fill, under a small --cap.
+"""
+
+import json
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from test_cli import _run
+
+ENTRY = st.one_of(
+    st.integers(-3, 8),
+    st.integers(min_value=2**70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=2),
+    st.none(),
+    st.booleans(),
+    st.lists(st.integers(0, 2), max_size=2),
+)
+FIELDS = [{"p": 2, "e": 1}, {"p": 3, "e": 1}, {"p": 2, "e": 2}]
+BAD_FIELD = st.one_of(
+    st.fixed_dictionaries(
+        {
+            "p": st.one_of(st.sampled_from([2, 3, 4, 0, -2, 65537, 2**61 - 1]), ENTRY),
+            "e": st.one_of(st.integers(-1, 3), st.integers(17, 10**15), ENTRY),
+        },
+        optional={"modulus": st.one_of(st.lists(ENTRY, max_size=4), ENTRY)},
+    ),
+    ENTRY,
+)
+HUGE = st.integers(10**3, 10**12)
+
+
+def _matrix(draw, q, rows, cols):
+    return [[draw(st.integers(0, q - 1)) for _ in range(cols)] for _ in range(rows)]
+
+
+@st.composite
+def payloads(draw, kind):
+    """A well-formed code or tuple payload with at most one defect planted."""
+    field = draw(st.sampled_from(FIELDS))
+    q = field["p"] ** field["e"]
+    ell = draw(st.integers(1, 2))
+    m = sorted((draw(st.integers(1, 3)) for _ in range(ell)), reverse=True)
+    n = [draw(st.integers(1, mi)) for mi in m]
+    shape = {"m": m, "n": n}
+    tuples = [
+        [_matrix(draw, q, a, b) for a, b in zip(m, n)]
+        for _ in range(draw(st.integers(0, 3)) if kind == "basis" else 1)
+    ]
+    data = {"field": field, "shape": shape}
+    data[kind] = tuples if kind == "basis" else tuples[0]
+    defect = draw(st.sampled_from(
+        ["none", "entry", "ragged", "empty", "field", "dim", "huge", "vast", "key", "type", "top"]
+    ))
+    blocks = [blk for t in tuples for blk in t]
+    if defect == "entry" and blocks:
+        row = draw(st.sampled_from(draw(st.sampled_from(blocks))))
+        row[draw(st.integers(0, len(row) - 1))] = draw(ENTRY)
+    elif defect == "ragged" and blocks:
+        row = draw(st.sampled_from(draw(st.sampled_from(blocks))))
+        row.extend(draw(st.lists(st.integers(0, 1), min_size=1, max_size=2)))
+    elif defect == "empty" and blocks:
+        draw(st.sampled_from(blocks)).clear()
+    elif defect == "field":
+        data["field"] = draw(BAD_FIELD)
+    elif defect == "dim":
+        shape[draw(st.sampled_from(["m", "n"]))][draw(st.integers(0, ell - 1))] = draw(ENTRY)
+    elif defect in ("huge", "vast"):
+        # a declared space far larger than any payload could fill; "vast"
+        # also empties the payload, which leaves a zero code
+        shape["m"] = [draw(HUGE) for _ in range(ell)]
+        shape["n"] = [draw(st.one_of(HUGE, st.integers(1, 3))) for _ in range(ell)]
+        if defect == "vast":
+            data[kind] = []
+    elif defect == "key":
+        del data[draw(st.sampled_from(sorted(data)))]
+    elif defect == "type":
+        data[draw(st.sampled_from(sorted(data)))] = draw(ENTRY)
+    elif defect == "top":
+        return draw(st.one_of(ENTRY, st.lists(ENTRY, max_size=2)))
+    return data
+
+
+CODE = payloads("basis")
+TUPLE = payloads("blocks")
+CAP = st.integers(1, 64)
+
+FUZZ = settings(
+    max_examples=120,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+def _check(argv, capsys):
+    status, out, err = _run(argv, capsys)
+    assert status in (0, 1, 2)
+    assert "Traceback" not in err
+    if status == 0:
+        json.loads(out)
+
+
+def _write(tmp_path, name, payload):
+    path = tmp_path / name
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return str(path)
+
+
+@FUZZ
+@given(first=CODE, second=st.one_of(CODE, st.none()), cap=CAP)
+def test_equiv_answers_any_payload(tmp_path, capsys, first, second, cap):
+    a = _write(tmp_path, "a.json", first)
+    b = _write(tmp_path, "b.json", first if second is None else second)
+    _check(["equiv", a, b, "--cap", str(cap)], capsys)
+
+
+@FUZZ
+@given(payload=TUPLE, cap=CAP)
+def test_srk_answers_any_payload(tmp_path, capsys, payload, cap):
+    _check(["srk", _write(tmp_path, "t.json", payload), "--cap", str(cap)], capsys)
+
+
+@FUZZ
+@given(payload=CODE, cap=CAP)
+def test_dual_answers_any_payload(tmp_path, capsys, payload, cap):
+    _check(["dual", _write(tmp_path, "c.json", payload), "--cap", str(cap)], capsys)
+
+
+def test_loader_corner_cases(tmp_path, capsys):
+    # entries json.dump writes as Infinity, a directory path, bytes that are
+    # not UTF-8, and a zero code in a space too large to write out
+    inf = {"field": {"p": 2, "e": 1}, "shape": {"m": [1], "n": [1]}, "blocks": [[[float("inf")]]]}
+    assert _run(["srk", _write(tmp_path, "inf.json", inf)], capsys)[0] == 1
+    assert _run(["srk", str(tmp_path)], capsys)[0] == 1
+    raw = tmp_path / "raw.json"
+    raw.write_bytes(b"\xff\xfe{")
+    assert _run(["dual", str(raw)], capsys)[0] == 1
+    huge = {"field": {"p": 2, "e": 1}, "shape": {"m": [10**9], "n": [10**9]}, "basis": []}
+    path = _write(tmp_path, "huge.json", huge)
+    assert _run(["dual", path], capsys)[0] == 1
+    assert _run(["equiv", path, path], capsys)[0] == 1
+    big_p = {"field": {"p": 2**61 - 1, "e": 1}, "shape": {"m": [1], "n": [1]}, "blocks": [[[1]]]}
+    assert _run(["srk", _write(tmp_path, "p.json", big_p)], capsys)[0] == 1
+    big_e = {"field": {"p": 2, "e": 10**15}, "shape": {"m": [1], "n": [1]}, "blocks": [[[1]]]}
+    assert _run(["srk", _write(tmp_path, "e.json", big_e)], capsys)[0] == 1

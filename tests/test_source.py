@@ -18,3 +18,24 @@ def test_no_bare_asserts_in_the_package():
             if isinstance(node, ast.Assert)
         ]
     assert not found, f"bare asserts: {found}"
+
+
+def _raised_name(node):
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return exc.id if isinstance(exc, ast.Name) else None
+
+
+def test_no_bare_value_errors_in_the_package():
+    # every error a caller can trigger is a UsageError subclass, so the CLI
+    # maps it onto exit code 1
+    found = []
+    for path in sorted(Path(sumrank.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Raise)
+            and node.exc is not None
+            and _raised_name(node) == "ValueError"
+        ]
+    assert not found, f"raise ValueError: {found}"
