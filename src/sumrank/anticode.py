@@ -26,7 +26,7 @@ from .errors import (
     UnknownChoice,
 )
 from .gf import FieldContext
-from .matfq import Subspace, enumerate_subspaces, gaussian_binomial, rref
+from .matfq import Subspace, enumerate_subspaces, gaussian_binomial, rank_rows, rref
 
 __all__ = [
     "BlockSupport",
@@ -227,7 +227,7 @@ class Meet:
             checks += self._checks(len(desc.blocks), "tail", desc.tail)
         if not checks:
             return code.dim
-        return code.dim - len(rref(checks, code.dim, code.ctx)[0])
+        return code.dim - rank_rows(checks, code.dim, code.ctx)
 
     def _checks(self, i: int, kind: str, space: Subspace) -> List[Tuple[int, ...]]:
         """Reduced columns G·h for the parity checks h of one support."""

@@ -3,24 +3,28 @@
 An ambient space is a product of matrix blocks F_q^{m_i x n_i}.  Codes are
 F_q-subspaces stored as the RREF of their flattened generators; flattening
 runs block by block, then row by row, then column by column, and that
-order is the package-wide canonical form.
+order is the package-wide canonical form.  Every weight scan (distance,
+maximum ranks, weight distribution) reads one walk over the nonzero
+codewords, ``LinearCode._walk``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
     AmbientMismatch,
     ContextMismatch,
     EnumerationTooLarge,
+    InvariantViolation,
     ShapeMismatch,
     TrivialCode,
     UnknownChoice,
 )
 from .gf import FieldContext, field_from_dict
-from .matfq import MatrixFq, Subspace, rref, reduce_against, vec_add, vec_scale
+from .matfq import MatrixFq, Subspace, rank_rows, rref, reduce_against, walk_span
 
 __all__ = [
     "Shape",
@@ -97,7 +101,7 @@ class Shape:
             acc += b
             if col <= acc:
                 return i
-        raise AssertionError
+        raise InvariantViolation("the column total must reach ncols")
 
     def scalar_suffix_start(self) -> int:
         """Number of leading blocks with m_i > 1 (strict shapes only)."""
@@ -223,7 +227,7 @@ def trace_pairing(d: MatrixTuple, c: MatrixTuple) -> int:
 class LinearCode:
     """An F_q-linear subspace of a product of matrix blocks."""
 
-    __slots__ = ("shape", "ctx", "rows", "pivots", "_packed")
+    __slots__ = ("shape", "ctx", "rows", "pivots")
 
     def __init__(
         self,
@@ -242,7 +246,6 @@ class LinearCode:
             red, piv = rref(rows, shape.ambient_dim, ctx)
             self.rows = tuple(red)
             self.pivots = tuple(piv)
-        self._packed = None
 
     @classmethod
     def from_tuples(cls, shape: Shape, ctx: FieldContext, tuples: Sequence[MatrixTuple]) -> "LinearCode":
@@ -328,28 +331,9 @@ class LinearCode:
 
     def iter_flat(self, include_zero: bool = False) -> Iterator[Tuple[int, ...]]:
         """Flattened codewords in deterministic counter order."""
-        ctx, k, n = self.ctx, self.dim, self.ambient_dim
-        if k == 0:
-            if include_zero:
-                yield (0,) * n
-            return
-        scaled = [[vec_scale(ctx, c, row) for c in range(ctx.q)] for row in self.rows]
-        digits = [0] * k
-        partial = [(0,) * n] * (k + 1)
-        first = True
-        while True:
-            if not first or include_zero:
-                yield partial[k]
-            first = False
-            pos = k - 1
-            while pos >= 0 and digits[pos] == ctx.q - 1:
-                digits[pos] = 0
-                pos -= 1
-            if pos < 0:
-                return
-            digits[pos] += 1
-            for i in range(pos, k):
-                partial[i + 1] = vec_add(ctx, partial[i], scaled[i][digits[i]])
+        if self.dim or include_zero:
+            words = walk_span(self.ctx, (0,) * self.ambient_dim, self.rows)
+            yield from words if include_zero else islice(words, 1, None)
 
     def iter_codewords(self, include_zero: bool = False) -> Iterator[MatrixTuple]:
         for flat in self.iter_flat(include_zero):
@@ -361,89 +345,79 @@ class LinearCode:
                 f"q^dim = {self.ctx.q}**{self.dim} exceeds cap {cap}"
             )
 
-    # fast packed scan for q = 2
+    def _walk(self, weighted: bool) -> Iterator[Tuple[int, int]]:
+        """(value, multiplicity) pairs that cover each nonzero codeword once.
 
-    def _packed_layout(self):
-        if self._packed is None:
+        value is srk, or sum m_i rank(C_i) when weighted.  For q = 2 a
+        Gray-code walk packs rows into ints and ranks blocks by XOR; a block
+        of m_i n_i < dim entries repeats its words, so the call keeps its
+        values in a table of 2^(m_i n_i) bytes, fewer than the codewords.
+        For q > 2 it visits the codewords whose first nonzero message
+        coefficient is 1, each for its q - 1 multiples (scaling keeps every
+        block rank), and ranks blocks on slices of the word with rank_rows.
+        """
+        if self.dim == 0:
+            return
+        shape, ctx, k = self.shape, self.ctx, self.dim
+        weights = shape.m if weighted else (1,) * shape.ell
+        layout = list(zip(shape.block_offsets(), shape.m, shape.n, weights))
+        if ctx.q == 2:
             rows = [sum(x << i for i, x in enumerate(r)) for r in self.rows]
-            blocks = []
-            pos = 0
-            for a, b in zip(self.shape.m, self.shape.n):
-                blocks.append((pos, a, b, (1 << b) - 1))
-                pos += a * b
-            self._packed = (rows, blocks)
-        return self._packed
-
-    def _iter_packed_nonzero(self) -> Iterator[int]:
-        """Gray-code walk over the nonzero codewords, q = 2 only."""
-        rows, _ = self._packed_layout()
-        k = len(rows)
-        word = 0
-        for i in range(1, 1 << k):
-            word ^= rows[(i & -i).bit_length() - 1]
-            yield word
-
-    @staticmethod
-    def _bit_rank(bit_rows: List[int]) -> int:
-        pivots = {}
-        rank = 0
-        for r in bit_rows:
-            while r:
-                lead = r.bit_length()
-                if lead in pivots:
-                    r ^= pivots[lead]
-                else:
-                    pivots[lead] = r
-                    rank += 1
-                    break
-        return rank
-
-    def _packed_srk(self, word: int, weighted: bool) -> int:
-        _, blocks = self._packed_layout()
-        total = 0
-        for pos, a, b, mask in blocks:
-            rows = []
-            w = word >> pos
-            for _ in range(a):
-                r = w & mask
-                if r:
-                    rows.append(r)
-                w >>= b
-            if rows:
-                rk = self._bit_rank(rows)
-                total += a * rk if weighted else rk
-        return total
+            # 255 marks an unranked word: a value is at most m_i n_i, and a
+            # table of 2^(m_i n_i) bytes exists only for m_i n_i far below 255
+            blocks = [(pos, (1 << a * b) - 1, b, (1 << b) - 1, w,
+                       bytearray(b"\xff") * (1 << a * b) if a * b < k else None)
+                      for pos, a, b, w in layout]
+            word = 0
+            for i in range(1, 1 << k):
+                word ^= rows[(i & -i).bit_length() - 1]
+                total = 0
+                for pos, block_mask, b, row_mask, w, memo in blocks:
+                    key = (word >> pos) & block_mask
+                    v = 255 if memo is None else memo[key]
+                    if v == 255:
+                        pivots: dict = {}
+                        bits = key
+                        while bits:
+                            r = bits & row_mask
+                            bits >>= b
+                            while r:
+                                lead = r.bit_length()
+                                if lead not in pivots:
+                                    pivots[lead] = r
+                                    break
+                                r ^= pivots[lead]
+                        v = w * len(pivots)
+                        if memo is not None:
+                            memo[key] = v
+                    total += v
+                yield total, 1
+            return
+        spans = [(pos, pos + a * b, b, w) for pos, a, b, w in layout]
+        for lead in range(k):
+            for word in walk_span(ctx, self.rows[lead], self.rows[lead + 1 :]):
+                total = 0
+                for start, stop, b, w in spans:
+                    total += w * rank_rows([word[s : s + b] for s in range(start, stop, b)], b, ctx)
+                yield total, ctx.q - 1
 
     def _scan(self, kind: str, cap: int, stop_at: Optional[int] = None) -> int:
-        """Reduce srk or weighted rank over the nonzero codewords."""
+        """Min or max srk, or max weighted rank, over the values of _walk.
+
+        "min" stops at 1, a maximum once it reaches stop_at.
+        """
         if self.dim == 0:
             raise TrivialCode("the zero code has no nonzero codewords")
         self._guard(cap)
+        # a minimum is the maximum of -v, reached once v = 1
+        sign, stop = (-1, -1) if kind == "min" else (1, stop_at)
         best = None
-        if self.ctx.q == 2:
-            weighted = kind == "weighted_max"
-            for word in self._iter_packed_nonzero():
-                v = self._packed_srk(word, weighted)
-                if kind == "min":
-                    best = v if best is None else min(best, v)
-                    if best == 1:
-                        break
-                else:
-                    best = v if best is None else max(best, v)
-                    if stop_at is not None and best >= stop_at:
-                        break
-            return best
-        for t in self.iter_codewords():
-            v = t.weighted_rank() if kind == "weighted_max" else t.srk()
-            if kind == "min":
-                best = v if best is None else min(best, v)
-                if best == 1:
+        for v, _ in self._walk(kind == "weighted_max"):
+            if best is None or sign * v > best:
+                best = sign * v
+                if stop is not None and best >= stop:
                     break
-            else:
-                best = v if best is None else max(best, v)
-                if stop_at is not None and best >= stop_at:
-                    break
-        return best
+        return sign * best
 
     def min_distance(self, method: str = "enumerate", cap: int = DIST_CAP) -> int:
         """Minimum sum-rank weight of a nonzero codeword.
@@ -464,20 +438,20 @@ class LinearCode:
         return self._scan("max", cap)
 
     def weighted_max(self, cap: int = DIST_CAP, stop_at: Optional[int] = None) -> int:
-        """max over codewords of sum m_i rank(C_i); stop_at allows early exit."""
+        """max over codewords of sum m_i rank(C_i).
+
+        With stop_at = s the scan may stop at the first codeword whose
+        value reaches s: a result below s is the exact maximum, any other
+        result is some value >= s, not necessarily the maximum.
+        """
         return self._scan("weighted_max", cap, stop_at)
 
     def srk_distribution(self, cap: int = DIST_CAP) -> dict:
+        """Count of nonzero codewords per sum-rank weight, from _walk; {} for the zero code."""
         self._guard(cap)
         out: dict = {}
-        if self.ctx.q == 2 and self.dim > 0:
-            for word in self._iter_packed_nonzero():
-                v = self._packed_srk(word, False)
-                out[v] = out.get(v, 0) + 1
-        else:
-            for t in self.iter_codewords():
-                v = t.srk()
-                out[v] = out.get(v, 0) + 1
+        for v, count in self._walk(False):
+            out[v] = out.get(v, 0) + count
         return out
 
     def block_projection(self, i: int) -> Subspace:

@@ -16,6 +16,7 @@ from .errors import (
     ContextMismatch,
     DivideByZero,
     ElementOutOfRange,
+    InvariantViolation,
     NotPrime,
     OrderTooLarge,
     ReducibleModulus,
@@ -108,7 +109,7 @@ def lex_least_irreducible(p: int, e: int) -> Tuple[int, ...]:
     for f in _monic_polys(p, e):
         if is_irreducible(f, p):
             return f
-    raise AssertionError("unreachable: irreducibles exist in every degree")
+    raise InvariantViolation("unreachable: irreducibles exist in every degree")
 
 
 class FieldContext:
@@ -198,7 +199,7 @@ class FieldContext:
         for g in range(1, self.q):
             if all(self._pow_raw(g, order // f) != 1 for f in factors):
                 return g
-        raise AssertionError("unreachable: the multiplicative group is cyclic")
+        raise InvariantViolation("unreachable: the multiplicative group is cyclic")
 
     def _build_tables(self):
         exp = [1] * (self.q - 1)

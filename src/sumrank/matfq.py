@@ -23,9 +23,11 @@ __all__ = [
     "MatrixFq",
     "Subspace",
     "rref",
+    "rank_rows",
     "nullspace_rows",
     "vec_add",
     "vec_scale",
+    "walk_span",
     "gaussian_binomial",
     "count_subspaces",
     "enumerate_subspaces",
@@ -49,37 +51,78 @@ def vec_scale(ctx: FieldContext, c: int, v: Sequence[int]) -> Tuple[int, ...]:
     return tuple(mul(c, a) for a in v)
 
 
-def rref(rows: Iterable[Sequence[int]], ncols: int, ctx: FieldContext):
-    """Reduced row echelon form.  Returns (rows, pivot_columns)."""
-    mat = [list(r) for r in rows]
-    pivots: List[int] = []
-    rank = 0
-    for col in range(ncols):
-        if rank == len(mat):
-            break
-        pivot_row = None
-        for r in range(rank, len(mat)):
-            if mat[r][col] != 0:
-                pivot_row = r
+def walk_span(ctx: FieldContext, base: Tuple[int, ...], rows) -> Iterator[Tuple[int, ...]]:
+    """base plus every combination of rows, base first, in counter order.
+
+    The coefficient of the first row changes slowest; each step costs about
+    one vector addition.
+    """
+    add, k, top = ctx.add, len(rows), ctx.q - 1
+    scaled = [[vec_scale(ctx, c, row) for c in range(ctx.q)] for row in rows]
+    digits = [0] * k
+    partial = [base] * (k + 1)
+    while True:
+        yield partial[k]
+        pos = k - 1
+        while pos >= 0 and digits[pos] == top:
+            digits[pos] = 0
+            pos -= 1
+        if pos < 0:
+            return
+        digits[pos] += 1
+        for i in range(pos, k):
+            d = digits[i]
+            partial[i + 1] = tuple(map(add, partial[i], scaled[i][d])) if d else partial[i]
+
+
+def _echelon(rows: Iterable[Sequence[int]], ncols: int, ctx: FieldContext):
+    """Forward elimination to [(pivot column, row with leading entry 1)].
+
+    Rows reduce against earlier pivot rows only, up to rank ncols.
+    """
+    mul, sub, inv = ctx.mul, ctx.sub, ctx.inv
+    basis: List[Tuple[int, List[int]]] = []
+    for r in rows:
+        row = list(r)
+        for col, prow in basis:
+            c = row[col]
+            if c:
+                for j in range(col, ncols):
+                    if prow[j]:
+                        row[j] = sub(row[j], mul(c, prow[j]))
+        for col, x in enumerate(row):
+            if x:
+                if x != 1:
+                    x = inv(x)
+                    row = [mul(x, y) for y in row]
+                basis.append((col, row))
                 break
-        if pivot_row is None:
-            continue
-        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        lead = mat[rank][col]
-        if lead != 1:
-            inv = ctx.inv(lead)
-            mat[rank] = [ctx.mul(inv, x) for x in mat[rank]]
-        prow = mat[rank]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                f = mat[r][col]
-                row = mat[r]
-                for c in range(col, ncols):
-                    if prow[c]:
-                        row[c] = ctx.sub(row[c], ctx.mul(f, prow[c]))
-        pivots.append(col)
-        rank += 1
-    return [tuple(r) for r in mat[:rank]], pivots
+        if len(basis) == ncols:
+            break
+    return basis
+
+
+def rank_rows(rows: Iterable[Sequence[int]], ncols: int, ctx: FieldContext) -> int:
+    """Rank of the matrix with the given rows, by forward elimination only."""
+    return len(_echelon(rows, ncols, ctx))
+
+
+def rref(rows: Iterable[Sequence[int]], ncols: int, ctx: FieldContext):
+    """Reduced row echelon form.  Returns (rows, pivot_columns).
+
+    Forward elimination, then back-substitution from the last pivot up.
+    """
+    mul, sub = ctx.mul, ctx.sub
+    done: List[Tuple[int, List[int]]] = []
+    for col, row in sorted(_echelon(rows, ncols, ctx), reverse=True):
+        for pcol, prow in done:
+            c = row[pcol]
+            if c:
+                for j in range(pcol, ncols):
+                    if prow[j]:
+                        row[j] = sub(row[j], mul(c, prow[j]))
+        done.append((col, row))
+    return [tuple(r) for _, r in reversed(done)], [c for c, _ in reversed(done)]
 
 
 def reduce_against(
@@ -194,11 +237,10 @@ class MatrixFq:
         return MatrixFq(self.ctx, list(zip(*self.rows)))
 
     def rank(self) -> int:
-        return len(rref(self.rows, self.n, self.ctx)[0])
+        return rank_rows(self.rows, self.n, self.ctx)
 
     def rref(self):
-        rows, pivots = rref(self.rows, self.n, self.ctx)
-        return rows, pivots
+        return rref(self.rows, self.n, self.ctx)
 
     def is_zero(self) -> bool:
         return all(all(x == 0 for x in r) for r in self.rows)
@@ -338,24 +380,7 @@ class Subspace:
 
     def vectors(self) -> Iterator[Tuple[int, ...]]:
         """All vectors, zero included, in deterministic counter order."""
-        ctx, k, n = self.ctx, self.dim, self.ambient
-        if k == 0:
-            yield (0,) * n
-            return
-        scaled = [[vec_scale(ctx, c, row) for c in range(ctx.q)] for row in self.basis]
-        digits = [0] * k
-        partial = [(0,) * n] * (k + 1)
-        while True:
-            yield partial[k]
-            pos = k - 1
-            while pos >= 0 and digits[pos] == ctx.q - 1:
-                digits[pos] = 0
-                pos -= 1
-            if pos < 0:
-                return
-            digits[pos] += 1
-            for i in range(pos, k):
-                partial[i + 1] = vec_add(ctx, partial[i], scaled[i][digits[i]])
+        return walk_span(self.ctx, (0,) * self.ambient, self.basis)
 
     def __eq__(self, other) -> bool:
         return (

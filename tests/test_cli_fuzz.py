@@ -129,6 +129,27 @@ def test_dual_answers_any_payload(tmp_path, capsys, payload, cap):
     _check(["dual", _write(tmp_path, "c.json", payload), "--cap", str(cap)], capsys)
 
 
+def _loosen(payload):
+    # the same payload in a non-strict space, where dist enumerates codewords
+    if isinstance(payload, dict) and isinstance(payload.get("shape"), dict):
+        payload["shape"]["strict"] = False
+    return payload
+
+
+@FUZZ
+@given(payload=st.one_of(CODE, CODE.map(_loosen)), cap=CAP, oracle=st.booleans())
+def test_dist_answers_any_payload(tmp_path, capsys, payload, cap, oracle):
+    argv = ["dist", _write(tmp_path, "c.json", payload), "--cap", str(cap)]
+    _check(argv + (["--oracle"] if oracle else []), capsys)
+
+
+@FUZZ
+@given(payload=CODE, cap=CAP, oracle=st.booleans())
+def test_anticode_answers_any_payload(tmp_path, capsys, payload, cap, oracle):
+    argv = ["anticode", _write(tmp_path, "c.json", payload), "--cap", str(cap)]
+    _check(argv + (["--oracle"] if oracle else []), capsys)
+
+
 def test_loader_corner_cases(tmp_path, capsys):
     # entries json.dump writes as Infinity, a directory path, bytes that are
     # not UTF-8, and a zero code in a space too large to write out

@@ -20,7 +20,7 @@ from sumrank.errors import (
     DimensionMismatch,
     EnumerationTooLarge,
 )
-from sumrank.matfq import nullspace_rows, reduce_against, rref, trace_product
+from sumrank.matfq import nullspace_rows, rank_rows, reduce_against, rref, trace_product
 
 from helpers import F2, F3, F4, brute_rank, random_matrix, span_vectors
 
@@ -108,6 +108,25 @@ def test_matrix_rank_against_reference():
             mat = random_matrix(rng, ctx, m, n)
             assert mat.rank() == brute_rank(ctx, mat.rows)
             assert mat.rank() == mat.transpose().rank()
+
+
+def test_rank_rows_on_products_of_known_rank():
+    # A = L R with L m x r and R r x n has rank at most r, so dependent and
+    # zero rows occur; rank_rows must agree with the longhand rank
+    rng = random.Random(7)
+    for ctx in (F2, F3, F4, FieldContext(3, 2)):
+        assert rank_rows([], 3, ctx) == 0
+        for _ in range(60):
+            m, n, r = rng.randint(1, 5), rng.randint(1, 5), rng.randint(0, 3)
+            left = [[rng.randrange(ctx.q) for _ in range(r)] for _ in range(m)]
+            right = [[rng.randrange(ctx.q) for _ in range(n)] for _ in range(r)]
+            rows = [[0] * n for _ in range(m)]
+            for i in range(m):
+                for t in range(r):
+                    for j in range(n):
+                        rows[i][j] = ctx.add(rows[i][j], ctx.mul(left[i][t], right[t][j]))
+            assert rank_rows(rows, n, ctx) == brute_rank(ctx, rows)
+            assert rank_rows(list(zip(*rows)), m, ctx) == brute_rank(ctx, rows)
 
 
 def test_matrix_inverse_guards():

@@ -25,9 +25,7 @@ def _raised_name(node):
     return exc.id if isinstance(exc, ast.Name) else None
 
 
-def test_no_bare_value_errors_in_the_package():
-    # every error a caller can trigger is a UsageError subclass, so the CLI
-    # maps it onto exit code 1
+def _raise_sites(name):
     found = []
     for path in sorted(Path(sumrank.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -36,6 +34,20 @@ def test_no_bare_value_errors_in_the_package():
             for node in ast.walk(tree)
             if isinstance(node, ast.Raise)
             and node.exc is not None
-            and _raised_name(node) == "ValueError"
+            and _raised_name(node) == name
         ]
+    return found
+
+
+def test_no_bare_value_errors_in_the_package():
+    # every error a caller can trigger is a UsageError subclass, so the CLI
+    # maps it onto exit code 1
+    found = _raise_sites("ValueError")
     assert not found, f"raise ValueError: {found}"
+
+
+def test_no_assertion_errors_raised_in_the_package():
+    # an unreachable branch or failed identity raises InvariantViolation,
+    # which the CLI maps onto exit code 2 instead of a traceback
+    found = _raise_sites("AssertionError")
+    assert not found, f"raise AssertionError: {found}"
