@@ -3,175 +3,72 @@
 Codes live in products of matrix spaces over one F_q; everything here is
 integer-exact, theorem-backed fast paths are cross-checked by brute-force
 oracles in the test suite and behind the CLI --oracle switch.
+
+The package loads lazily (PEP 562): ``import sumrank`` imports no
+submodule, and a public name such as ``sumrank.weight_profile`` or a
+submodule such as ``sumrank.isom`` imports its home module on first use.
+So a ``sumrank`` CLI process compiles only the modules its subcommand runs.
 """
 
-from .anticode import (
-    ANTICODE_CAP,
-    AnticodeDescriptor,
-    BlockSupport,
-    anticode_dual,
-    enumerate_anticodes,
-    is_optimal_anticode,
-    max_srk_generates,
-    optimal_hamming_subspaces,
-    prior_anticode_bound,
-    product_descriptors,
-    staircase_profile,
-)
-from .code import (
-    DIST_CAP,
-    LinearCode,
-    MatrixTuple,
-    Shape,
-    trace_pairing,
-)
-from .cover import (
-    CoverResult,
-    CosetWitness,
-    MeshulamResult,
-    coset_rank_lower,
-    coset_witness_exact,
-    covering_number,
-    leading_position,
-    meshulam_search,
-)
-from .errors import (
-    InvariantViolation,
-    SearchExhausted,
-    SumrankError,
-    UsageError,
-)
-from .genweights import (
-    VARIANTS,
-    GammaBasis,
-    WeightProfile,
-    extension_context,
-    gamma_expand,
-    gen_weight,
-    subfield_embedding,
-    wei_duality_check,
-    weight_profile,
-)
-from .gf import MAX_ORDER, FieldContext, FieldElement, field_from_dict
-from .isom import (
-    GROUP_CAP,
-    Isometry,
-    admissible_permutations,
-    equivalent_codes,
-    gl_group,
-    gl_order,
-    isometry_count,
-    random_gl,
-    random_isometry,
-)
-from .matfq import (
-    MatrixFq,
-    Subspace,
-    count_subspaces,
-    enumerate_subspaces,
-    gaussian_binomial,
-)
-from .msrd import (
-    MsrdReport,
-    admissible_ranks,
-    anticode_dim_extremes,
-    dim_decomposition,
-    distance_decomposition,
-    msrd_check,
-    msrd_weight_profile,
-    r_msrd_check,
-    r_mu,
-    singleton_distance_bound,
-    suffix_masses,
-)
-from .wiretap import (
-    MI_CAP,
-    WiretapScenario,
-    canonical_complement,
-    empirical_mi,
-    leakage_dim,
-    leakage_threshold,
-    support_product,
-    threshold_table,
-    worst_case_leakage,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ANTICODE_CAP",
-    "AnticodeDescriptor",
-    "BlockSupport",
-    "CosetWitness",
-    "CoverResult",
-    "DIST_CAP",
-    "FieldContext",
-    "FieldElement",
-    "GROUP_CAP",
-    "GammaBasis",
-    "InvariantViolation",
-    "Isometry",
-    "LinearCode",
-    "MAX_ORDER",
-    "MI_CAP",
-    "MatrixFq",
-    "MatrixTuple",
-    "MeshulamResult",
-    "MsrdReport",
-    "SearchExhausted",
-    "Shape",
-    "Subspace",
-    "SumrankError",
-    "UsageError",
-    "VARIANTS",
-    "WeightProfile",
-    "WiretapScenario",
-    "admissible_permutations",
-    "admissible_ranks",
-    "anticode_dim_extremes",
-    "anticode_dual",
-    "canonical_complement",
-    "coset_rank_lower",
-    "coset_witness_exact",
-    "count_subspaces",
-    "covering_number",
-    "dim_decomposition",
-    "distance_decomposition",
-    "empirical_mi",
-    "enumerate_anticodes",
-    "enumerate_subspaces",
-    "equivalent_codes",
-    "extension_context",
-    "field_from_dict",
-    "gamma_expand",
-    "gaussian_binomial",
-    "gen_weight",
-    "gl_group",
-    "gl_order",
-    "is_optimal_anticode",
-    "isometry_count",
-    "leading_position",
-    "leakage_dim",
-    "leakage_threshold",
-    "max_srk_generates",
-    "meshulam_search",
-    "msrd_check",
-    "msrd_weight_profile",
-    "optimal_hamming_subspaces",
-    "prior_anticode_bound",
-    "product_descriptors",
-    "r_msrd_check",
-    "r_mu",
-    "random_gl",
-    "random_isometry",
-    "singleton_distance_bound",
-    "staircase_profile",
-    "subfield_embedding",
-    "suffix_masses",
-    "support_product",
-    "threshold_table",
-    "trace_pairing",
-    "wei_duality_check",
-    "weight_profile",
-    "worst_case_leakage",
-]
+# home submodule of every public name
+_EXPORTS = {
+    "anticode": (
+        "ANTICODE_CAP", "AnticodeDescriptor", "BlockSupport", "anticode_dual",
+        "enumerate_anticodes", "is_optimal_anticode", "max_srk_generates",
+        "optimal_hamming_subspaces", "prior_anticode_bound", "product_descriptors",
+        "staircase_profile",
+    ),
+    "code": ("DIST_CAP", "LinearCode", "MatrixTuple", "Shape", "trace_pairing"),
+    "cover": (
+        "CoverResult", "CosetWitness", "MeshulamResult", "coset_rank_lower",
+        "coset_witness_exact", "covering_number", "leading_position", "meshulam_search",
+    ),
+    "errors": ("InvariantViolation", "SearchExhausted", "SumrankError", "UsageError"),
+    "genweights": (
+        "VARIANTS", "GammaBasis", "WeightProfile", "extension_context", "gamma_expand",
+        "gen_weight", "subfield_embedding", "wei_duality_check", "weight_profile",
+    ),
+    "gf": ("MAX_ORDER", "FieldContext", "FieldElement", "field_from_dict"),
+    "isom": (
+        "GROUP_CAP", "Isometry", "admissible_permutations", "equivalent_codes",
+        "gl_group", "gl_order", "isometry_count", "random_gl", "random_isometry",
+    ),
+    "matfq": (
+        "MatrixFq", "Subspace", "count_subspaces", "enumerate_subspaces",
+        "gaussian_binomial",
+    ),
+    "msrd": (
+        "MsrdReport", "admissible_ranks", "anticode_dim_extremes", "dim_decomposition",
+        "distance_decomposition", "msrd_check", "msrd_weight_profile", "r_msrd_check",
+        "r_mu", "singleton_distance_bound", "suffix_masses",
+    ),
+    "wiretap": (
+        "MI_CAP", "WiretapScenario", "canonical_complement", "empirical_mi",
+        "leakage_dim", "leakage_threshold", "support_product", "threshold_table",
+        "worst_case_leakage",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli"}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name in _HOME:
+        value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # later lookups find the name without calling back into this function
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | _HOME.keys() | _SUBMODULES)

@@ -16,11 +16,9 @@ import json
 import sys
 from dataclasses import dataclass
 from itertools import combinations, product as iter_product
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .anticode import is_optimal_anticode
 from .code import DIST_CAP, LinearCode, MatrixTuple, Shape, trace_pairing
-from .cover import covering_number, leading_position, meshulam_search
 from .errors import (
     EnumerationTooLarge,
     InvariantViolation,
@@ -28,12 +26,14 @@ from .errors import (
     SumrankError,
     UsageError,
 )
-from .genweights import GammaBasis, gamma_expand, gen_weight, subfield_embedding, weight_profile
 from .gf import field_from_dict
-from .isom import GROUP_CAP, equivalent_codes
 from .matfq import MatrixFq
-from .msrd import msrd_check
-from .wiretap import MI_CAP, WiretapScenario, empirical_mi, leakage_dim, threshold_table
+
+if TYPE_CHECKING:
+    from .genweights import GammaBasis
+
+# Each handler imports the modules only it uses, so a process loads just
+# what its subcommand runs.
 
 __all__ = ["RunConfig", "parse_args", "run", "main"]
 
@@ -144,12 +144,16 @@ def _cmd_dist(config: RunConfig) -> dict:
     return {"distance": value, "method": method}
 
 
-def _cmd_dual(config: RunConfig) -> dict:
-    code = _read_code(config.paths[0])
+def _check_dual_size(code: LinearCode, cap: int) -> None:
+    # a small code in a vast declared space has a dual too large to write out
     entries = code.ambient_dim * (code.ambient_dim - code.dim)
-    cap = config.cap or FAMILY_CAP
     if entries > cap:
         raise EnumerationTooLarge(f"dual basis of {entries} entries exceeds cap {cap}")
+
+
+def _cmd_dual(config: RunConfig) -> dict:
+    code = _read_code(config.paths[0])
+    _check_dual_size(code, config.cap or FAMILY_CAP)
     dual = code.dual()
     if config.oracle:
         for t in dual.basis_tuples():
@@ -163,6 +167,7 @@ def _cmd_dual(config: RunConfig) -> dict:
 
 
 def _cmd_gweights(config: RunConfig) -> dict:
+    from .genweights import gen_weight, weight_profile
     code = _read_code(config.paths[0])
     cap = config.cap or FAMILY_CAP
     if config.rank is None:
@@ -182,6 +187,7 @@ def _cmd_gweights(config: RunConfig) -> dict:
 
 
 def _cmd_msrd(config: RunConfig) -> dict:
+    from .msrd import msrd_check
     code = _read_code(config.paths[0])
     report = msrd_check(code, cap=config.cap or FAMILY_CAP)
     if config.oracle:
@@ -200,6 +206,7 @@ def _cmd_msrd(config: RunConfig) -> dict:
 
 
 def _cmd_anticode(config: RunConfig) -> dict:
+    from .anticode import is_optimal_anticode
     code = _read_code(config.paths[0])
     cap = config.cap or DIST_CAP
     optimal, desc = is_optimal_anticode(code, cap=cap)
@@ -237,6 +244,7 @@ def _brute_cover_size(points: Sequence[Tuple[int, int]]) -> int:
 
 
 def _cmd_rho(config: RunConfig) -> dict:
+    from .cover import covering_number, leading_position
     _, mats = _read_matrix_list(config.paths[0])
     res = covering_number(mats)
     if config.oracle:
@@ -250,6 +258,7 @@ def _cmd_rho(config: RunConfig) -> dict:
 
 
 def _cmd_meshulam(config: RunConfig) -> dict:
+    from .cover import meshulam_search
     data = _load(config.paths[0])
 
     def build(d):
@@ -288,6 +297,7 @@ def _cmd_meshulam(config: RunConfig) -> dict:
 
 
 def _cmd_equiv(config: RunConfig) -> dict:
+    from .isom import GROUP_CAP, equivalent_codes
     first = _read_code(config.paths[0])
     second = _read_code(config.paths[1])
     witness = equivalent_codes(first, second, cap=config.cap or GROUP_CAP)
@@ -315,10 +325,13 @@ def _read_taps(path: str, code: LinearCode):
 
 
 def _cmd_leak(config: RunConfig) -> dict:
+    from .wiretap import MI_CAP, WiretapScenario, empirical_mi, leakage_dim, threshold_table
     code = _read_code(config.paths[0])
     taps = _read_taps(config.paths[1], code)
+    cap = config.cap or FAMILY_CAP
+    _check_dual_size(code, cap)
     leak = leakage_dim(code, taps)
-    thresholds = threshold_table(code, cap=config.cap or FAMILY_CAP)
+    thresholds = threshold_table(code, cap=cap)
     if config.oracle:
         scenario = WiretapScenario(code, taps)
         mi = empirical_mi(scenario, cap=config.cap or MI_CAP)
@@ -327,6 +340,7 @@ def _cmd_leak(config: RunConfig) -> dict:
 
 
 def _cmd_expand(config: RunConfig) -> dict:
+    from .genweights import GammaBasis, gamma_expand
     data = _load(config.paths[0])
 
     def build(d):
@@ -347,7 +361,10 @@ def _cmd_expand(config: RunConfig) -> dict:
                     not isinstance(w, int) or not 0 <= w < top for w in seg
                 ):
                     raise ParseError(f"bad coordinates in block {i}")
-        return gamma, vectors, d.get("subfield_degree")
+        degree = d.get("subfield_degree")
+        if degree is not None and (not isinstance(degree, int) or isinstance(degree, bool)):
+            raise ParseError("subfield_degree must be an integer")
+        return gamma, vectors, degree
 
     gamma, vectors, degree = _build(config.paths[0], build, data)
     code = gamma_expand(gamma, vectors, degree)
@@ -358,6 +375,7 @@ def _cmd_expand(config: RunConfig) -> dict:
 
 def _verify_expansion(gamma: GammaBasis, vectors) -> None:
     """Check (gamma_i) X_i = v_i entrywise in each extension field."""
+    from .genweights import subfield_embedding
     for v in vectors:
         t = gamma.expand_vector(v)
         for i, seg in enumerate(v):

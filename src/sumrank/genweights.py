@@ -275,6 +275,9 @@ class GammaBasis:
     @classmethod
     def monomial(cls, base: FieldContext, shape: Shape) -> "GammaBasis":
         """Powers 1, x, ..., x^(m_i - 1) of the extension variable."""
+        for m in shape.m:
+            # bounds m_i by the field order before any power p**j is formed
+            extension_context(base, m)
         return cls(base, shape, [_monomial_reprs(m, base.p) for m in shape.m])
 
     def _build_solver(self, i: int) -> MatrixFq:

@@ -120,7 +120,7 @@ class FieldContext:
     fields under different moduli.
     """
 
-    __slots__ = ("p", "e", "q", "modulus", "generator", "_exp", "_log", "_add_table")
+    __slots__ = ("p", "e", "q", "modulus", "generator", "_exp", "_log", "_add_table", "_neg_table")
 
     def __init__(self, p: int, e: int, modulus: Optional[Sequence[int]] = None):
         # bounded before trial division and before p**e is formed
@@ -149,11 +149,12 @@ class FieldContext:
         self.modulus = modulus
         self.generator = self._find_primitive()
         self._exp, self._log = self._build_tables()
-        self._add_table = None
+        self._add_table = self._neg_table = None
         if e > 1 and p != 2 and q <= 256:
             self._add_table = [
                 [self._add_digits(a, b) for b in range(q)] for a in range(q)
             ]
+            self._neg_table = [row.index(0) for row in self._add_table]
 
     # raw arithmetic used to bootstrap tables
 
@@ -234,12 +235,16 @@ class FieldContext:
             return a
         if self.e == 1:
             return (-a) % self.p
+        if self._neg_table is not None:
+            return self._neg_table[a]
         p = self.p
         return _undigits([(-d) % p for d in _digits(a, p, self.e)], p)
 
     def sub(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
+        if self._add_table is not None:
+            return self._add_table[a][self._neg_table[b]]
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:

@@ -152,7 +152,8 @@ def test_anticode_answers_any_payload(tmp_path, capsys, payload, cap, oracle):
 
 def test_loader_corner_cases(tmp_path, capsys):
     # entries json.dump writes as Infinity, a directory path, bytes that are
-    # not UTF-8, and a zero code in a space too large to write out
+    # not UTF-8, and a zero code in a space too large to write out, whose
+    # dual the leak report also needs
     inf = {"field": {"p": 2, "e": 1}, "shape": {"m": [1], "n": [1]}, "blocks": [[[float("inf")]]]}
     assert _run(["srk", _write(tmp_path, "inf.json", inf)], capsys)[0] == 1
     assert _run(["srk", str(tmp_path)], capsys)[0] == 1
@@ -163,7 +164,163 @@ def test_loader_corner_cases(tmp_path, capsys):
     path = _write(tmp_path, "huge.json", huge)
     assert _run(["dual", path], capsys)[0] == 1
     assert _run(["equiv", path, path], capsys)[0] == 1
+    silent = _write(tmp_path, "taps.json", {"taps": [None]})
+    assert _run(["leak", path, silent], capsys)[0] == 1
+    # extension degrees far past the field bound, and a degree that is text
+    vast = {"field": {"p": 2, "e": 1}, "shape": {"m": [10**6], "n": [1]}, "vectors": []}
+    assert _run(["expand", _write(tmp_path, "g.json", vast)], capsys)[0] == 1
+    text = {"field": {"p": 3, "e": 1}, "shape": {"m": [1], "n": [1]}, "vectors": [[[2]]],
+            "subfield_degree": ""}
+    assert _run(["expand", _write(tmp_path, "s.json", text)], capsys)[0] == 1
     big_p = {"field": {"p": 2**61 - 1, "e": 1}, "shape": {"m": [1], "n": [1]}, "blocks": [[[1]]]}
     assert _run(["srk", _write(tmp_path, "p.json", big_p)], capsys)[0] == 1
     big_e = {"field": {"p": 2, "e": 10**15}, "shape": {"m": [1], "n": [1]}, "blocks": [[[1]]]}
     assert _run(["srk", _write(tmp_path, "e.json", big_e)], capsys)[0] == 1
+
+
+VARIANT = st.sampled_from(["product", "all", "supp", "support"])
+RANK = st.one_of(st.just("all"), st.integers(-1, 5).map(str), st.sampled_from(["x", ""]))
+
+
+@FUZZ
+@given(payload=CODE, cap=CAP, oracle=st.booleans(), variant=VARIANT, rank=RANK)
+def test_gweights_answers_any_payload(tmp_path, capsys, payload, cap, oracle, variant, rank):
+    argv = ["gweights", _write(tmp_path, "c.json", payload), "--cap", str(cap)]
+    argv += ["--variant", variant, f"--r={rank}"]
+    _check(argv + (["--oracle"] if oracle else []), capsys)
+
+
+@FUZZ
+@given(payload=CODE, cap=CAP, oracle=st.booleans())
+def test_msrd_answers_any_payload(tmp_path, capsys, payload, cap, oracle):
+    argv = ["msrd", _write(tmp_path, "c.json", payload), "--cap", str(cap)]
+    _check(argv + (["--oracle"] if oracle else []), capsys)
+
+
+def _plant(draw, data):
+    """Plant at most one defect in a payload dict: a key dropped or retyped,
+    a bad field, or a bad top level."""
+    defect = draw(st.sampled_from(["none", "none", "field", "key", "type", "top"]))
+    if defect == "field":
+        data["field"] = draw(BAD_FIELD)
+    elif defect == "key":
+        del data[draw(st.sampled_from(sorted(data)))]
+    elif defect == "type":
+        data[draw(st.sampled_from(sorted(data)))] = draw(ENTRY)
+    elif defect == "top":
+        return draw(st.one_of(ENTRY, st.lists(ENTRY, max_size=2)))
+    return data
+
+
+def _bent(draw, mat):
+    """A matrix with at most one entry, row or size defect planted."""
+    defect = draw(st.sampled_from(["none", "none", "entry", "ragged", "empty", "wide"]))
+    if defect == "entry" and mat and mat[0]:
+        row = draw(st.sampled_from(mat))
+        row[draw(st.integers(0, len(row) - 1))] = draw(ENTRY)
+    elif defect == "ragged" and mat:
+        draw(st.sampled_from(mat)).append(0)
+    elif defect == "empty":
+        mat.clear()
+    elif defect == "wide":
+        mat.append([1] * draw(st.integers(1, 4)))
+    return mat
+
+
+@st.composite
+def code_and_taps(draw):
+    """A code payload and a taps payload, shaped to match it when it can."""
+    code = draw(CODE)
+    fields = [code["field"]] if isinstance(code, dict) and "field" in code else []
+    try:
+        n = [int(x) for x in code["shape"]["n"]][:3]
+    except (KeyError, TypeError, ValueError, OverflowError):
+        n = [draw(st.integers(1, 3))]
+    field = draw(st.sampled_from(FIELDS))
+    q = field["p"] ** field["e"]
+    taps = []
+    for rows in n:
+        if draw(st.booleans()) or not 0 < rows <= 4:
+            taps.append(None)
+        else:
+            taps.append(_bent(draw, _matrix(draw, q, rows, draw(st.integers(1, 3)))))
+    data = {"taps": taps}
+    if draw(st.booleans()):
+        data["field"] = draw(st.sampled_from(fields + [field]))
+    return code, _plant(draw, data)
+
+
+@FUZZ
+@given(pair=code_and_taps(), cap=CAP, oracle=st.booleans())
+def test_leak_answers_any_payload(tmp_path, capsys, pair, cap, oracle):
+    code, taps = pair
+    argv = ["leak", _write(tmp_path, "c.json", code), _write(tmp_path, "t.json", taps)]
+    argv += ["--cap", str(cap)]
+    _check(argv + (["--oracle"] if oracle else []), capsys)
+
+
+@st.composite
+def gamma_payloads(draw):
+    """An expansion payload: base field, shape, gamma bases and vectors."""
+    field = draw(st.sampled_from(FIELDS))
+    p, e = field["p"], field["e"]
+    ell = draw(st.integers(1, 2))
+    m = sorted((draw(st.integers(1, 3)) for _ in range(ell)), reverse=True)
+    n = [draw(st.integers(1, mi)) for mi in m]
+    tops = [(p**e) ** mi for mi in m]
+    vectors = [
+        [[draw(st.integers(0, top - 1)) for _ in range(ni)] for ni, top in zip(n, tops)]
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    data = {"field": field, "shape": {"m": m, "n": n}, "vectors": vectors}
+    if draw(st.booleans()):
+        # explicit bases: a basis only by chance
+        data["gamma"] = [
+            [draw(st.integers(0, top - 1)) for _ in range(mi)] for mi, top in zip(m, tops)
+        ]
+    if draw(st.booleans()):
+        data["subfield_degree"] = draw(st.one_of(st.integers(-1, 4), ENTRY))
+    defect = draw(st.sampled_from(["none", "segment", "coord", "huge"]))
+    if defect == "segment" and vectors:
+        draw(st.sampled_from(vectors)).append(draw(ENTRY))
+    elif defect == "coord" and vectors and vectors[0][0]:
+        vectors[0][0][0] = draw(ENTRY)
+    elif defect == "huge":
+        data["shape"]["m"] = [draw(HUGE) for _ in range(ell)]
+    return _plant(draw, data)
+
+
+@FUZZ
+@given(payload=gamma_payloads(), cap=CAP, oracle=st.booleans())
+def test_expand_answers_any_payload(tmp_path, capsys, payload, cap, oracle):
+    argv = ["expand", _write(tmp_path, "g.json", payload), "--cap", str(cap)]
+    _check(argv + (["--oracle"] if oracle else []), capsys)
+
+
+@st.composite
+def matrix_lists(draw, start=False):
+    """A matrix-list payload ({"field", "mats"}, plus "a" for meshulam)."""
+    field = draw(st.sampled_from(FIELDS))
+    q = field["p"] ** field["e"]
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    mats = [
+        _bent(draw, _matrix(draw, q, rows, cols)) for _ in range(draw(st.integers(0, 4)))
+    ]
+    data = {"field": field, "mats": mats}
+    if start:
+        data["a"] = _bent(draw, _matrix(draw, q, rows, cols))
+    return _plant(draw, data)
+
+
+@FUZZ
+@given(payload=matrix_lists(), cap=CAP, oracle=st.booleans())
+def test_rho_answers_any_payload(tmp_path, capsys, payload, cap, oracle):
+    argv = ["rho", _write(tmp_path, "m.json", payload), "--cap", str(cap)]
+    _check(argv + (["--oracle"] if oracle else []), capsys)
+
+
+@FUZZ
+@given(payload=matrix_lists(start=True), cap=CAP, oracle=st.booleans())
+def test_meshulam_answers_any_payload(tmp_path, capsys, payload, cap, oracle):
+    argv = ["meshulam", _write(tmp_path, "m.json", payload), "--cap", str(cap)]
+    _check(argv + (["--oracle"] if oracle else []), capsys)

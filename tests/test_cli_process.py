@@ -1,0 +1,107 @@
+"""The CLI as a fresh process: the same bytes as in-process, and lazy loading.
+
+The in-process tests cannot see a handler that lost one of its imports,
+because the test modules have imported every submodule already.  Here each
+subcommand runs in a new interpreter, as ``python -m sumrank.cli``.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from sumrank import LinearCode, Shape
+from test_cli import COVER_MATS, FULL_2X2, IDENTITY_CODE, SRK_TUPLE, _run, _write
+
+from helpers import F2
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+# the modules only some subcommands use
+LAZY = ("anticode", "genweights", "msrd", "isom", "cover", "wiretap")
+
+MSRD_CODE = LinearCode(
+    Shape((2, 1), (2, 1)), F2, [(1, 0, 0, 0, 1), (0, 0, 0, 1, 1), (0, 1, 1, 0, 1)]
+).to_dict()
+COLWISE = {
+    "field": {"p": 2, "e": 1},
+    "shape": {"m": [2], "n": [2]},
+    "basis": [[[[1, 0], [0, 0]]], [[[0, 0], [1, 0]]]],
+}
+LINE = {"m": [1, 1], "n": [1, 1]}
+FIRST = {"field": {"p": 2, "e": 1}, "shape": LINE, "basis": [[[[1]], [[0]]]]}
+SECOND = {"field": {"p": 2, "e": 1}, "shape": LINE, "basis": [[[[0]], [[1]]]]}
+TAPS = {"field": {"p": 2, "e": 1}, "taps": [[[1], [0]]]}
+GAMMA = {
+    "field": {"p": 2, "e": 1},
+    "shape": {"m": [2], "n": [2]},
+    "gamma": "monomial",
+    "vectors": [[[1, 2]]],
+}
+
+# one invocation per subcommand: (argv, payloads written to the argv's files)
+CASES = [
+    (["srk", "{0}", "--oracle"], [SRK_TUPLE]),
+    (["dist", "{0}", "--oracle"], [IDENTITY_CODE]),
+    (["dual", "{0}", "--oracle"], [IDENTITY_CODE]),
+    (["gweights", "{0}", "--format", "table"], [FULL_2X2]),
+    (["msrd", "{0}", "--oracle"], [MSRD_CODE]),
+    (["anticode", "{0}", "--oracle"], [COLWISE]),
+    (["rho", "{0}", "--oracle"], [COVER_MATS]),
+    (["meshulam", "{0}", "--oracle"], [dict(COVER_MATS, a=[[0, 0], [0, 0]])]),
+    (["equiv", "{0}", "{1}", "--oracle"], [FIRST, SECOND]),
+    (["leak", "{0}", "{1}", "--oracle"], [IDENTITY_CODE, TAPS]),
+    (["expand", "{0}", "--oracle"], [GAMMA]),
+    (["dist", "{0}", "--cap", "2"], [IDENTITY_CODE]),
+]
+
+
+def _python(*args):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, env=env, timeout=120
+    )
+
+
+def _argv(tmp_path, argv, payloads):
+    paths = [_write(tmp_path, f"in{i}.json", p) for i, p in enumerate(payloads)]
+    return [a.format(*paths) for a in argv]
+
+
+def _loaded(code, *args):
+    """Names of the sumrank modules loaded after running code in a new process."""
+    report = "print(*(m for m in sys.modules if m.split('.')[0] == 'sumrank'), file=sys.stderr)"
+    proc = _python("-c", f"import sys\n{code}\n{report}", *args)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return set(proc.stderr.decode().split())
+
+
+@pytest.mark.parametrize("argv,payloads", CASES, ids=[" ".join(c[0]) for c in CASES])
+def test_fresh_process_matches_in_process(tmp_path, capsys, argv, payloads):
+    argv = _argv(tmp_path, argv, payloads)
+    status, out, err = _run(argv, capsys)
+    proc = _python("-m", "sumrank.cli", *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        status,
+        out.encode(),
+        err.encode(),
+    )
+
+
+def test_cli_import_loads_only_the_shared_modules():
+    assert _loaded("import sumrank.cli") == {
+        "sumrank",
+        "sumrank.cli",
+        "sumrank.errors",
+        "sumrank.gf",
+        "sumrank.matfq",
+        "sumrank.code",
+    }
+
+
+@pytest.mark.parametrize("sub", ["srk", "dual"])
+def test_light_subcommands_skip_the_sweep_modules(tmp_path, sub):
+    argv = _argv(tmp_path, [sub, "{0}"], [SRK_TUPLE if sub == "srk" else IDENTITY_CODE])
+    loaded = _loaded("from sumrank.cli import main\nmain(sys.argv[1:])", *argv)
+    assert not loaded & {f"sumrank.{name}" for name in LAZY}

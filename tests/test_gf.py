@@ -13,7 +13,7 @@ from sumrank.errors import (
     OrderTooLarge,
     ReducibleModulus,
 )
-from sumrank.gf import is_irreducible, is_prime, lex_least_irreducible
+from sumrank.gf import _digits, _undigits, is_irreducible, is_prime, lex_least_irreducible
 
 SMALL = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)]
 BIGGER = [(2, 4), (3, 3), (2, 6)]
@@ -39,6 +39,18 @@ def test_field_axioms_exhaustive(p, e):
                 assert ctx.mul(a, ctx.add(b, c)) == ctx.add(
                     ctx.mul(a, b), ctx.mul(a, c)
                 )
+
+
+@pytest.mark.parametrize("p,e", [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (5, 3), (3, 5)])
+def test_neg_and_sub_tables_match_digits(p, e):
+    # odd p, e > 1, q <= 256: neg and sub read tables; the digit path is
+    # the reference
+    ctx = FieldContext(p, e)
+    digits = [_digits(a, p, e) for a in range(ctx.q)]
+    for a, da in enumerate(digits):
+        assert ctx.neg(a) == _undigits([-d % p for d in da], p)
+        for b, db in enumerate(digits):
+            assert ctx.sub(a, b) == _undigits([(x - y) % p for x, y in zip(da, db)], p)
 
 
 @pytest.mark.parametrize("p,e", BIGGER)
