@@ -10,7 +10,9 @@ their maximum Hamming weight.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iter_product
+from itertools import chain, groupby, product as iter_product
+from math import prod
+from operator import itemgetter
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .code import LinearCode, Shape
@@ -26,7 +28,7 @@ from .errors import (
     UnknownChoice,
 )
 from .gf import FieldContext
-from .matfq import Subspace, enumerate_subspaces, gaussian_binomial, rank_rows, rref
+from .matfq import Subspace, _echelon, enumerate_subspaces, gaussian_binomial, rank_rows
 
 __all__ = [
     "BlockSupport",
@@ -124,16 +126,6 @@ class AnticodeDescriptor:
         largest Hamming weight in the tail)."""
         return sum(blk.space.dim for blk in self.blocks) + self._tail_max_weight()
 
-    def last_support_block(self) -> Optional[int]:
-        """Largest block index (0-based) with a nonzero factor, product form."""
-        if self.tail is not None:
-            raise ShapeMismatch("defined for product-form descriptors only")
-        last = None
-        for i, blk in enumerate(self.blocks):
-            if blk.space.dim > 0:
-                last = i
-        return last
-
     def materialize(self) -> LinearCode:
         """The anticode as a code in full ambient coordinates.
 
@@ -197,22 +189,29 @@ class AnticodeDescriptor:
 
 
 class Meet:
-    """dim(C ∩ A) for one code C against any number of anticodes A.
+    """dim(C ∩ A) for one code C against anticodes A, one at a time or by family.
 
     A tuple lies in A exactly when a parity-check basis of each block
     support kills every block row (col supports) or block column (row
     supports), and a parity check of the tail kills the trailing
     coordinates.  With G the RREF basis of C and H those checks,
-    dim(C ∩ A) = dim C - rank(G·H).  The columns of G·H are kept per
-    (block, kind, support), so a support that many descriptors of one
-    sweep share is multiplied once; make one Meet per sweep.
+    dim(C ∩ A) = dim C - rank(G·H).
+
+    dim measures one descriptor.  sweep walks the family of one weight
+    depth-first, one block per level and a binary tail as the last, and
+    never builds a descriptor: a child extends its parent's echelon of G·H
+    with its own block's columns only, so the rank of a prefix bounds every
+    meet below it and lets a caller's floor cut whole subtrees.  The
+    reduced columns are kept per support for dim and per (block, weight,
+    kind) pool for sweep, so make one Meet per sweep and drop it after.
     """
 
-    __slots__ = ("code", "_columns")
+    __slots__ = ("code", "_columns", "_pools")
 
     def __init__(self, code: LinearCode):
         self.code = code
         self._columns: dict = {}
+        self._pools: dict = {}
 
     def dim(self, desc: AnticodeDescriptor) -> int:
         code = self.code
@@ -220,25 +219,116 @@ class Meet:
             raise ShapeMismatch("anticode and code live in different ambient spaces")
         if desc.ctx != code.ctx:
             raise ContextMismatch("anticode and code over different field contexts")
-        checks: List[Tuple[int, ...]] = []
+        checks: List[List[int]] = []
         for i, blk in enumerate(desc.blocks):
-            checks += self._checks(i, blk.kind, blk.space)
+            checks += self._support(i, blk.kind, blk.space)[1]
         if desc.tail is not None:
-            checks += self._checks(len(desc.blocks), "tail", desc.tail)
+            checks += self._support(len(desc.blocks), "tail", desc.tail)[1]
         if not checks:
             return code.dim
         return code.dim - rank_rows(checks, code.dim, code.ctx)
 
-    def _checks(self, i: int, kind: str, space: Subspace) -> List[Tuple[int, ...]]:
-        """Reduced columns G·h for the parity checks h of one support."""
-        key = (i, kind, space.basis)
-        cols = self._columns.get(key)
-        if cols is None:
-            code = self.code
-            ctx = code.ctx
-            add, mul = ctx.add, ctx.mul
-            cols = []
-            for func in _parity_functionals(code.shape, i, kind, space):
+    def sweep(
+        self,
+        mu: int,
+        variant: str,
+        cap: int = ANTICODE_CAP,
+        floor: Optional[int] = None,
+        size: Optional[int] = None,
+    ) -> Iterator[Tuple[int, Tuple[int, ...]]]:
+        """(dim(C ∩ A), weights) for the members A of weight mu of a family.
+
+        variant is "product", "all" or "support", the families of
+        enumerate_anticodes and of product_descriptors without row
+        supports; weights holds the support dimension of each block, or
+        for a binary tail member of each head block and then the tail.
+        Without a floor every member is yielded.  With one, only members
+        whose meet beats the floor are, and each raises the floor to its
+        meet; a subtree is cut once dim C minus its prefix rank is at most
+        the floor.  size keeps only members of that dimension.  The family
+        is checked against cap where product_descriptors and
+        enumerate_anticodes check it, with the same count and message.
+        """
+        code = self.code
+        shape, ctx, kdim = code.shape, code.ctx, code.dim
+        kinds = ("col",) if variant == "support" else ("col", "row")
+
+        def descend(i, comps, basis, tail):
+            nonlocal floor
+            for u, group in groupby(comps, itemgetter(i)):
+                group = list(group)
+                if tail is not None and i + 1 == len(group[0]):
+                    pools = [[self._support(i, "tail", tail)]]
+                else:
+                    pools = [self._pool(i, u, kind, cap) for kind in kinds]
+                for pairs, rows in chain.from_iterable(pools):
+                    if floor is not None and kdim - len(basis) <= floor:
+                        return
+                    echelon = _echelon(rows, kdim, ctx, basis) if basis else pairs
+                    t = kdim - len(echelon)
+                    if floor is not None and t <= floor:
+                        continue
+                    if i + 1 < len(group[0]):
+                        yield from descend(i + 1, group, echelon, tail)
+                        continue
+                    if floor is not None:
+                        floor = t
+                    yield t, group[0]
+
+        k = shape.scalar_suffix_start()
+        for tail, comps in _family(ctx, shape, mu, variant, cap):
+            mults = shape.m
+            if tail is not None:
+                comps, mults = [c + (tail.dim,) for c in comps], shape.m[:k] + (1,)
+            if size is not None:
+                comps = [c for c in comps if sum(m * x for m, x in zip(mults, c)) == size]
+            yield from descend(0, comps, [], tail)
+
+    def _pool(self, i: int, u: int, kind: str, cap: int) -> list:
+        """(echelon, its rows) of the columns G·h for each weight-u support
+        of one kind on block i."""
+        pool = self._pools.get((i, u, kind))
+        if pool is None:
+            shape = self.code.shape
+            amb = shape.n[i] if kind == "col" else shape.m[i]
+            spaces = []
+            if kind == "col" or _has_rows(shape, i, u):
+                # a support L and its check space L^⊥ determine each other
+                spaces = enumerate_subspaces(self.code.ctx, amb, amb - u, cap)
+            pool = self._pools[i, u, kind] = [self._reduced(i, kind, h.basis) for h in spaces]
+        return pool
+
+    def _support(self, i: int, kind: str, space: Subspace):
+        """(echelon, its rows) of the columns G·h for the checks h of one
+        block support or tail."""
+        key = (i, kind, space)
+        if key not in self._columns:
+            self._columns[key] = self._reduced(i, kind, space.orthogonal().basis)
+        return self._columns[key]
+
+    def _reduced(self, i: int, kind: str, checks):
+        """The echelon of the columns G·h of one factor's checks h, and its rows.
+
+        A check of a block support applies along every block row (col) or
+        block column (row); a check of a tail starting at block i applies
+        along the trailing coordinates.
+        """
+        code = self.code
+        shape, ctx = code.shape, code.ctx
+        add, mul = ctx.add, ctx.mul
+        off = shape.block_offsets()[i] if i < shape.ell else shape.ambient_dim
+        if kind == "tail":
+            lines = [range(off, shape.ambient_dim)]
+        else:
+            mm, nn = shape.m[i], shape.n[i]
+            if kind == "col":
+                lines = [range(off + s * nn, off + (s + 1) * nn) for s in range(mm)]
+            else:
+                lines = [range(off + t, off + mm * nn, nn) for t in range(nn)]
+        cols = []
+        for line in lines:
+            for chk in checks:
+                func = [(pos, h) for pos, h in zip(line, chk) if h]
                 col = []
                 for row in code.rows:
                     acc = 0
@@ -248,74 +338,85 @@ class Meet:
                             acc = add(acc, x if h == 1 else mul(x, h))
                     col.append(acc)
                 if any(col):
-                    cols.append(tuple(col))
-            if len(cols) > 1:
-                cols = rref(cols, code.dim, ctx)[0]
-            self._columns[key] = cols
-        return cols
-
-
-def _parity_functionals(
-    shape: Shape, i: int, kind: str, space: Subspace
-) -> Iterator[List[Tuple[int, int]]]:
-    """Sparse (flat position, coefficient) functionals cutting out one factor.
-
-    For a block support these apply each parity check of the support to
-    every block row (col) or block column (row); for a tail starting at
-    block i they apply each parity check of the tail to the trailing
-    coordinates.
-    """
-    offsets = shape.block_offsets()
-    checks = [
-        [(t, h) for t, h in enumerate(vec) if h]
-        for vec in space.orthogonal().basis
-    ]
-    if kind == "tail":
-        start = offsets[i] if i < shape.ell else shape.ambient_dim
-        for chk in checks:
-            yield [(start + t, h) for t, h in chk]
-        return
-    mm, nn, off = shape.m[i], shape.n[i], offsets[i]
-    if kind == "col":
-        for s in range(mm):
-            base = off + s * nn
-            for chk in checks:
-                yield [(base + t, h) for t, h in chk]
-    else:
-        for tcol in range(nn):
-            for chk in checks:
-                yield [(off + r * nn + tcol, h) for r, h in chk]
+                    cols.append(col)
+        pairs = _echelon(cols, code.dim, ctx)
+        return pairs, [row for _, row in pairs]
 
 
 def _compositions(bounds: Sequence[int], total: int) -> Iterator[Tuple[int, ...]]:
     """All tuples 0 <= u_i <= bounds[i] with sum u_i = total, lex ascending."""
     if total < 0 or total > sum(bounds):
         return
-    if len(bounds) == 1:
-        if total <= bounds[0]:
-            yield (total,)
+    if not bounds:
+        yield ()
         return
-    head, rest = bounds[0], bounds[1:]
-    for u in range(min(head, total) + 1):
-        for tail in _compositions(rest, total - u):
-            yield (u,) + tail
+    for u in range(min(bounds[0], total) + 1):
+        for rest in _compositions(bounds[1:], total - u):
+            yield (u,) + rest
 
 
-def _block_option_count(shape: Shape, q: int, i: int, u: int, allow_row: bool) -> int:
-    count = gaussian_binomial(shape.n[i], u, q)
-    if allow_row and shape.m[i] == shape.n[i] and 0 < u < shape.n[i]:
-        count += gaussian_binomial(shape.m[i], u, q)
-    return count
+def _has_rows(shape: Shape, i: int, u: int) -> bool:
+    """Whether block i has weight-u row supports besides its col supports."""
+    return shape.m[i] == shape.n[i] and 0 < u < shape.n[i]
 
 
-def _block_options(
-    ctx: FieldContext, shape: Shape, i: int, u: int, allow_row: bool, cap: int
-) -> Iterator[BlockSupport]:
-    for sub in enumerate_subspaces(ctx, shape.n[i], u, cap):
-        yield BlockSupport("col", sub)
-    if allow_row and shape.m[i] == shape.n[i] and 0 < u < shape.n[i]:
-        for sub in enumerate_subspaces(ctx, shape.m[i], u, cap):
-            yield BlockSupport("row", sub)
+def _family_size(shape: Shape, q: int, comps, allow_row: bool) -> int:
+    def options(i, u):
+        rows = gaussian_binomial(shape.m[i], u, q) if allow_row and _has_rows(shape, i, u) else 0
+        return gaussian_binomial(shape.n[i], u, q) + rows
+
+    return sum(prod(options(i, u) for i, u in enumerate(comp)) for comp in comps)
+
+
+def _family(
+    ctx: FieldContext, shape: Shape, mu: int, variant: str, cap: int
+) -> Iterator[Tuple[Optional[Subspace], List[Tuple[int, ...]]]]:
+    """(tail, block weights) of each part of the weight-mu family, in order.
+
+    First the products (tail None); then, for variant "all" over F_2, each
+    binary tail with the weights of the head blocks before it.  Cube tails
+    duplicate plain products, so only the genuinely non-product tails (some
+    basis row of weight >= 2) come.  Each part's count is checked against
+    cap when the walk first reaches it.
+    """
+    if variant not in ("product", "all", "support"):
+        raise UnknownChoice(f"unknown variant {variant!r}")
+    comps = list(_compositions(shape.n, mu)) if 0 <= mu <= shape.ncols else []
+    total = _family_size(shape, ctx.q, comps, variant != "support")
+    if total > cap:
+        raise EnumerationTooLarge(f"{total} anticodes at weight {mu} exceed cap {cap}")
+    yield None, comps
+    k = shape.scalar_suffix_start()
+    if variant != "all" or ctx.q != 2 or k == shape.ell:
+        return
+    tails = [
+        (w, list(_compositions(shape.n[:k], mu - w.dim)))
+        for w in optimal_hamming_subspaces(ctx, shape.ell - k)
+        if w.dim <= mu and any(sum(1 for x in r if x) > 1 for r in w.basis)
+    ]
+    total = sum(_family_size(shape, ctx.q, heads, True) for _, heads in tails)
+    if total > cap:
+        raise EnumerationTooLarge(f"{total} tail anticodes at weight {mu} exceed cap {cap}")
+    yield from tails
+
+
+def _descriptors(
+    ctx: FieldContext, shape: Shape, mu: int, variant: str, cap: int
+) -> Iterator[AnticodeDescriptor]:
+    """Every member of _family, block supports multiplied out in order;
+    the supports of each (block, weight) are built once per call."""
+    pools: dict = {}
+    for tail, comps in _family(ctx, shape, mu, variant, cap):
+        for comp in comps:
+            for i, u in enumerate(comp):
+                if (i, u) not in pools:
+                    subs = enumerate_subspaces(ctx, shape.n[i], u, cap)
+                    pools[i, u] = [BlockSupport("col", sub) for sub in subs]
+                    if variant != "support" and _has_rows(shape, i, u):
+                        subs = enumerate_subspaces(ctx, shape.m[i], u, cap)
+                        pools[i, u] += [BlockSupport("row", sub) for sub in subs]
+            for combo in iter_product(*(pools[i, u] for i, u in enumerate(comp))):
+                yield AnticodeDescriptor(shape, ctx, combo, tail)
 
 
 def product_descriptors(
@@ -329,23 +430,10 @@ def product_descriptors(
 
     With allow_row the square blocks contribute both support families;
     without it the enumeration is the support-space family, which is also
-    defined on non-strict shapes.
+    defined on non-strict shapes.  Sweeps walk the family through
+    Meet.sweep instead; this serves the CLI oracle and the tests.
     """
-    if mu < 0 or mu > shape.ncols:
-        return
-    total = 0
-    comps = list(_compositions(shape.n, mu))
-    for comp in comps:
-        size = 1
-        for i, u in enumerate(comp):
-            size *= _block_option_count(shape, ctx.q, i, u, allow_row)
-        total += size
-    if total > cap:
-        raise EnumerationTooLarge(f"{total} anticodes at weight {mu} exceed cap {cap}")
-    for comp in comps:
-        pools = [list(_block_options(ctx, shape, i, u, allow_row, cap)) for i, u in enumerate(comp)]
-        for combo in iter_product(*pools):
-            yield AnticodeDescriptor(shape, ctx, tuple(combo))
+    yield from _descriptors(ctx, shape, mu, "product" if allow_row else "support", cap)
 
 
 def optimal_hamming_subspaces(ctx: FieldContext, t: int) -> List[Subspace]:
@@ -381,45 +469,7 @@ def enumerate_anticodes(
         raise ShapeMismatch("anticode families are defined on strict shapes")
     if variant not in ("product", "all"):
         raise UnknownChoice(f"unknown variant {variant!r}")
-    yield from product_descriptors(ctx, shape, mu, allow_row=True, cap=cap)
-    if variant != "all" or ctx.q != 2:
-        return
-    k = shape.scalar_suffix_start()
-    if k == shape.ell:
-        return
-    t = shape.ell - k
-    head_n = shape.n[:k]
-    # cube tails duplicate plain products; only the genuinely non-product
-    # tails (some basis row of weight >= 2) are new
-    tails = [
-        w
-        for w in optimal_hamming_subspaces(ctx, t)
-        if w.dim <= mu and any(sum(1 for x in r if x) > 1 for r in w.basis)
-    ]
-    total = 0
-    for tail in tails:
-        for comp in _compositions(head_n, mu - tail.dim) if k else (
-            [()] if mu == tail.dim else []
-        ):
-            size = 1
-            for i, u in enumerate(comp):
-                size *= _block_option_count(shape, ctx.q, i, u, True)
-            total += size
-    if total > cap:
-        raise EnumerationTooLarge(f"{total} tail anticodes at weight {mu} exceed cap {cap}")
-    for tail in tails:
-        head_mu = mu - tail.dim
-        if k == 0:
-            if head_mu == 0:
-                yield AnticodeDescriptor(shape, ctx, (), tail)
-            continue
-        for comp in _compositions(head_n, head_mu):
-            pools = [
-                list(_block_options(ctx, shape, i, u, True, cap))
-                for i, u in enumerate(comp)
-            ]
-            for combo in iter_product(*pools):
-                yield AnticodeDescriptor(shape, ctx, tuple(combo), tail)
+    yield from _descriptors(ctx, shape, mu, variant, cap)
 
 
 def is_optimal_anticode(

@@ -166,6 +166,26 @@ def _cmd_dual(config: RunConfig) -> dict:
     return dual.to_dict()
 
 
+def _flat_weights(code: LinearCode, variant: str, cap: int) -> list:
+    """d_1..d_k in one pass of Meet.dim over every member of the flat family."""
+    from .anticode import Meet, enumerate_anticodes, product_descriptors
+    meet, weights = Meet(code), []
+    for mu in range(1, code.shape.ncols + 1):
+        if len(weights) == code.dim:
+            break
+        if variant == "support":
+            family = product_descriptors(code.ctx, code.shape, mu, allow_row=False, cap=cap)
+        else:
+            family = enumerate_anticodes(code.ctx, code.shape, mu, variant, cap)
+        for desc in family:
+            weights += [mu] * (meet.dim(desc) - len(weights))
+            if len(weights) == code.dim:
+                break
+    if len(weights) < code.dim:
+        raise InvariantViolation("the full space must meet every rank demand")
+    return weights
+
+
 def _cmd_gweights(config: RunConfig) -> dict:
     from .genweights import gen_weight, weight_profile
     code = _read_code(config.paths[0])
@@ -173,15 +193,13 @@ def _cmd_gweights(config: RunConfig) -> dict:
     if config.rank is None:
         prof = weight_profile(code, config.variant, cap)
         if config.oracle:
-            # per-rank early-exit sweeps against the shared sweep
-            for r in range(1, code.dim + 1):
-                _oracle_check(
-                    f"d_{r}", prof.weight(r), gen_weight(code, r, config.variant, cap)
-                )
+            # the walker's pruned sweep against the flat family
+            for r, brute in enumerate(_flat_weights(code, config.variant, cap), 1):
+                _oracle_check(f"d_{r}", prof.weight(r), brute)
         return prof.to_dict()
     value = gen_weight(code, config.rank, config.variant, cap)
     if config.oracle:
-        brute = weight_profile(code, config.variant, cap).weight(config.rank)
+        brute = _flat_weights(code, config.variant, cap)[config.rank - 1]
         _oracle_check(f"d_{config.rank}", value, brute)
     return {"variant": config.variant, "r": config.rank, "weight": value}
 

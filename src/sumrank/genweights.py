@@ -4,7 +4,10 @@ d_r is the least maximum weight of an anticode from the chosen family
 meeting the code in dimension at least r.  Three families are supported:
 the per-block products, the products enlarged by binary trailing tails,
 and the plain support spaces (which also make sense on non-strict
-shapes and drive the leakage analysis).
+shapes and drive the leakage analysis).  Each weight mu of a family is
+walked by Meet.sweep, depth-first over the blocks with a shared prefix
+echelon, so a prefix whose rank already rules out a new meet is cut
+together with every member below it.
 """
 
 from __future__ import annotations
@@ -12,9 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .anticode import AnticodeDescriptor, Meet, enumerate_anticodes, product_descriptors
+from .anticode import Meet
+# bench/selftest.py checks that the benchmark's tracer patches these sites
+from .anticode import enumerate_anticodes, product_descriptors  # noqa: F401
 from .code import LinearCode, MatrixTuple, Shape
 from .errors import (
     BadDegree,
@@ -44,18 +49,6 @@ __all__ = [
 VARIANTS = ("product", "all", "support")
 
 
-def _family(
-    ctx: FieldContext, shape: Shape, mu: int, variant: str, cap: int
-) -> Iterator[AnticodeDescriptor]:
-    if variant == "product":
-        return product_descriptors(ctx, shape, mu, allow_row=True, cap=cap)
-    if variant == "all":
-        return enumerate_anticodes(ctx, shape, mu, variant="all", cap=cap)
-    if variant == "support":
-        return product_descriptors(ctx, shape, mu, allow_row=False, cap=cap)
-    raise UnknownChoice(f"unknown variant {variant!r}")
-
-
 def _check_variant_shape(shape: Shape, variant: str) -> None:
     if variant in ("product", "all") and not shape.strict:
         raise ShapeMismatch(f"variant {variant!r} needs a strict shape")
@@ -65,15 +58,17 @@ def gen_weight(
     code: LinearCode, r: int, variant: str = "product", cap: int = 10**6
 ) -> int:
     """r-th generalized weight: ascending mu, first family member whose
-    intersection with the code has dimension at least r wins."""
+    intersection with the code has dimension at least r wins.
+
+    The sweep cuts every prefix whose rank leaves the code fewer than r
+    dimensions, and stops at the first member it reaches."""
     _check_variant_shape(code.shape, variant)
     if not 1 <= r <= code.dim:
         raise RankOutOfRange(f"r={r} outside 1..{code.dim}")
     meet = Meet(code)
     for mu in range(1, code.shape.ncols + 1):
-        for desc in _family(code.ctx, code.shape, mu, variant, cap):
-            if meet.dim(desc) >= r:
-                return mu
+        if next(meet.sweep(mu, variant, cap, floor=r - 1), None) is not None:
+            return mu
     raise InvariantViolation("the full space must meet every rank demand")
 
 
@@ -108,29 +103,27 @@ class WeightProfile:
 def weight_profile(
     code: LinearCode, variant: str = "product", cap: int = 10**6
 ) -> WeightProfile:
-    """All generalized weights in one shared sweep over the family."""
+    """All generalized weights in one shared sweep over the family.
+
+    At each mu the sweep yields only members that meet the code in more
+    dimensions than any member before them, cutting every prefix that
+    cannot; each such meet t sets d_r = mu for the ranks r <= t still open.
+    """
     _check_variant_shape(code.shape, variant)
     kdim = code.dim
-    found: List[Optional[int]] = [None] * (kdim + 1)
-    unset = kdim
-    if unset:
+    weights: List[int] = []
+    if kdim:
         meet = Meet(code)
         for mu in range(1, code.shape.ncols + 1):
-            for desc in _family(code.ctx, code.shape, mu, variant, cap):
-                t = meet.dim(desc)
-                for r in range(1, t + 1):
-                    if found[r] is None:
-                        found[r] = mu
-                        unset -= 1
-                if unset == 0:
+            for t, _ in meet.sweep(mu, variant, cap, floor=len(weights)):
+                weights += [mu] * (t - len(weights))
+                if t == kdim:
                     break
-            if unset == 0:
+            if len(weights) == kdim:
                 break
-        if unset:
+        else:
             raise InvariantViolation("the full space must meet every rank demand")
-    return WeightProfile(
-        variant, kdim, code.shape.ncols, tuple(found[1:])  # type: ignore[arg-type]
-    )
+    return WeightProfile(variant, kdim, code.shape.ncols, tuple(weights))
 
 
 def _residue_set(weights: Sequence[int], start: int, step: int) -> frozenset:

@@ -28,7 +28,7 @@ from .errors import (
     SingularFactor,
 )
 from .gf import FieldContext
-from .matfq import MatrixFq, nullspace_rows, reduce_against, vec_add, vec_scale
+from .matfq import MatrixFq, _echelon, nullspace_rows, vec_add, vec_scale
 
 __all__ = [
     "Isometry",
@@ -340,17 +340,6 @@ def _left_equations(ctx, sizes, checks, images, right):
     return rows
 
 
-def _extend_echelon(ctx: FieldContext, echelon: tuple, row: Sequence[int]):
-    """(rows, pivots) of an echelon basis plus row, or None when row lies in
-    its span; each new row is reduced against the earlier ones."""
-    rows, pivots = echelon
-    _, rem = reduce_against(row, rows, pivots, ctx)
-    lead = next((k for k, x in enumerate(rem) if x), None)
-    if lead is None:
-        return None
-    return rows + (vec_scale(ctx, ctx.inv(rem[lead]), rem),), pivots + (lead,)
-
-
 def _invertible_points(ctx, sizes, space, bound, first_only):
     """Vectors of the span of space (an RREF basis) whose square blocks of
     the given sizes are all invertible, in lexicographic order.
@@ -385,9 +374,10 @@ def _invertible_points(ctx, sizes, space, bound, first_only):
         if done_at[i]:
             echelons = list(echelons)
             for j, start, end in done_at[i]:
-                echelons[j] = _extend_echelon(ctx, echelons[j], vec[start:end])
-                if echelons[j] is None:
+                grown = _echelon([vec[start:end]], end - start, ctx, echelons[j])
+                if len(grown) == len(echelons[j]):
                     return False
+                echelons[j] = grown
         if i == depth:
             if tied:
                 return True
@@ -399,7 +389,7 @@ def _invertible_points(ctx, sizes, space, bound, first_only):
                 return True
         return False
 
-    visit(0, (0,) * total, [((), ())] * len(sizes), bound is not None)
+    visit(0, (0,) * total, [[]] * len(sizes), bound is not None)
     return found
 
 

@@ -75,14 +75,18 @@ def walk_span(ctx: FieldContext, base: Tuple[int, ...], rows) -> Iterator[Tuple[
             partial[i + 1] = tuple(map(add, partial[i], scaled[i][d])) if d else partial[i]
 
 
-def _echelon(rows: Iterable[Sequence[int]], ncols: int, ctx: FieldContext):
+def _echelon(rows: Iterable[Sequence[int]], ncols: int, ctx: FieldContext, start=()):
     """Forward elimination to [(pivot column, row with leading entry 1)].
 
-    Rows reduce against earlier pivot rows only, up to rank ncols.
+    Rows reduce against earlier pivot rows only, up to rank ncols.  A
+    start (an earlier result) is extended in a new list; its pivot rows
+    are shared, never modified.
     """
     mul, sub, inv = ctx.mul, ctx.sub, ctx.inv
-    basis: List[Tuple[int, List[int]]] = []
+    basis: List[Tuple[int, List[int]]] = list(start)
     for r in rows:
+        if len(basis) == ncols:
+            break
         row = list(r)
         for col, prow in basis:
             c = row[col]
@@ -97,8 +101,6 @@ def _echelon(rows: Iterable[Sequence[int]], ncols: int, ctx: FieldContext):
                     row = [mul(x, y) for y in row]
                 basis.append((col, row))
                 break
-        if len(basis) == ncols:
-            break
     return basis
 
 

@@ -17,8 +17,16 @@ from sumrank import (
     MatrixTuple,
     Shape,
     admissible_permutations,
+    dim_decomposition,
+    enumerate_anticodes,
     gl_group,
+    product_descriptors,
+    r_mu,
+    singleton_distance_bound,
 )
+from sumrank.anticode import Meet
+from sumrank.errors import TrivialCode
+from sumrank.msrd import _column_window_descriptor
 
 F2 = FieldContext(2, 1)
 F3 = FieldContext(3, 1)
@@ -263,3 +271,104 @@ def brute_equivalence(first: LinearCode, second: LinearCode, all_witnesses: bool
                             return phi
                         found.append(phi)
     return found if all_witnesses else None
+
+
+# ------------------------------------------------------ flat family sweeps
+#
+# The sweeps as they ran before the pruned walker: every member of the
+# family at every weight becomes a descriptor and gets its own Meet.dim,
+# with no cut.  Each stops, and so refuses a cap, where the library's
+# sweeps must: the members are generated lazily, so a family's size is
+# only checked once the loop reaches it.
+
+FAMILY_CAP = 10**6
+
+
+def flat_family(ctx, shape, mu, variant, cap=FAMILY_CAP):
+    if variant == "support":
+        return product_descriptors(ctx, shape, mu, allow_row=False, cap=cap)
+    return enumerate_anticodes(ctx, shape, mu, variant, cap)
+
+
+def flat_weights(code, variant="product", cap=FAMILY_CAP):
+    """d_1..d_k: ascending mu, every member, until every rank is met."""
+    meet, weights = Meet(code), []
+    for mu in range(1, code.shape.ncols + 1):
+        if len(weights) == code.dim:
+            break
+        for desc in flat_family(code.ctx, code.shape, mu, variant, cap):
+            weights += [mu] * (meet.dim(desc) - len(weights))
+            if len(weights) == code.dim:
+                break
+    return tuple(weights)
+
+
+def flat_gen_weight(code, r, variant="product", cap=FAMILY_CAP):
+    """d_r: the weight of the first member meeting the code in r dims."""
+    meet = Meet(code)
+    for mu in range(1, code.shape.ncols + 1):
+        for desc in flat_family(code.ctx, code.shape, mu, variant, cap):
+            if meet.dim(desc) >= r:
+                return mu
+    raise AssertionError("the full space meets every rank demand")
+
+
+def flat_leakage(code, mu, cap=FAMILY_CAP):
+    """Largest meet of the dual with a support product of mu columns."""
+    meet = Meet(code.dual())
+    family = flat_family(code.ctx, code.shape, mu, "support", cap)
+    return max((meet.dim(desc) for desc in family), default=0)
+
+
+def flat_msrd_report(code, cap=FAMILY_CAP):
+    """msrd_check(code).to_dict(), every criterion by a flat family loop."""
+    shape, ctx = code.shape, code.ctx
+    if code.dim == 0:
+        raise TrivialCode("the zero code has no distance")
+    d = flat_gen_weight(code, 1, "product", cap)
+    j, delta, s = dim_decomposition(shape, code.dim)
+    meet = Meet(code)
+    if d == 1:
+        c0 = code.dim == shape.ambient_dim
+    else:
+        target = r_mu(shape, d - 1)
+        c0 = all(
+            code.dim + target - meet.dim(desc) == shape.ambient_dim
+            for desc in flat_family(ctx, shape, d - 1, "all", cap)
+            if desc.dim() == target
+        )
+    c1 = s == 0 and not any(
+        meet.dim(desc)
+        for mu in range(1, sum(shape.n[:j]) + delta + 1)
+        for desc in flat_family(ctx, shape, mu, "all", cap)
+    )
+    c2 = all(
+        meet.dim(desc) >= shape.m[max(i for i, b in enumerate(desc.blocks) if b.space.dim)]
+        for desc in flat_family(ctx, shape, d, "product", cap)
+    )
+    window = all(
+        meet.dim(_column_window_descriptor(shape, ctx, frozenset(range(1, d)) | {h}))
+        == shape.m[shape.block_of_column(h)]
+        for h in range(d, shape.ncols + 1)
+    )
+    dual = code.dual()
+    dual_d = flat_gen_weight(dual, 1, "product", cap) if dual.dim else None
+    bound = singleton_distance_bound(shape, code.dim)
+    return {
+        "dim": code.dim,
+        "distance": d,
+        "distance_bound": bound,
+        "block": j,
+        "delta": delta,
+        "remainder": s,
+        "is_msrd": s == 0 and d == bound,
+        "criteria": {
+            "c0": c0,
+            "c1": c1,
+            "c2": c2,
+            "c3": None if dual_d is None else d + dual_d == shape.ncols + 2,
+            "column_window": window,
+        },
+        "equal_rows": all(m == shape.m[0] for m in shape.m),
+        "dual_distance": dual_d,
+    }

@@ -1,7 +1,7 @@
 """Optimal anticodes: classification, enumeration, duality, staircases."""
 
 import random
-from itertools import combinations
+from itertools import combinations, product as iter_product
 
 import pytest
 
@@ -13,6 +13,7 @@ from sumrank import (
     Subspace,
     anticode_dual,
     enumerate_anticodes,
+    enumerate_subspaces,
     gaussian_binomial,
     is_optimal_anticode,
     max_srk_generates,
@@ -168,6 +169,56 @@ def test_product_descriptor_counts_match_gaussian_binomials():
             for d in descs:
                 assert d.max_weight() == mu
                 assert d.materialize().dim == d.dim()
+
+
+def _reference_descriptors(ctx, shape, mu, allow_row, tails=False):
+    """The family in its pinned order, with inline pools per composition:
+    compositions lex ascending, then the product of the per-block options
+    (col supports, then row supports, each in enumerate_subspaces order);
+    binary tails follow the products, tail by tail."""
+
+    def options(i, u):
+        out = [BlockSupport("col", s) for s in enumerate_subspaces(ctx, shape.n[i], u)]
+        if allow_row and shape.m[i] == shape.n[i] and 0 < u < shape.n[i]:
+            out += [BlockSupport("row", s) for s in enumerate_subspaces(ctx, shape.m[i], u)]
+        return out
+
+    def products(bounds, total, tail=None):
+        comps = [
+            c for c in iter_product(*(range(b + 1) for b in bounds)) if sum(c) == total
+        ]
+        for comp in comps:
+            pools = [options(i, u) for i, u in enumerate(comp)]
+            for combo in iter_product(*pools):
+                yield AnticodeDescriptor(shape, ctx, tuple(combo), tail)
+
+    yield from products(shape.n, mu)
+    if not tails:
+        return
+    k = shape.scalar_suffix_start()
+    for w in optimal_hamming_subspaces(ctx, shape.ell - k):
+        if w.dim <= mu and any(sum(map(bool, r)) > 1 for r in w.basis):
+            yield from products(shape.n[:k], mu - w.dim, w)
+
+
+def test_family_order_is_pinned():
+    cases = [
+        (F2, Shape((2, 2), (2, 1)), "product"),
+        (F3, Shape((2, 2), (2, 2)), "product"),
+        (F2, Shape((3, 2), (3, 2)), "support"),
+        (F2, Shape((2, 1, 1, 1), (2, 1, 1, 1)), "all"),
+        (F2, Shape((1, 1, 1, 1), (1, 1, 1, 1)), "all"),
+    ]
+    for ctx, shape, variant in cases:
+        for mu in range(shape.ncols + 1):
+            if variant == "support":
+                got = list(product_descriptors(ctx, shape, mu, allow_row=False))
+            else:
+                got = list(enumerate_anticodes(ctx, shape, mu, variant))
+            want = _reference_descriptors(
+                ctx, shape, mu, variant != "support", variant == "all"
+            )
+            assert got == list(want), (shape, mu)
 
 
 def test_enumerate_all_adds_binary_tails():
