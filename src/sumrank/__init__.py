@@ -32,7 +32,7 @@ _EXPORTS = {
         "VARIANTS", "GammaBasis", "WeightProfile", "extension_context", "gamma_expand",
         "gen_weight", "subfield_embedding", "wei_duality_check", "weight_profile",
     ),
-    "gf": ("MAX_ORDER", "FieldContext", "FieldElement", "field_from_dict"),
+    "gf": ("MAX_ORDER", "FieldContext", "field_from_dict"),
     "isom": (
         "GROUP_CAP", "Isometry", "admissible_permutations", "equivalent_codes",
         "gl_group", "gl_order", "isometry_count", "random_gl", "random_isometry",

@@ -203,15 +203,17 @@ class Meet:
     with its own block's columns only, so the rank of a prefix bounds every
     meet below it and lets a caller's floor cut whole subtrees.  The
     reduced columns are kept per support for dim and per (block, weight,
-    kind) pool for sweep, so make one Meet per sweep and drop it after.
+    kind) pool for sweep, and the binary tails once, so make one Meet per
+    sweep and drop it after.
     """
 
-    __slots__ = ("code", "_columns", "_pools")
+    __slots__ = ("code", "_columns", "_pools", "_tails")
 
     def __init__(self, code: LinearCode):
         self.code = code
         self._columns: dict = {}
         self._pools: dict = {}
+        self._tails: Optional[List[Subspace]] = None
 
     def dim(self, desc: AnticodeDescriptor) -> int:
         code = self.code
@@ -276,13 +278,19 @@ class Meet:
                     yield t, group[0]
 
         k = shape.scalar_suffix_start()
-        for tail, comps in _family(ctx, shape, mu, variant, cap):
+        for tail, comps in _family(ctx, shape, mu, variant, cap, self._hamming):
             mults = shape.m
             if tail is not None:
                 comps, mults = [c + (tail.dim,) for c in comps], shape.m[:k] + (1,)
             if size is not None:
                 comps = [c for c in comps if sum(m * x for m, x in zip(mults, c)) == size]
             yield from descend(0, comps, [], tail)
+
+    def _hamming(self, ctx: FieldContext, t: int) -> List[Subspace]:
+        """optimal_hamming_subspaces of the code's tail, computed on first use."""
+        if self._tails is None:
+            self._tails = optimal_hamming_subspaces(ctx, t)
+        return self._tails
 
     def _pool(self, i: int, u: int, kind: str, cap: int) -> list:
         """(echelon, its rows) of the columns G·h for each weight-u support
@@ -369,7 +377,7 @@ def _family_size(shape: Shape, q: int, comps, allow_row: bool) -> int:
 
 
 def _family(
-    ctx: FieldContext, shape: Shape, mu: int, variant: str, cap: int
+    ctx: FieldContext, shape: Shape, mu: int, variant: str, cap: int, hamming
 ) -> Iterator[Tuple[Optional[Subspace], List[Tuple[int, ...]]]]:
     """(tail, block weights) of each part of the weight-mu family, in order.
 
@@ -377,7 +385,8 @@ def _family(
     binary tail with the weights of the head blocks before it.  Cube tails
     duplicate plain products, so only the genuinely non-product tails (some
     basis row of weight >= 2) come.  Each part's count is checked against
-    cap when the walk first reaches it.
+    cap when the walk first reaches it.  hamming is
+    optimal_hamming_subspaces or a caller's store of its result.
     """
     if variant not in ("product", "all", "support"):
         raise UnknownChoice(f"unknown variant {variant!r}")
@@ -391,7 +400,7 @@ def _family(
         return
     tails = [
         (w, list(_compositions(shape.n[:k], mu - w.dim)))
-        for w in optimal_hamming_subspaces(ctx, shape.ell - k)
+        for w in hamming(ctx, shape.ell - k)
         if w.dim <= mu and any(sum(1 for x in r if x) > 1 for r in w.basis)
     ]
     total = sum(_family_size(shape, ctx.q, heads, True) for _, heads in tails)
@@ -406,7 +415,7 @@ def _descriptors(
     """Every member of _family, block supports multiplied out in order;
     the supports of each (block, weight) are built once per call."""
     pools: dict = {}
-    for tail, comps in _family(ctx, shape, mu, variant, cap):
+    for tail, comps in _family(ctx, shape, mu, variant, cap, optimal_hamming_subspaces):
         for comp in comps:
             for i, u in enumerate(comp):
                 if (i, u) not in pools:

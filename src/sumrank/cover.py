@@ -23,7 +23,7 @@ from .errors import (
     ShapeMismatch,
     ZeroMatrix,
 )
-from .matfq import MatrixFq
+from .matfq import MatrixFq, reduce_against
 
 __all__ = [
     "leading_position",
@@ -122,6 +122,14 @@ def _leading_minor_nonsingular(mat: MatrixFq, k: int) -> bool:
     return mat.submatrix(range(k), range(k)).rank() == k
 
 
+def _shift(a: MatrixFq, coeffs: Sequence[int], mats: Sequence[MatrixFq]) -> MatrixFq:
+    """a + sum of the mats[i] with coeffs[i] = 1."""
+    for x, mat in zip(coeffs, mats):
+        if x:
+            a = a + mat
+    return a
+
+
 def meshulam_search(a: MatrixFq, mats: Sequence[MatrixFq]) -> MeshulamResult:
     """0/1 coefficients x with rank(a + sum x_i mats[i]) >= covering number.
 
@@ -158,11 +166,7 @@ def meshulam_search(a: MatrixFq, mats: Sequence[MatrixFq]) -> MeshulamResult:
     coeffs = [0] * len(mats)
     for j, w in enumerate(cover.witnesses):
         coeffs[w] = xs[j]
-    total = a
-    for x, mat in zip(coeffs, mats):
-        if x:
-            total = total + mat
-    achieved = total.rank()
+    achieved = _shift(a, coeffs, mats).rank()
     if achieved < r:
         raise InvariantViolation("guaranteed rank bound failed")
     return MeshulamResult(tuple(coeffs), achieved, r)
@@ -181,13 +185,8 @@ def _single_block_matrices(v: LinearCode) -> List[MatrixFq]:
     return [t.blocks[0] for t in v.basis_tuples()]
 
 
-def coset_rank_lower(a: MatrixFq, v: LinearCode, t: int) -> CosetWitness:
-    """Some b in v with rank(a + b) >= t + 1, given dim(v) > m t.
-
-    The canonical basis of v already has pairwise distinct leading
-    positions, so the covering number of its pattern is at least t + 1
-    and the 0/1 search applies directly.
-    """
+def _coset_block(a: MatrixFq, v: LinearCode, t: int) -> Tuple[int, int]:
+    """The block size (m, n) of v, after checking a, v and t against each other."""
     if v.shape.ell != 1:
         raise ShapeMismatch("expected a single-block code")
     m, n = v.shape.m[0], v.shape.n[0]
@@ -195,16 +194,28 @@ def coset_rank_lower(a: MatrixFq, v: LinearCode, t: int) -> CosetWitness:
         raise ShapeMismatch("requires m >= n")
     if not 0 <= t < n:
         raise RankOutOfRange(f"t = {t} out of range for n = {n}")
+    if a.ctx != v.ctx:
+        raise ContextMismatch("a lives in a different field context")
+    if a.m != m or a.n != n:
+        raise ShapeMismatch("a has different dimensions")
+    return m, n
+
+
+def coset_rank_lower(a: MatrixFq, v: LinearCode, t: int) -> CosetWitness:
+    """Some b in v with rank(a + b) >= t + 1, given dim(v) > m t.
+
+    The canonical basis of v already has pairwise distinct leading
+    positions, so the covering number of its pattern is at least t + 1
+    and the 0/1 search applies directly.
+    """
+    m, n = _coset_block(a, v, t)
     if v.dim <= m * t:
         raise DimensionTooSmall(f"dim = {v.dim} must exceed m t = {m * t}")
     mats = _single_block_matrices(v)
     res = meshulam_search(a, mats)
     if res.rho < t + 1:
         raise InvariantViolation("distinct leading positions must cover t + 1")
-    total = a
-    for x, mat in zip(res.coeffs, mats):
-        if x:
-            total = total + mat
+    total = _shift(a, res.coeffs, mats)
     b = total - a
     achieved = total.rank()
     if achieved < t + 1:
@@ -232,35 +243,21 @@ def coset_witness_exact(
     SearchExhausted: outside the F_2, t = 1 corner that always signals a
     bug, inside it a complete exhaustion is a proof that no escape exists.
     """
-    if v.shape.ell != 1:
-        raise ShapeMismatch("expected a single-block code")
-    m, n = v.shape.m[0], v.shape.n[0]
-    if m < n:
-        raise ShapeMismatch("requires m >= n")
-    if not 0 <= t < n:
-        raise RankOutOfRange(f"t = {t} out of range for n = {n}")
+    m, n = _coset_block(a, v, t)
     if v.dim != m * t:
         raise DimensionMismatch(f"dim = {v.dim} must equal m t = {m * t}")
     ctx = a.ctx
-    a_flat = tuple(x for row in a.rows for x in row)
+    a_flat = a.flatten()
     if v.contains_flat(a_flat):
         raise AInV("a lies in v, no coset escape exists")
     if t == 0:
         return CosetWitness(MatrixFq.zero(ctx, m, n), a.rank(), "trivial")
 
     # deterministic attempt through the enlarged space span(a) + v
-    from .code import LinearCode as LC
-
-    vbar = LC(v.shape, ctx, [a_flat] + list(v.rows))
+    vbar = LinearCode(v.shape, ctx, [a_flat] + list(v.rows))
     mats = _single_block_matrices(vbar)
-    res = meshulam_search(a, mats)
-    total = a
-    for x, mat in zip(res.coeffs, mats):
-        if x:
-            total = total + mat
-    tot_flat = tuple(x for row in total.rows for x in row)
-    from .matfq import reduce_against
-
+    total = _shift(a, meshulam_search(a, mats).coeffs, mats)
+    tot_flat = total.flatten()
     rem_a = reduce_against(a_flat, v.rows, v.pivots, ctx)[1]
     rem_t = reduce_against(tot_flat, v.rows, v.pivots, ctx)[1]
     j = next(i for i, x in enumerate(rem_a) if x)
@@ -268,7 +265,7 @@ def coset_witness_exact(
     if c != 0 and total.rank() >= t + 1:
         scaled = total.scale(ctx.inv(c))
         b = scaled - a
-        if v.contains_flat(tuple(x for row in b.rows for x in row)):
+        if v.contains_flat(b.flatten()):
             achieved = scaled.rank()
             if achieved >= t + 1:
                 return CosetWitness(b, achieved, "meshulam")

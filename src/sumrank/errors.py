@@ -38,7 +38,6 @@ __all__ = [
     "ParseError",
     "UnknownChoice",
     "BadDegree",
-    "ElementOutOfRange",
     "SingularFactor",
 ]
 
@@ -153,10 +152,6 @@ class UnknownChoice(UsageError, ValueError):
 
 class BadDegree(UsageError, ValueError):
     """A field extension degree below 1."""
-
-
-class ElementOutOfRange(UsageError, ValueError):
-    pass
 
 
 class SingularFactor(UsageError, ValueError):

@@ -13,9 +13,7 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 from .errors import (
     BadDegree,
-    ContextMismatch,
     DivideByZero,
-    ElementOutOfRange,
     InvariantViolation,
     NotPrime,
     OrderTooLarge,
@@ -25,7 +23,6 @@ from .errors import (
 __all__ = [
     "MAX_ORDER",
     "FieldContext",
-    "FieldElement",
     "is_prime",
     "is_irreducible",
     "lex_least_irreducible",
@@ -277,13 +274,6 @@ class FieldContext:
         la = self._log[a] * k % (self.q - 1)
         return self._exp[la]
 
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(self, value % self.q)
-
-    def elements(self) -> Iterator["FieldElement"]:
-        for v in range(self.q):
-            yield FieldElement(self, v)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FieldContext)
@@ -307,60 +297,3 @@ class FieldContext:
 
 def field_from_dict(data: dict) -> FieldContext:
     return FieldContext(int(data["p"]), int(data["e"]), data.get("modulus"))
-
-
-class FieldElement:
-    """A field element bound to its context."""
-
-    __slots__ = ("ctx", "repr")
-
-    def __init__(self, ctx: FieldContext, value: int):
-        if not 0 <= value < ctx.q:
-            raise ElementOutOfRange(f"representation {value} out of range for q={ctx.q}")
-        self.ctx = ctx
-        self.repr = value
-
-    def _check(self, other: "FieldElement") -> None:
-        if not isinstance(other, FieldElement) or self.ctx != other.ctx:
-            raise ContextMismatch("elements belong to different field contexts")
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElement(self.ctx, self.ctx.add(self.repr, other.repr))
-
-    def __sub__(self, other):
-        self._check(other)
-        return FieldElement(self.ctx, self.ctx.sub(self.repr, other.repr))
-
-    def __neg__(self):
-        return FieldElement(self.ctx, self.ctx.neg(self.repr))
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElement(self.ctx, self.ctx.mul(self.repr, other.repr))
-
-    def __truediv__(self, other):
-        self._check(other)
-        return FieldElement(self.ctx, self.ctx.div(self.repr, other.repr))
-
-    def __pow__(self, k: int):
-        return FieldElement(self.ctx, self.ctx.pow(self.repr, k))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.ctx, self.ctx.inv(self.repr))
-
-    def __bool__(self) -> bool:
-        return self.repr != 0
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FieldElement)
-            and self.ctx == other.ctx
-            and self.repr == other.repr
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.repr, self.ctx))
-
-    def __repr__(self) -> str:
-        return f"GF({self.ctx.q}):{self.repr}"

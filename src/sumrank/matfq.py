@@ -8,7 +8,7 @@ operation goes through the context.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .errors import (
     ContextMismatch,
@@ -306,23 +306,16 @@ class Subspace:
 
     __slots__ = ("ctx", "ambient", "basis", "pivots")
 
-    def __init__(
-        self,
-        ctx: FieldContext,
-        ambient: int,
-        basis: Sequence[Sequence[int]] = (),
-        pivots: Optional[Sequence[int]] = None,
-        canonical: bool = False,
-    ):
-        self.ctx = ctx
-        self.ambient = ambient
-        if canonical and pivots is not None:
-            self.basis = tuple(tuple(r) for r in basis)
-            self.pivots = tuple(pivots)
-        else:
-            rows, piv = rref(basis, ambient, ctx)
-            self.basis = tuple(rows)
-            self.pivots = tuple(piv)
+    def __init__(self, ctx: FieldContext, ambient: int, basis: Sequence[Sequence[int]] = ()):
+        rows, pivots = rref(basis, ambient, ctx)
+        self.ctx, self.ambient, self.basis, self.pivots = ctx, ambient, tuple(rows), tuple(pivots)
+
+    @classmethod
+    def _from_rref(cls, ctx: FieldContext, ambient: int, basis, pivots) -> "Subspace":
+        """Wrap rows already in RREF, with their pivot columns, without reducing them."""
+        sub = cls.__new__(cls)
+        sub.ctx, sub.ambient, sub.basis, sub.pivots = ctx, ambient, tuple(basis), tuple(pivots)
+        return sub
 
     @classmethod
     def from_vectors(cls, ctx: FieldContext, ambient: int, vectors) -> "Subspace":
@@ -330,12 +323,12 @@ class Subspace:
 
     @classmethod
     def zero(cls, ctx: FieldContext, ambient: int) -> "Subspace":
-        return cls(ctx, ambient, (), (), canonical=True)
+        return cls._from_rref(ctx, ambient, (), ())
 
     @classmethod
     def full(cls, ctx: FieldContext, ambient: int) -> "Subspace":
-        eye = [[1 if i == j else 0 for j in range(ambient)] for i in range(ambient)]
-        return cls(ctx, ambient, eye, tuple(range(ambient)), canonical=True)
+        eye = [tuple(1 if i == j else 0 for j in range(ambient)) for i in range(ambient)]
+        return cls._from_rref(ctx, ambient, eye, range(ambient))
 
     @property
     def dim(self) -> int:
@@ -452,4 +445,4 @@ def enumerate_subspaces(
             for i, j in reversed(free):
                 rows[i][j] = rest % q
                 rest //= q
-            yield Subspace(ctx, n, [tuple(r) for r in rows], pivots, canonical=True)
+            yield Subspace._from_rref(ctx, n, [tuple(r) for r in rows], pivots)

@@ -284,11 +284,11 @@ def test_oracle_mismatch_exits_two(tmp_path, capsys, monkeypatch):
     assert err.startswith("invariant_violation:")
 
 
-def test_run_config_validation():
+def test_run_config_validation(capsys):
     with pytest.raises(UsageError):
         RunConfig("srk", ("x.json",), cap=0)
-    with pytest.raises(UsageError):
-        RunConfig("srk", ("x.json",), seed=-1)
+    status, out, err = _run(["srk", "x.json", "--seed", "1"], capsys)
+    assert status == 1 and out == "" and "Traceback" not in err
     with pytest.raises(UsageError):
         RunConfig("srk", ("x.json",), format="yaml")
 

@@ -10,10 +10,12 @@ from sumrank import (
     MatrixFq,
     MatrixTuple,
     Shape,
+    Subspace,
     trace_pairing,
 )
 from sumrank.errors import (
     AmbientMismatch,
+    DimensionMismatch,
     EnumerationTooLarge,
     ShapeMismatch,
     TrivialCode,
@@ -111,6 +113,34 @@ def test_code_canonicalization_and_membership():
     assert not code.contains_flat((1, 0, 0, 0))
     t = MatrixTuple.from_flat(shape, F2, (1, 1, 0, 0))
     assert code.contains(t)
+
+
+def test_contains_flat_rejects_a_vector_of_the_wrong_length():
+    code = LinearCode(Shape((2,), (2,)), F2, [(1, 1, 0, 0)])
+    for flat in [(1, 1, 0), (1, 1, 0, 0, 0)]:
+        with pytest.raises(DimensionMismatch):
+            code.contains_flat(flat)
+
+
+def test_a_code_is_a_shape_plus_its_subspace():
+    shape = Shape((2, 1), (2, 1))
+    sub = Subspace(F3, shape.ambient_dim, [(1, 2, 0, 1, 0), (0, 0, 1, 1, 2)])
+    code = LinearCode.from_subspace(shape, sub)
+    assert code.subspace() is sub
+    assert code == LinearCode(shape, F3, sub.basis)
+    assert (code.ctx, code.rows, code.pivots, code.dim) == (F3, sub.basis, sub.pivots, 2)
+    assert code.dual().subspace() == sub.orthogonal()
+    assert LinearCode.zero(shape, F3).subspace() == Subspace.zero(F3, 5)
+    assert LinearCode.full(shape, F3).subspace() == Subspace.full(F3, 5)
+
+
+@pytest.mark.parametrize("extra", [{"pivots": (0,)}, {"canonical": True}])
+def test_constructors_take_no_pivots_or_canonical(extra):
+    rows = [(1, 0, 0, 0)]
+    with pytest.raises(TypeError):
+        LinearCode(Shape((2,), (2,)), F2, rows, **extra)
+    with pytest.raises(TypeError):
+        Subspace(F2, 4, rows, **extra)
 
 
 def test_iter_flat_counts():

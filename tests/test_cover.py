@@ -262,3 +262,13 @@ def test_coset_witness_small_cap_falls_back_to_random():
         assert v.contains_flat(tuple(x for row in wit.matrix.rows for x in row))
         found_random = found_random or wit.method == "random"
     assert found_random
+
+
+@pytest.mark.parametrize("search,dim", [(coset_witness_exact, 3), (coset_rank_lower, 4)])
+def test_coset_searches_check_a_against_v(search, dim):
+    units = [tuple(int(i == j) for j in range(6)) for i in range(dim)]
+    v = LinearCode(Shape((3,), (2,)), F2, units)
+    with pytest.raises(ShapeMismatch):
+        search(MatrixFq(F2, [[1, 0], [0, 1]]), v, 1)
+    with pytest.raises(ContextMismatch):
+        search(MatrixFq(F3, [[1, 0], [0, 2], [1, 1]]), v, 1)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from sumrank import anticode
 from sumrank import (
     FieldContext,
     GammaBasis,
@@ -153,6 +154,20 @@ def test_scalar_blocks_reduce_to_hamming_weights():
                     weight_profile(code).weights
                     == hamming_generalized_weights(code)
                 )
+
+
+def test_a_sweep_builds_the_binary_tails_once(monkeypatch):
+    calls = []
+    build = anticode.optimal_hamming_subspaces
+
+    def counted(ctx, t):
+        calls.append(t)
+        return build(ctx, t)
+
+    monkeypatch.setattr(anticode, "optimal_hamming_subspaces", counted)
+    code = random_code(random.Random(5), F2, Shape((1,) * 6, (1,) * 6), 3)
+    assert weight_profile(code, "all").weights == (2, 3, 5)
+    assert calls == [6]
 
 
 def test_hierarchy_shape_properties():

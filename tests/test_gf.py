@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from sumrank import FieldContext, field_from_dict
 from sumrank.errors import (
-    ContextMismatch,
     DivideByZero,
     NotPrime,
     OrderTooLarge,
@@ -199,19 +198,6 @@ def test_context_equality_requires_same_modulus():
     b = FieldContext(2, 3, (1, 0, 1, 1))
     assert a != b
     assert a == FieldContext(2, 3)
-
-
-def test_elements_wrapper():
-    ctx = FieldContext(2, 2)
-    xs = list(ctx.elements())
-    assert len(xs) == 4
-    w = ctx.element(2)
-    assert (w * w + w).repr == 1  # w^2 = w + 1 under x^2 + x + 1
-    assert (w / w).repr == 1
-    assert (-w) == w
-    assert (w ** 3).repr == 1
-    with pytest.raises(ContextMismatch):
-        _ = w + FieldContext(3, 1).element(1)
 
 
 @given(st.integers(0, 26), st.integers(0, 26), st.integers(0, 26))

@@ -14,7 +14,7 @@ import sumrank
 PACKAGE = Path(sumrank.__file__).parent
 PUBLIC = """
 ANTICODE_CAP AnticodeDescriptor BlockSupport CosetWitness CoverResult DIST_CAP
-FieldContext FieldElement GROUP_CAP GammaBasis InvariantViolation Isometry
+FieldContext GROUP_CAP GammaBasis InvariantViolation Isometry
 LinearCode MAX_ORDER MI_CAP MatrixFq MatrixTuple MeshulamResult MsrdReport
 SearchExhausted Shape Subspace SumrankError UsageError VARIANTS WeightProfile
 WiretapScenario admissible_permutations admissible_ranks anticode_dim_extremes
