@@ -336,6 +336,7 @@ class Meet:
         cols = []
         for line in lines:
             for chk in checks:
+                # sparse G·h inline: the largest self-time of the sweep tasks
                 func = [(pos, h) for pos, h in zip(line, chk) if h]
                 col = []
                 for row in code.rows:

@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
-from .anticode import Meet
+from .anticode import ANTICODE_CAP, Meet
 # bench/selftest.py checks that the benchmark's tracer patches these sites
 from .anticode import enumerate_anticodes, product_descriptors  # noqa: F401
 from .code import LinearCode, MatrixTuple, Shape
@@ -32,7 +32,7 @@ from .errors import (
     UnknownChoice,
 )
 from .gf import FieldContext, _digits, _undigits
-from .matfq import MatrixFq
+from .matfq import MatrixFq, _dot
 
 __all__ = [
     "WeightProfile",
@@ -55,7 +55,7 @@ def _check_variant_shape(shape: Shape, variant: str) -> None:
 
 
 def gen_weight(
-    code: LinearCode, r: int, variant: str = "product", cap: int = 10**6
+    code: LinearCode, r: int, variant: str = "product", cap: int = ANTICODE_CAP
 ) -> int:
     """r-th generalized weight: ascending mu, first family member whose
     intersection with the code has dimension at least r wins.
@@ -101,7 +101,7 @@ class WeightProfile:
 
 
 def weight_profile(
-    code: LinearCode, variant: str = "product", cap: int = 10**6
+    code: LinearCode, variant: str = "product", cap: int = ANTICODE_CAP
 ) -> WeightProfile:
     """All generalized weights in one shared sweep over the family.
 
@@ -135,7 +135,7 @@ def _residue_set(weights: Sequence[int], start: int, step: int) -> frozenset:
     return frozenset(weights[i - 1] for i in range(r, total + 1, step))
 
 
-def wei_duality_check(code: LinearCode, cap: int = 10**6) -> dict:
+def wei_duality_check(code: LinearCode, cap: int = ANTICODE_CAP) -> dict:
     """Duality of weight sets for equal row dimensions.
 
     For each residue r in [m], the dual's weight set on the residue class
@@ -215,17 +215,10 @@ def subfield_embedding(small: FieldContext, big: FieldContext) -> Tuple[int, ...
             break
     if root is None:
         raise InvariantViolation("the modulus splits in every overfield")
-    table = []
-    for x in range(small.q):
-        digs = _digits(x, p, e)
-        acc = 0
-        power = 1
-        for c in digs:
-            if c:
-                acc = big.add(acc, big.mul(c, power))
-            power = big.mul(power, root)
-        table.append(acc)
-    return tuple(table)
+    powers = [1]
+    for _ in range(1, e):
+        powers.append(big.mul(powers[-1], root))
+    return tuple(_dot(big, _digits(x, p, e), powers) for x in range(small.q))
 
 
 def _monomial_reprs(degree: int, p: int) -> Tuple[int, ...]:
@@ -291,15 +284,10 @@ class GammaBasis:
 
     def coordinates(self, i: int, w: int) -> Tuple[int, ...]:
         """Base-field coordinates of extension scalar w in basis i."""
-        base, big = self.base, self.exts[i]
-        p, e, m = base.p, base.e, self.shape.m[i]
+        p, e, m = self.base.p, self.base.e, self.shape.m[i]
         solver = self._solvers[i]
         rhs = _digits(w, p, e * m)
-        prime = solver.ctx
-        t = [
-            sum(prime.mul(solver.rows[r][c], rhs[c]) for c in range(e * m)) % p
-            for r in range(e * m)
-        ]
+        t = [_dot(solver.ctx, row, rhs) for row in solver.rows]
         return tuple(_undigits(t[k * e : (k + 1) * e], p) for k in range(m))
 
     def expand_vector(self, v: Sequence[Sequence[int]]) -> MatrixTuple:

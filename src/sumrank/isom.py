@@ -28,7 +28,7 @@ from .errors import (
     SingularFactor,
 )
 from .gf import FieldContext
-from .matfq import MatrixFq, _echelon, nullspace_rows, vec_add, vec_scale
+from .matfq import MatrixFq, _dot, _echelon, nullspace_rows, vec_add, vec_scale
 
 __all__ = [
     "Isometry",
@@ -302,14 +302,6 @@ def _transpose_masks(shape: Shape) -> Iterator[Tuple[bool, ...]]:
         for pos, j in enumerate(squares):
             mask[j] = bool(bits >> pos & 1)
         yield tuple(mask)
-
-
-def _dot(ctx: FieldContext, u: Sequence[int], v: Sequence[int]) -> int:
-    acc = 0
-    for a, b in zip(u, v):
-        if a and b:
-            acc = ctx.add(acc, ctx.mul(a, b))
-    return acc
 
 
 def _left_equations(ctx, sizes, checks, images, right):

@@ -3,7 +3,10 @@
 The reduced row echelon form is the only canonical representation used
 for subspaces anywhere in the package, so equality of spans is always a
 tuple comparison.  Entries are integer element representations; every
-operation goes through the context.
+operation goes through the context.  One row update (_clear) serves
+forward elimination, back-substitution and reduce_against, and one field
+dot product (_dot) serves every matrix product and pairing.  Results that
+come out in RREF (duals, intersections) are wrapped, not reduced again.
 """
 
 from __future__ import annotations
@@ -75,6 +78,31 @@ def walk_span(ctx: FieldContext, base: Tuple[int, ...], rows) -> Iterator[Tuple[
             partial[i + 1] = tuple(map(add, partial[i], scaled[i][d])) if d else partial[i]
 
 
+def _clear(row: List[int], pairs, mul, sub) -> None:
+    """Subtract from row, in place, the multiple of each (pivot column,
+    pivot row) that clears that column; pairs are taken in order.
+
+    The one row update behind _echelon, rref and reduce_against; mul and
+    sub are the field context's, bound once by the caller.
+    """
+    n = len(row)
+    for col, prow in pairs:
+        c = row[col]
+        if c:
+            for j in range(col, n):
+                if prow[j]:
+                    row[j] = sub(row[j], mul(c, prow[j]))
+
+
+def _dot(ctx: FieldContext, u: Sequence[int], v: Sequence[int]) -> int:
+    """The sum of u_i v_i over the context."""
+    acc = 0
+    for a, b in zip(u, v):
+        if a and b:
+            acc = ctx.add(acc, ctx.mul(a, b))
+    return acc
+
+
 def _echelon(rows: Iterable[Sequence[int]], ncols: int, ctx: FieldContext, start=()):
     """Forward elimination to [(pivot column, row with leading entry 1)].
 
@@ -88,12 +116,8 @@ def _echelon(rows: Iterable[Sequence[int]], ncols: int, ctx: FieldContext, start
         if len(basis) == ncols:
             break
         row = list(r)
-        for col, prow in basis:
-            c = row[col]
-            if c:
-                for j in range(col, ncols):
-                    if prow[j]:
-                        row[j] = sub(row[j], mul(c, prow[j]))
+        if basis:  # a call for the first row made F_q scans about 4% slower
+            _clear(row, basis, mul, sub)
         for col, x in enumerate(row):
             if x:
                 if x != 1:
@@ -117,12 +141,7 @@ def rref(rows: Iterable[Sequence[int]], ncols: int, ctx: FieldContext):
     mul, sub = ctx.mul, ctx.sub
     done: List[Tuple[int, List[int]]] = []
     for col, row in sorted(_echelon(rows, ncols, ctx), reverse=True):
-        for pcol, prow in done:
-            c = row[pcol]
-            if c:
-                for j in range(pcol, ncols):
-                    if prow[j]:
-                        row[j] = sub(row[j], mul(c, prow[j]))
+        _clear(row, done, mul, sub)
         done.append((col, row))
     return [tuple(r) for _, r in reversed(done)], [c for c, _ in reversed(done)]
 
@@ -130,32 +149,34 @@ def rref(rows: Iterable[Sequence[int]], ncols: int, ctx: FieldContext):
 def reduce_against(
     vec: Sequence[int], basis: Sequence[Sequence[int]], pivots: Sequence[int], ctx: FieldContext
 ):
-    """Reduce vec against an RREF basis.  Returns (coefficients, remainder)."""
+    """Reduce vec against an RREF basis.  Returns (coefficients, remainder).
+
+    In RREF no other basis row touches a pivot column, so the coefficient
+    of each basis row is vec's entry at its pivot.
+    """
     rem = list(vec)
-    coeffs = []
-    for row, p in zip(basis, pivots):
-        c = rem[p]
-        coeffs.append(c)
-        if c != 0:
-            for i in range(p, len(rem)):
-                if row[i]:
-                    rem[i] = ctx.sub(rem[i], ctx.mul(c, row[i]))
-    return coeffs, tuple(rem)
+    _clear(rem, zip(pivots, basis), ctx.mul, ctx.sub)
+    return [vec[p] for p in pivots], tuple(rem)
+
+
+def _nullspace(red, pivots, ncols: int, ctx: FieldContext):
+    """RREF (rows, pivots) of {x : M x = 0} for M = red, itself in RREF."""
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f not in pivot_set:
+            vec = [0] * ncols
+            vec[f] = 1
+            for row, p in zip(red, pivots):
+                vec[p] = ctx.neg(row[f])
+            basis.append(vec)
+    return rref(basis, ncols, ctx)
 
 
 def nullspace_rows(rows: Iterable[Sequence[int]], ncols: int, ctx: FieldContext):
     """Canonical basis of {x : M x = 0} for the matrix M with the given rows."""
     red, pivots = rref(rows, ncols, ctx)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        vec = [0] * ncols
-        vec[f] = 1
-        for i, p in enumerate(pivots):
-            vec[p] = ctx.neg(red[i][f])
-        basis.append(tuple(vec))
-    return rref(basis, ncols, ctx)[0]
+    return _nullspace(red, pivots, ncols, ctx)[0]
 
 
 class MatrixFq:
@@ -223,17 +244,7 @@ class MatrixFq:
             raise ShapeMismatch("inner dimensions differ")
         ctx = self.ctx
         cols = list(zip(*other.rows))
-        out = []
-        for r in self.rows:
-            out_row = []
-            for c in cols:
-                acc = 0
-                for a, b in zip(r, c):
-                    if a and b:
-                        acc = ctx.add(acc, ctx.mul(a, b))
-                out_row.append(acc)
-            out.append(tuple(out_row))
-        return MatrixFq(ctx, out)
+        return MatrixFq(ctx, [[_dot(ctx, r, c) for c in cols] for r in self.rows])
 
     def transpose(self) -> "MatrixFq":
         return MatrixFq(self.ctx, list(zip(*self.rows)))
@@ -292,13 +303,7 @@ class MatrixFq:
 def trace_product(a: MatrixFq, b: MatrixFq) -> int:
     """tr(a b^T), which is the entrywise dot product of a and b."""
     a._check(b)
-    ctx = a.ctx
-    acc = 0
-    for r1, r2 in zip(a.rows, b.rows):
-        for x, y in zip(r1, r2):
-            if x and y:
-                acc = ctx.add(acc, ctx.mul(x, y))
-    return acc
+    return _dot(a.ctx, a.flatten(), b.flatten())
 
 
 class Subspace:
@@ -347,6 +352,8 @@ class Subspace:
         return all(x == 0 for x in rem)
 
     def coordinates(self, vec: Sequence[int]):
+        if len(vec) != self.ambient:
+            raise DimensionMismatch("vector length differs from ambient dimension")
         coeffs, rem = reduce_against(vec, self.basis, self.pivots, self.ctx)
         if any(rem):
             return None
@@ -362,16 +369,18 @@ class Subspace:
         n = self.ambient
         stacked = [tuple(r) + tuple(r) for r in self.basis]
         stacked += [tuple(r) + (0,) * n for r in other.basis]
-        red, _ = rref(stacked, 2 * n, self.ctx)
-        inter = [r[n:] for r in red if all(x == 0 for x in r[:n])]
-        return Subspace(self.ctx, n, inter)
+        red, pivots = rref(stacked, 2 * n, self.ctx)
+        # the rows that pivot in the tail come last and are in RREF there
+        head = sum(1 for p in pivots if p < n)
+        tail = [r[n:] for r in red[head:]]
+        return Subspace._from_rref(self.ctx, n, tail, [p - n for p in pivots[head:]])
 
     def orthogonal(self) -> "Subspace":
         """{y : x . y = 0 for all x here} under the standard dot product."""
         if self.dim == 0:
             return Subspace.full(self.ctx, self.ambient)
-        rows = nullspace_rows(self.basis, self.ambient, self.ctx)
-        return Subspace(self.ctx, self.ambient, rows)
+        rows, pivots = _nullspace(self.basis, self.pivots, self.ambient, self.ctx)
+        return Subspace._from_rref(self.ctx, self.ambient, rows, pivots)
 
     def vectors(self) -> Iterator[Tuple[int, ...]]:
         """All vectors, zero included, in deterministic counter order."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from .anticode import AnticodeDescriptor, BlockSupport, Meet
+from .anticode import ANTICODE_CAP, AnticodeDescriptor, BlockSupport, Meet
 # bench/selftest.py checks that the benchmark's tracer patches these sites
 from .anticode import enumerate_anticodes, product_descriptors  # noqa: F401
 from .code import LinearCode, Shape
@@ -222,7 +222,7 @@ def _is_msrd_by_numbers(shape: Shape, dim: int, distance: int) -> bool:
     return s == 0 and distance == singleton_distance_bound(shape, dim)
 
 
-def msrd_check(code: LinearCode, cap: int = 10**6) -> MsrdReport:
+def msrd_check(code: LinearCode, cap: int = ANTICODE_CAP) -> MsrdReport:
     """Full criteria battery with the theory's equivalences re-asserted.
 
     Any disagreement between the definition and a criterion that should
@@ -331,7 +331,7 @@ def msrd_check(code: LinearCode, cap: int = 10**6) -> MsrdReport:
     )
 
 
-def r_msrd_check(code: LinearCode, r: int, cap: int = 10**6) -> bool:
+def r_msrd_check(code: LinearCode, r: int, cap: int = ANTICODE_CAP) -> bool:
     """Does the weight hierarchy hit its column at rank r?
 
     True means d_r equals the h tied to r; the run up to r + m_k - 1 and

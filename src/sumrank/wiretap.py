@@ -14,18 +14,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .anticode import AnticodeDescriptor, BlockSupport, Meet
+from .anticode import ANTICODE_CAP, AnticodeDescriptor, BlockSupport, Meet
 # bench/selftest.py checks that the benchmark's tracer patches this site
 from .anticode import product_descriptors  # noqa: F401
 from .code import LinearCode, Shape
 from .errors import (
+    AmbientMismatch,
     ContextMismatch,
     EnumerationTooLarge,
     InvariantViolation,
     ShapeMismatch,
 )
 from .genweights import gen_weight, weight_profile
-from .matfq import MatrixFq, Subspace
+from .matfq import MatrixFq, Subspace, _dot, rank_rows
 
 __all__ = [
     "canonical_complement",
@@ -52,7 +53,7 @@ def canonical_complement(code: LinearCode) -> LinearCode:
         if c not in pivots
     ]
     comp = LinearCode(code.shape, code.ctx, rows)
-    if comp.dim + code.dim != ambient or comp.intersect(code).dim != 0:
+    if rank_rows(comp.rows + code.rows, ambient, code.ctx) != ambient:
         raise InvariantViolation("unit vectors off the pivots must complement the code")
     return comp
 
@@ -93,7 +94,7 @@ def leakage_dim(code: LinearCode, taps: Sequence[Optional[MatrixFq]]) -> int:
     return Meet(code.dual()).dim(desc)
 
 
-def worst_case_leakage(code: LinearCode, mu: int, cap: int = 10**6) -> int:
+def worst_case_leakage(code: LinearCode, mu: int, cap: int = ANTICODE_CAP) -> int:
     """Max leakage over all tap profiles with mu links total."""
     if not 0 <= mu <= code.shape.ncols:
         raise ShapeMismatch(f"links {mu} outside 0..{code.shape.ncols}")
@@ -119,9 +120,10 @@ class WiretapScenario:
             msg = self.message_space
             if msg.shape != self.code.shape or msg.ctx != self.code.ctx:
                 raise ShapeMismatch("message space lives in a different ambient")
+            ambient = self.code.ambient_dim
             if (
-                msg.dim + self.code.dim != self.code.ambient_dim
-                or msg.intersect(self.code).dim != 0
+                msg.dim + self.code.dim != ambient
+                or rank_rows(msg.rows + self.code.rows, ambient, msg.ctx) != ambient
             ):
                 raise ShapeMismatch("message space must complement the code")
 
@@ -132,23 +134,14 @@ class WiretapScenario:
     def observe_flat(self, flat: Sequence[int]) -> Tuple[int, ...]:
         """Flattened (D_1 B_1, ..., D_ell B_ell) for a flattened D."""
         shape, ctx = self.code.shape, self.code.ctx
-        offsets = shape.block_offsets()
+        if len(flat) != shape.ambient_dim:
+            raise AmbientMismatch("flat vector length differs from ambient dimension")
         out: List[int] = []
-        for i in range(shape.ell):
-            b = self.taps[i]
-            if b is None:
-                continue
-            mm, nn = shape.m[i], shape.n[i]
-            seg = flat[offsets[i] : offsets[i] + mm * nn]
-            for r in range(mm):
-                row = seg[r * nn : (r + 1) * nn]
-                for c in range(b.n):
-                    acc = 0
-                    for t in range(nn):
-                        x = row[t]
-                        if x:
-                            acc = ctx.add(acc, ctx.mul(x, b.rows[t][c]))
-                    out.append(acc)
+        for off, mm, nn, b in zip(shape.block_offsets(), shape.m, shape.n, self.taps):
+            if b is not None:
+                cols = list(zip(*b.rows))
+                for s in range(off, off + mm * nn, nn):
+                    out.extend(_dot(ctx, flat[s : s + nn], col) for col in cols)
         return tuple(out)
 
 
@@ -218,12 +211,12 @@ def empirical_mi(scenario: WiretapScenario, cap: int = MI_CAP) -> int:
     return int(mi)
 
 
-def leakage_threshold(code: LinearCode, r: int, cap: int = 10**6) -> int:
+def leakage_threshold(code: LinearCode, r: int, cap: int = ANTICODE_CAP) -> int:
     """Fewest tapped links forcing r leaked symbols: the r-th support
     weight of the dual code."""
     return gen_weight(code.dual(), r, "support", cap)
 
 
-def threshold_table(code: LinearCode, cap: int = 10**6) -> Tuple[int, ...]:
+def threshold_table(code: LinearCode, cap: int = ANTICODE_CAP) -> Tuple[int, ...]:
     """All leakage thresholds of the dual at once."""
     return weight_profile(code.dual(), "support", cap).weights

@@ -98,6 +98,23 @@ def brute_rank(ctx: FieldContext, rows: Sequence[Sequence[int]]) -> int:
     return rank
 
 
+def reduce_against_reference(
+    ctx: FieldContext,
+    vec: Sequence[int],
+    basis: Sequence[Sequence[int]],
+    pivots: Sequence[int],
+):
+    """(coefficients, remainder) of vec against an RREF basis, one entry at a
+    time: each basis row is subtracted at every position, zeros included."""
+    rem = list(vec)
+    coeffs = []
+    for row, p in zip(basis, pivots):
+        c = rem[p]
+        coeffs.append(c)
+        rem = [ctx.sub(x, ctx.mul(c, y)) for x, y in zip(rem, row)]
+    return coeffs, tuple(rem)
+
+
 def span_vectors(
     ctx: FieldContext, basis: Sequence[Sequence[int]], width: Optional[int] = None
 ) -> frozenset:

@@ -15,6 +15,7 @@ from sumrank import (
 )
 from sumrank.errors import (
     AmbientMismatch,
+    ContextMismatch,
     DimensionMismatch,
     EnumerationTooLarge,
     ShapeMismatch,
@@ -100,6 +101,14 @@ def test_trace_pairing_bilinear_symmetric():
         assert trace_pairing(a + b, c) == F3.add(
             trace_pairing(a, c), trace_pairing(b, c)
         )
+
+
+def test_trace_pairing_refuses_different_fields():
+    shape = Shape((2,), (1,))
+    d = MatrixTuple.from_flat(shape, F2, [1, 1])
+    c = MatrixTuple.from_flat(shape, F3, [1, 1])
+    with pytest.raises(ContextMismatch):
+        trace_pairing(d, c)
 
 
 def test_code_canonicalization_and_membership():

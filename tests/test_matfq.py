@@ -1,6 +1,7 @@
 """Matrices, RREF canonicalization, subspaces, and subspace enumeration."""
 
 import random
+from functools import reduce
 from itertools import combinations
 
 import pytest
@@ -9,8 +10,11 @@ from hypothesis import strategies as st
 
 from sumrank import (
     FieldContext,
+    LinearCode,
     MatrixFq,
+    MatrixTuple,
     Subspace,
+    WiretapScenario,
     count_subspaces,
     enumerate_subspaces,
     gaussian_binomial,
@@ -20,9 +24,22 @@ from sumrank.errors import (
     DimensionMismatch,
     EnumerationTooLarge,
 )
+import sumrank.matfq as matfq
+from sumrank.code import trace_pairing
 from sumrank.matfq import nullspace_rows, rank_rows, reduce_against, rref, trace_product
 
-from helpers import F2, F3, F4, brute_rank, random_matrix, span_vectors
+from helpers import (
+    F2,
+    F3,
+    F4,
+    brute_rank,
+    random_matrix,
+    random_shape,
+    reduce_against_reference,
+    span_vectors,
+)
+
+F9 = FieldContext(3, 2)
 
 
 def test_rref_canonical_and_idempotent():
@@ -179,6 +196,13 @@ def test_subspace_membership_and_ops():
     assert a.coordinates((0, 0, 1)) is None
 
 
+def test_subspace_coordinates_checks_the_length():
+    sp = Subspace(F3, 3, [(1, 2, 0), (0, 1, 1)])
+    for vec in ((1, 2), (1, 2, 0, 0)):
+        with pytest.raises(DimensionMismatch):
+            sp.coordinates(vec)
+
+
 def test_subspace_intersection_against_vector_sets():
     rng = random.Random(17)
     for ctx in (F2, F3):
@@ -279,3 +303,153 @@ def test_count_subspaces_consistent(n, k):
         assert gaussian_binomial(n, k, q) == gaussian_binomial(
             n - 1, k - 1, q
         ) + q**k * gaussian_binomial(n - 1, k, q)
+
+
+# ------------------------------------------ differential tests of the kernel
+
+
+def _random_subspaces(rng, ctx, count):
+    """Seeded subspaces of F_q^n, n <= 8, the zero and full spaces included."""
+    out = [Subspace.zero(ctx, 5), Subspace.full(ctx, 5), Subspace.full(ctx, 1)]
+    for _ in range(count):
+        n = rng.randint(1, 8)
+        rows = [
+            [rng.randrange(ctx.q) for _ in range(n)] for _ in range(rng.randint(0, n + 1))
+        ]
+        out.append(Subspace(ctx, n, rows))
+    return out
+
+
+def _assert_rref(sp):
+    """Pivots ascend, each pivot entry is 1 and alone in its column."""
+    assert list(sp.pivots) == sorted(set(sp.pivots))
+    for i, (row, p) in enumerate(zip(sp.basis, sp.pivots)):
+        assert all(x == 0 for x in row[:p]) and row[p] == 1
+        assert all(other[p] == 0 for k, other in enumerate(sp.basis) if k != i)
+
+
+def _fresh(sp):
+    return Subspace(sp.ctx, sp.ambient, sp.basis)
+
+
+def _zassenhaus_reduced_afresh(a, b):
+    n = a.ambient
+    stacked = [tuple(r) + tuple(r) for r in a.basis]
+    stacked += [tuple(r) + (0,) * n for r in b.basis]
+    red, _ = rref(stacked, 2 * n, a.ctx)
+    return Subspace(a.ctx, n, [r[n:] for r in red if not any(r[:n])])
+
+
+def _brute_dot(ctx, u, v):
+    return reduce(ctx.add, [ctx.mul(x, y) for x, y in zip(u, v)], 0)
+
+
+FIELDS = pytest.mark.parametrize("ctx", [F2, F3, F4, F9], ids=["q2", "q3", "q4", "q9"])
+
+
+@FIELDS
+def test_orthogonal_is_wrapped_rref_of_the_old_path(ctx):
+    rng = random.Random(41 + ctx.q)
+    for sp in _random_subspaces(rng, ctx, 40):
+        perp = sp.orthogonal()
+        _assert_rref(perp)
+        fresh = _fresh(perp)
+        assert (perp.basis, perp.pivots) == (fresh.basis, fresh.pivots)
+        old = Subspace(ctx, sp.ambient, nullspace_rows(sp.basis, sp.ambient, ctx))
+        assert (perp.basis, perp.pivots) == (old.basis, old.pivots)
+        assert perp.dim == sp.ambient - sp.dim
+        assert all(_brute_dot(ctx, u, v) == 0 for u in sp.basis for v in perp.basis)
+
+
+@FIELDS
+def test_intersect_is_wrapped_rref_of_the_old_path(ctx):
+    rng = random.Random(43 + ctx.q)
+    by_n = {}
+    for sp in _random_subspaces(rng, ctx, 60):
+        by_n.setdefault(sp.ambient, []).append(sp)
+    pairs = [(a, b) for group in by_n.values() for a in group for b in group]
+    assert len(pairs) > 100
+    for a, b in pairs:
+        meet = a.intersect(b)
+        _assert_rref(meet)
+        fresh = _fresh(meet)
+        assert (meet.basis, meet.pivots) == (fresh.basis, fresh.pivots)
+        old = _zassenhaus_reduced_afresh(a, b)
+        assert (meet.basis, meet.pivots) == (old.basis, old.pivots)
+        assert all(a.contains(v) and b.contains(v) for v in meet.basis)
+        assert meet.dim == a.dim + b.dim - a.add(b).dim
+
+
+def test_orthogonal_and_intersect_reduce_once(monkeypatch):
+    calls = []
+    real = matfq.rref
+
+    def counted(rows, ncols, ctx):
+        calls.append(ncols)
+        return real(rows, ncols, ctx)
+
+    rng = random.Random(47)
+    a = Subspace(F3, 6, [[rng.randrange(3) for _ in range(6)] for _ in range(3)])
+    b = Subspace(F3, 6, [[rng.randrange(3) for _ in range(6)] for _ in range(4)])
+    monkeypatch.setattr(matfq, "rref", counted)
+    a.orthogonal()
+    assert calls == [6]
+    calls.clear()
+    a.intersect(b)
+    assert calls == [12]
+
+
+@FIELDS
+def test_reduce_against_matches_the_per_entry_reference(ctx):
+    rng = random.Random(53 + ctx.q)
+    for sp in _random_subspaces(rng, ctx, 40):
+        for _ in range(5):
+            vec = tuple(rng.randrange(ctx.q) for _ in range(sp.ambient))
+            coeffs, rem = reduce_against(vec, sp.basis, sp.pivots, ctx)
+            assert (list(coeffs), rem) == reduce_against_reference(
+                ctx, vec, sp.basis, sp.pivots
+            )
+
+
+@FIELDS
+def test_products_and_pairings_match_brute_sums(ctx):
+    rng = random.Random(59 + ctx.q)
+    for _ in range(30):
+        m, k, n = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+        a, b = random_matrix(rng, ctx, m, k), random_matrix(rng, ctx, k, n)
+        want = [
+            [_brute_dot(ctx, a.rows[i], [b.rows[t][j] for t in range(k)]) for j in range(n)]
+            for i in range(m)
+        ]
+        assert (a @ b).to_lists() == want
+        c = random_matrix(rng, ctx, m, k)
+        assert trace_product(a, c) == _brute_dot(ctx, a.flatten(), c.flatten())
+    for _ in range(20):
+        shape = random_shape(rng)
+        d, c = (
+            MatrixTuple.from_flat(
+                shape, ctx, [rng.randrange(ctx.q) for _ in range(shape.ambient_dim)]
+            )
+            for _ in range(2)
+        )
+        assert trace_pairing(d, c) == _brute_dot(ctx, d.flatten(), c.flatten())
+
+
+@FIELDS
+def test_observe_flat_matches_brute_sums(ctx):
+    rng = random.Random(61 + ctx.q)
+    for _ in range(20):
+        shape = random_shape(rng)
+        code = LinearCode(shape, ctx, [[1] + [0] * (shape.ambient_dim - 1)])
+        taps = [
+            random_matrix(rng, ctx, nn, rng.randint(1, nn + 1)) if rng.random() < 0.8 else None
+            for nn in shape.n
+        ]
+        scen = WiretapScenario(code, taps)
+        flat = [rng.randrange(ctx.q) for _ in range(shape.ambient_dim)]
+        want = []
+        for blk, tap in zip(MatrixTuple.from_flat(shape, ctx, flat).blocks, taps):
+            if tap is not None:
+                for row in blk.rows:
+                    want.extend(_brute_dot(ctx, row, col) for col in zip(*tap.rows))
+        assert scen.observe_flat(flat) == tuple(want)

@@ -17,7 +17,12 @@ from sumrank import (
     weight_profile,
     worst_case_leakage,
 )
-from sumrank.errors import ContextMismatch, EnumerationTooLarge, ShapeMismatch
+from sumrank.errors import (
+    AmbientMismatch,
+    ContextMismatch,
+    EnumerationTooLarge,
+    ShapeMismatch,
+)
 
 from helpers import F2, F3, random_code, random_matrix, random_shape
 
@@ -79,6 +84,15 @@ def test_observe_flat_projects_each_block():
     assert scen.observe_flat(summed) == tuple(
         F3.add(a, c) for a, c in zip(scen.observe_flat(x), scen.observe_flat(y))
     )
+
+
+def test_observe_flat_checks_the_length():
+    shape = Shape((2,), (2,))
+    b = MatrixFq(F3, [(1,), (2,)])
+    scen = WiretapScenario(LinearCode(shape, F3, [(1, 0, 0, 1)]), (b,))
+    for flat in ((1, 2, 0), (1, 2, 0, 1, 1)):
+        with pytest.raises(AmbientMismatch):
+            scen.observe_flat(flat)
 
 
 def test_empirical_mi_matches_leakage_dim():
