@@ -5,13 +5,16 @@ a shape plus a subspace: its Shape and the matfq.Subspace (an RREF basis)
 of its flattened codewords.  Flattening runs block by block, then row by
 row, then column by column, and that order is the package-wide canonical
 form.  Every weight scan (distance, maximum ranks, weight distribution)
-reads one walk over the nonzero codewords, ``LinearCode._walk``.
+reads one walk over the nonzero codewords, ``LinearCode._walk``; over F_2
+it is bit-sliced and row-reduces a block for up to 2^16 codewords at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import islice
+from operator import or_
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -37,6 +40,9 @@ __all__ = [
 ]
 
 DIST_CAP = 1 << 24
+# the bit-sliced F_2 walk takes at most 2^_LANE_BITS codewords per chunk, and
+# fewer where the chunk's planes, one per coordinate, would pass 2^26 bits
+_LANE_BITS = 16
 
 
 @dataclass(frozen=True)
@@ -344,52 +350,76 @@ class LinearCode:
     def _walk(self, weighted: bool) -> Iterator[Tuple[int, int]]:
         """(value, multiplicity) pairs that cover each nonzero codeword once.
 
-        value is srk, or sum m_i rank(C_i) when weighted.  For q = 2 a
-        Gray-code walk packs rows into ints and ranks blocks by XOR; a block
-        of m_i n_i < dim entries repeats its words, so the call keeps its
-        values in a table of 2^(m_i n_i) bytes, fewer than the codewords.
+        value is srk, or sum m_i rank(C_i) when weighted.  For q = 2 the walk
+        is bit-sliced: in a chunk of 2^h codewords a plane per coordinate, an
+        int, holds that coordinate of every codeword, one per bit, and each
+        block is row-reduced for all of them at once; chunks follow the high
+        message bits in Gray order.
         For q > 2 it visits the codewords whose first nonzero message
         coefficient is 1, each for its q - 1 multiples (scaling keeps every
         block rank), and ranks blocks on slices of the word with rank_rows.
         """
-        if self.dim == 0:
+        shape, rows = self.shape, self.rows
+        if not rows:
             return
-        shape, ctx, k = self.shape, self.ctx, self.dim
+        ctx, k = self.ctx, len(rows)
         weights = shape.m if weighted else (1,) * shape.ell
-        layout = list(zip(shape.block_offsets(), shape.m, shape.n, weights))
         if ctx.q == 2:
-            # inline XOR rank: a rank_rows call per block is 1.7x slower here
-            rows = [sum(x << i for i, x in enumerate(r)) for r in self.rows]
-            # 255 marks an unranked word: a value is at most m_i n_i, and a
-            # table of 2^(m_i n_i) bytes exists only for m_i n_i far below 255
-            blocks = [(pos, (1 << a * b) - 1, b, (1 << b) - 1, w,
-                       bytearray(b"\xff") * (1 << a * b) if a * b < k else None)
-                      for pos, a, b, w in layout]
-            word = 0
-            for i in range(1, 1 << k):
-                word ^= rows[(i & -i).bit_length() - 1]
-                total = 0
-                for pos, block_mask, b, row_mask, w, memo in blocks:
-                    key = (word >> pos) & block_mask
-                    v = 255 if memo is None else memo[key]
-                    if v == 255:
-                        pivots: dict = {}
-                        bits = key
-                        while bits:
-                            r = bits & row_mask
-                            bits >>= b
-                            while r:
-                                lead = r.bit_length()
-                                if lead not in pivots:
-                                    pivots[lead] = r
-                                    break
-                                r ^= pivots[lead]
-                        v = w * len(pivots)
-                        if memo is not None:
-                            memo[key] = v
-                    total += v
-                yield total, 1
+            h = min(k, _LANE_BITS)
+            while h > 1 and len(rows[0]) << h > 1 << 26:
+                h -= 1
+            full = (1 << (1 << h)) - 1
+            # planes[j] bit x: coordinate j of the codeword whose low message
+            # bits are x; message bit i sets the lanes whose bit i is set
+            lane = full // 3 << 1
+            planes = [lane if x else 0 for x in rows[0]]
+            for i in range(1, h):
+                lane = full // ((1 << (1 << i)) + 1) << (1 << i)
+                planes = [p ^ lane if x else p for p, x in zip(planes, rows[i])]
+            for chunk in range(1 << (k - h)):
+                if chunk:
+                    row = rows[h + (chunk & -chunk).bit_length() - 1]
+                    planes = [p ^ full if x else p for p, x in zip(planes, row)]
+                ge, pos = [full], 0  # ge[t]: lanes of value >= t; the zero word stays at 0
+                for a, b, w in zip(shape.m, shape.n, weights):
+                    block, pos = planes[pos : pos + a * b], pos + a * b
+                    if a == 1 or b == 1:  # rank 1 wherever the block is nonzero
+                        masks = [reduce(or_, block)]
+                    else:  # columns along the shorter side; masks[c]: lanes with a pivot in c
+                        grid = zip(*[iter(block)] * b)
+                        mat = list(map(list, grid if a >= b else zip(*grid)))
+                        last, masks = len(mat[0]) - 1, []
+                        for c in range(last):
+                            # a lane's pivot, its first row with a 1 in column c, is
+                            # added to every such row, itself included
+                            free, piv = full, [0] * (last + 1)  # free: no pivot in c yet
+                            for cells in mat:
+                                x = cells[c]
+                                if x:
+                                    new = x & free
+                                    free ^= new
+                                    for j in range(c + 1, last + 1):
+                                        p = piv[j] = piv[j] | (new & cells[j])
+                                        cells[j] ^= x & p
+                            masks.append(full ^ free)
+                        found = 0  # any 1 left in the last column is a pivot
+                        for cells in mat:
+                            found |= cells[last]
+                        masks.append(found)
+                    for found in masks:
+                        ge += [0] * w
+                        t = len(ge) - 1
+                        while t:
+                            ge[t] |= ge[t - w] & found if t > w else found
+                            t -= 1
+                below = 0
+                for v in range(len(ge) - 1, 0, -1):
+                    n = ge[v].bit_count()
+                    if n > below:
+                        yield v, n - below
+                    below = n
             return
+        layout = list(zip(shape.block_offsets(), shape.m, shape.n, weights))
         spans = [(pos, pos + a * b, b, w) for pos, a, b, w in layout]
         for lead in range(k):
             for word in walk_span(ctx, self.rows[lead], self.rows[lead + 1 :]):

@@ -4,14 +4,18 @@ One oracle spans the basis with ``helpers.span_vectors`` and ranks every
 block of every word longhand with ``helpers.brute_rank``; the other is the
 ``iter_codewords`` / ``MatrixTuple.srk()`` chain the CLI oracles use.
 Shapes cover strict and non-strict products, blocks with m_i < n_i and
-1x1 tails, over F_2, F_3, F_4, F_5 and F_9.
+1x1 tails, over F_2, F_3, F_4, F_5 and F_9.  The bit-sliced F_2 walk is
+also run with chunks of 2 to 8 codewords, so that every scan crosses many
+chunk boundaries.
 """
 
 import random
+import time
 from collections import Counter
 
 import pytest
 
+import sumrank.code
 from helpers import F2, F3, F4, brute_rank, random_code, span_vectors
 from sumrank import FieldContext, LinearCode, Shape
 from sumrank.errors import EnumerationTooLarge, TrivialCode
@@ -28,8 +32,7 @@ SHAPES = [
     Shape((1, 2, 1), (3, 2, 1), strict=False),
 ]
 # largest dimension per field, so that every oracle walks at most ~1k words;
-# at F_2 dim 9 the scan tables every block of fewer than 9 entries and
-# ranks the 9-entry block of (3,3,1)x(3,2,1) afresh
+# at F_2 dim 9 the bit-sliced walk takes all 512 codewords as one chunk
 MAX_DIM = {2: 9, 3: 6, 4: 4, 5: 4, 9: 3}
 
 
@@ -134,3 +137,106 @@ def test_guard_refuses_before_any_walk(monkeypatch):
         for scan in (code.min_distance, code.max_srk, code.weighted_max, code.srk_distribution):
             with pytest.raises(EnumerationTooLarge):
                 scan(cap=ctx.q**code.dim - 1)
+
+
+def _check_scans(code, weights):
+    """Every scan of code against (srk, weighted rank) of its nonzero words."""
+    srks = [s for s, _ in weights]
+    assert code.srk_distribution() == Counter(srks), code
+    assert code.min_distance(method="enumerate") == min(srks)
+    assert code.max_srk() == max(srks)
+    assert code.weighted_max() == max(w for _, w in weights)
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3])
+def test_f2_chunks_match_the_span_oracle(monkeypatch, bits):
+    monkeypatch.setattr(sumrank.code, "_LANE_BITS", bits)
+    rng = random.Random(20 + bits)
+    for shape in SHAPES:
+        for k in sorted({1, bits, bits + 1, min(MAX_DIM[2], shape.ambient_dim)}):
+            code = random_code(rng, F2, shape, k)
+            if code.dim:
+                _check_scans(code, _brute_weights(code))
+        if shape.ambient_dim <= 10:
+            full = LinearCode.full(shape, F2)
+            _check_scans(full, _brute_weights(full))
+
+
+def test_f2_chunks_match_the_matrix_tuple_chain(monkeypatch):
+    rng = random.Random(5)
+    shape = Shape((4, 4, 3), (4, 3, 3))
+    for k in (10, 11, 12):
+        code = random_code(rng, F2, shape, k)
+        weights = [(t.srk(), t.weighted_rank()) for t in code.iter_codewords()]
+        for bits in (1, 3, 16):
+            monkeypatch.setattr(sumrank.code, "_LANE_BITS", bits)
+            _check_scans(code, weights)
+
+
+@pytest.mark.parametrize("bits", [1, 2])
+def test_f2_stop_at_contract_across_chunks(monkeypatch, bits):
+    monkeypatch.setattr(sumrank.code, "_LANE_BITS", bits)
+    rng = random.Random(30 + bits)
+    for shape in SHAPES:
+        code = random_code(rng, F2, shape, min(6, shape.ambient_dim))
+        top = code.weighted_max()
+        for s in range(1, top + 3):
+            got = code.weighted_max(stop_at=s)
+            if top < s:
+                assert got == top
+            else:
+                assert s <= got <= top
+
+
+def test_f2_min_distance_stops_in_a_later_chunk(monkeypatch):
+    # rows[0] is the identity (rank 2); the rank-1 word rows[1] lies in the
+    # second chunk of two codewords, and the scan stops there
+    monkeypatch.setattr(sumrank.code, "_LANE_BITS", 1)
+    code = LinearCode(Shape((2,), (2,)), F2, [(1, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0)])
+    assert code.rows[0] == (1, 0, 0, 1)
+    seen = []
+    walk = LinearCode._walk
+
+    def counting(self, weighted):
+        for value, count in walk(self, weighted):
+            seen.append(count)
+            yield value, count
+
+    monkeypatch.setattr(LinearCode, "_walk", counting)
+    assert code.min_distance(method="enumerate") == 1
+    # the scan passed chunk 0 (one nonzero word) and stopped in chunk 1, so
+    # chunks 2 and 3 were never built
+    assert 1 < sum(seen) <= 3
+
+
+def _low_rank_word(rng, m, n, r):
+    """A flattened m x n matrix over F_2: the sum of r random rank-one terms."""
+    mat = [[0] * n for _ in range(m)]
+    for _ in range(r):
+        u = [rng.randrange(2) for _ in range(m)]
+        v = [rng.randrange(2) for _ in range(n)]
+        for i in range(m):
+            if u[i]:
+                mat[i] = [x ^ y for x, y in zip(mat[i], v)]
+    return tuple(x for row in mat for x in row)
+
+
+def test_f2_scan_cost_is_polynomial_in_block_size():
+    # enumerating the 2^min(m_i, n_i) kernel vectors of a 40-wide block
+    # would never finish; row reduction of the planes takes milliseconds
+    rng = random.Random(40)
+    for shape in (Shape((40,), (40,)), Shape((2,), (40,), strict=False)):
+        (m,), (n,) = shape.m, shape.n
+        for k in (1, 2, 3):
+            rows = [_low_rank_word(rng, m, n, rng.choice((1, 3, 40))) for _ in range(k)]
+            code = LinearCode(shape, F2, rows)
+            ranks = [
+                brute_rank(F2, [w[r * n : (r + 1) * n] for r in range(m)])
+                for w in span_vectors(F2, code.rows, shape.ambient_dim)
+                if any(w)
+            ]
+            expected = (Counter(ranks), max(ranks), m * max(ranks))
+            for scan, want in zip((code.srk_distribution, code.max_srk, code.weighted_max), expected):
+                start = time.perf_counter()
+                assert scan() == want
+                assert time.perf_counter() - start < 1.0
