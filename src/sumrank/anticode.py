@@ -28,7 +28,7 @@ from .errors import (
     UnknownChoice,
 )
 from .gf import FieldContext
-from .matfq import Subspace, _echelon, enumerate_subspaces, gaussian_binomial, rank_rows
+from .matfq import Subspace, _echelon, _xor_echelon, enumerate_subspaces, gaussian_binomial
 
 __all__ = [
     "BlockSupport",
@@ -205,15 +205,28 @@ class Meet:
     reduced columns are kept per support for dim and per (block, weight,
     kind) pool for sweep, and the binary tails once, so make one Meet per
     sweep and drop it after.
+
+    Over F_2 the column of G at each coordinate is packed once into an
+    int, bit r holding row r; a column G·h is then the XOR of the packed
+    columns where h is 1, and every echelon runs on such ints through
+    _xor_echelon.  Other fields keep list rows and _echelon.
     """
 
-    __slots__ = ("code", "_columns", "_pools", "_tails")
+    __slots__ = ("code", "_columns", "_pools", "_tails", "_packed", "_echelon")
 
     def __init__(self, code: LinearCode):
         self.code = code
         self._columns: dict = {}
         self._pools: dict = {}
         self._tails: Optional[List[Subspace]] = None
+        self._packed: Optional[List[int]] = None
+        self._echelon = _echelon
+        if code.ctx.q == 2:
+            self._echelon = _xor_echelon
+            self._packed = [
+                sum(row[pos] << r for r, row in enumerate(code.rows))
+                for pos in range(code.shape.ambient_dim)
+            ]
 
     def dim(self, desc: AnticodeDescriptor) -> int:
         code = self.code
@@ -226,9 +239,7 @@ class Meet:
             checks += self._support(i, blk.kind, blk.space)[1]
         if desc.tail is not None:
             checks += self._support(len(desc.blocks), "tail", desc.tail)[1]
-        if not checks:
-            return code.dim
-        return code.dim - rank_rows(checks, code.dim, code.ctx)
+        return code.dim - len(self._echelon(checks, code.dim, code.ctx))
 
     def sweep(
         self,
@@ -254,6 +265,7 @@ class Meet:
         code = self.code
         shape, ctx, kdim = code.shape, code.ctx, code.dim
         kinds = ("col",) if variant == "support" else ("col", "row")
+        extend = self._echelon
 
         def descend(i, comps, basis, tail):
             nonlocal floor
@@ -266,7 +278,7 @@ class Meet:
                 for pairs, rows in chain.from_iterable(pools):
                     if floor is not None and kdim - len(basis) <= floor:
                         return
-                    echelon = _echelon(rows, kdim, ctx, basis) if basis else pairs
+                    echelon = extend(rows, kdim, ctx, basis) if basis else pairs
                     t = kdim - len(echelon)
                     if floor is not None and t <= floor:
                         continue
@@ -333,11 +345,17 @@ class Meet:
                 lines = [range(off + s * nn, off + (s + 1) * nn) for s in range(mm)]
             else:
                 lines = [range(off + t, off + mm * nn, nn) for t in range(nn)]
-        cols = []
+        packed, cols = self._packed, []
         for line in lines:
             for chk in checks:
-                # sparse G·h inline: the largest self-time of the sweep tasks
                 func = [(pos, h) for pos, h in zip(line, chk) if h]
+                if packed is not None:
+                    col = 0
+                    for pos, _ in func:
+                        col ^= packed[pos]
+                    cols.append(col)  # the kernel skips a zero column
+                    continue
+                # sparse G·h inline over F_q: the largest self-time of its sweep tasks
                 col = []
                 for row in code.rows:
                     acc = 0
@@ -348,7 +366,7 @@ class Meet:
                     col.append(acc)
                 if any(col):
                     cols.append(col)
-        pairs = _echelon(cols, code.dim, ctx)
+        pairs = self._echelon(cols, code.dim, ctx)
         return pairs, [row for _, row in pairs]
 
 

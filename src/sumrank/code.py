@@ -453,6 +453,8 @@ class LinearCode:
         weight machinery for the first weight, a theorem-backed route that
         the enumeration cross-checks in the test suite.
         """
+        if self.dim == 0:
+            raise TrivialCode("the zero code has no nonzero codewords")
         if method == "enumerate":
             return self._scan("min", cap)
         if method == "anticode":

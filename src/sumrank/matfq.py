@@ -3,7 +3,8 @@
 The reduced row echelon form is the only canonical representation used
 for subspaces anywhere in the package, so equality of spans is always a
 tuple comparison.  Entries are integer element representations; every
-operation goes through the context.  One row update (_clear) serves
+operation goes through the context, except in _xor_echelon, which
+reduces the F_2 rows Meet packs into ints.  One row update (_clear) serves
 forward elimination, back-substitution and reduce_against, and one field
 dot product (_dot) serves every matrix product and pairing.  Results that
 come out in RREF (duals, intersections) are wrapped, not reduced again.
@@ -125,6 +126,23 @@ def _echelon(rows: Iterable[Sequence[int]], ncols: int, ctx: FieldContext, start
                     row = [mul(x, y) for y in row]
                 basis.append((col, row))
                 break
+    return basis
+
+
+def _xor_echelon(rows: Iterable[int], ncols: int, ctx=None, start=()):
+    """_echelon over F_2 on rows packed into ints, bit j holding column j:
+    [(lowest set bit, row)] with _echelon's rows, each update one XOR.  ctx
+    is unused, so that a caller picks either kernel once and calls it alike.
+    """
+    basis: List[Tuple[int, int]] = list(start)
+    for row in rows:
+        if len(basis) == ncols:
+            break
+        for low, prow in basis:
+            if row & low:
+                row ^= prow
+        if row:
+            basis.append((row & -row, row))
     return basis
 
 

@@ -6,6 +6,7 @@ avoid the library's theorem-backed code paths: they enumerate.
 """
 
 import random
+from functools import reduce
 from itertools import combinations, product as iter_product
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -26,6 +27,7 @@ from sumrank import (
 )
 from sumrank.anticode import Meet
 from sumrank.errors import TrivialCode
+from sumrank.matfq import rank_rows
 from sumrank.msrd import _column_window_descriptor
 
 F2 = FieldContext(2, 1)
@@ -130,6 +132,18 @@ def span_vectors(
                 nxt.add(tuple(ctx.add(a, b) for a, b in zip(w, scaled)))
         out = nxt
     return frozenset(out)
+
+
+def list_meet(code: LinearCode, desc) -> int:
+    """dim(C ∩ A) as dim C - rank(G·H) on list rows: G the code's basis,
+    H the parity checks of the materialized anticode, each G·h entry summed
+    through the context, and the rank taken by rank_rows."""
+    ctx = code.ctx
+    cols = [
+        [reduce(ctx.add, (ctx.mul(x, y) for x, y in zip(g, h)), 0) for g in code.rows]
+        for h in desc.materialize().dual().rows
+    ]
+    return code.dim - rank_rows(cols, code.dim, ctx)
 
 
 def brute_min_cover(points: Sequence[Tuple[int, int]]) -> int:

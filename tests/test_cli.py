@@ -81,6 +81,15 @@ def test_dist_picks_method_by_strictness(tmp_path, capsys):
     assert json.loads(out) == {"distance": 1, "method": "enumerate"}
 
 
+def test_dist_refuses_the_zero_code(tmp_path, capsys):
+    zero = {"field": {"p": 2, "e": 1}, "shape": {"m": [2, 1], "n": [2, 1]}, "basis": []}
+    path = _write(tmp_path, "zero.json", zero)
+    for argv in (["dist", path], ["dist", path, "--oracle"]):
+        status, out, err = _run(argv, capsys)
+        assert (status, out) == (1, "")
+        assert err == "error: the zero code has no nonzero codewords\n"
+
+
 def test_dual_emits_code_json_and_involutes(tmp_path, capsys):
     path = _write(tmp_path, "c.json", IDENTITY_CODE)
     status, out, _ = _run(["dual", path, "--oracle"], capsys)

@@ -399,6 +399,39 @@ def test_orthogonal_and_intersect_reduce_once(monkeypatch):
     assert calls == [12]
 
 
+def _pack(row):
+    return sum(x << j for j, x in enumerate(row))
+
+
+def test_xor_echelon_matches_echelon_over_f2():
+    # products L R of rank at most r, so dependent and zero rows occur;
+    # widths past 64 put a packed row in more than one machine word
+    rng = random.Random(67)
+    for _ in range(150):
+        m, n, r = rng.randint(0, 12), rng.choice((1, 3, 8, 20, 70)), rng.randint(0, 12)
+        left = [[rng.randrange(2) for _ in range(r)] for _ in range(m)]
+        right = [_pack([rng.randrange(2) for _ in range(n)]) for _ in range(r)]
+        packed = [reduce(int.__xor__, (p for x, p in zip(row, right) if x), 0) for row in left]
+        rows = [[p >> j & 1 for j in range(n)] for p in packed]
+        want = matfq._echelon(rows, n, F2)
+        got = matfq._xor_echelon(packed, n)
+        assert len(got) == len(want) == brute_rank(F2, rows)
+        assert [low.bit_length() - 1 for low, _ in got] == [col for col, _ in want]
+        assert [p for _, p in got] == [_pack(row) for _, row in want]
+        # extending a start is one-shot elimination and leaves the start as it was
+        cut = rng.randint(0, m)
+        start = matfq._xor_echelon(packed[:cut], n)
+        kept = list(start)
+        assert matfq._xor_echelon(packed[cut:], n, None, start) == got
+        assert start == kept
+        # elimination stops at ncols: a row past full rank is never reduced
+        if got:
+            top = len(got)
+            assert matfq._xor_echelon(packed + [None], top) == got
+            assert matfq._echelon(rows + [None], top, F2) == want
+            assert len(matfq._xor_echelon(packed, top - 1)) == top - 1
+
+
 @FIELDS
 def test_reduce_against_matches_the_per_entry_reference(ctx):
     rng = random.Random(53 + ctx.q)

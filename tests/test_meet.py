@@ -8,12 +8,13 @@ import pytest
 from sumrank import (
     LinearCode,
     Shape,
+    Subspace,
     enumerate_anticodes,
     leakage_dim,
     product_descriptors,
     support_product,
 )
-from sumrank.anticode import Meet
+from sumrank.anticode import AnticodeDescriptor, BlockSupport, Meet
 from sumrank.errors import ContextMismatch, ShapeMismatch
 from sumrank.msrd import _column_window_descriptor
 from sumrank.wiretap import _tap_supports
@@ -105,6 +106,22 @@ def test_meet_on_leakage_tap_supports(ctx, shape):
             expected = _oracle(dual, desc)
             assert meet.dim(desc) == expected
             assert leakage_dim(code, taps) == expected
+
+
+def test_meet_past_one_machine_word():
+    # dim 66 over F_2: each packed column of G spans two 64-bit words
+    rng = random.Random(71)
+    shape = Shape((6, 6), (6, 6))
+    code = random_code(rng, F2, shape, 66)
+    assert code.dim >= 65
+    meet = Meet(code)
+    for _ in range(8):
+        blocks = []
+        for nn in shape.n:
+            rows = [[rng.randrange(2) for _ in range(nn)] for _ in range(rng.randint(0, nn))]
+            blocks.append(BlockSupport(rng.choice(("col", "row")), Subspace(F2, nn, rows)))
+        desc = AnticodeDescriptor(shape, F2, tuple(blocks))
+        assert meet.dim(desc) == _oracle(code, desc), desc.to_dict()
 
 
 def test_meet_rejects_a_foreign_descriptor():

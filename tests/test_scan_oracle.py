@@ -116,6 +116,10 @@ def test_zero_code_and_guard():
             with pytest.raises(TrivialCode):
                 scan()
         assert zero.srk_distribution() == {}
+        # the anticode route refuses the same way, on strict shapes too
+        for shape in (zero.shape, Shape((2, 1), (2, 1))):
+            with pytest.raises(TrivialCode):
+                LinearCode.zero(shape, ctx).min_distance(method="anticode")
     # the zero code answers at once, whatever the declared block sizes
     huge = LinearCode.zero(Shape((10**5,), (10**5,)), F2)
     assert huge.srk_distribution() == {}

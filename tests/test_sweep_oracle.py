@@ -34,6 +34,7 @@ from helpers import (
     flat_leakage,
     flat_msrd_report,
     flat_weights,
+    list_meet,
     random_code,
 )
 
@@ -79,12 +80,17 @@ def _codes(ctx, shape):
     return out
 
 
-def _members(meet, desc):
-    """What the walker reports for one flat member: (meet, weights)."""
+def _weights(desc):
+    """The weights the walker reports for one flat member."""
     weights = tuple(b.space.dim for b in desc.blocks)
     if desc.tail is not None:
         weights += (desc.tail.dim,)
-    return meet.dim(desc), weights
+    return weights
+
+
+def _members(meet, desc):
+    """What the walker reports for one flat member: (meet, weights)."""
+    return meet.dim(desc), _weights(desc)
 
 
 @pytest.mark.parametrize("variant,ctx,shape", CASES, ids=IDS)
@@ -106,6 +112,23 @@ def test_sweep_yields_every_member_once(variant, ctx, shape):
                 dims.setdefault(desc.dim(), []).append(_members(meet, desc))
             for size, members in dims.items():
                 assert sorted(meet.sweep(mu, variant, size=size)) == sorted(members)
+
+
+F2_CASES = [c for c in CASES if c[1] is F2]
+
+
+@pytest.mark.parametrize(
+    "variant,ctx,shape", F2_CASES, ids=[f"{v}-{s.m}x{s.n}" for v, _, s in F2_CASES]
+)
+def test_packed_sweep_matches_list_rows(variant, ctx, shape):
+    # over F_2 the sweep reduces packed ints; every member's meet must be
+    # the one the list-row elimination gives
+    for code in _codes(ctx, shape):
+        meet = Meet(code)
+        for mu in range(shape.ncols + 1):
+            family = flat_family(ctx, shape, mu, variant)
+            want = sorted((list_meet(code, d), _weights(d)) for d in family)
+            assert sorted(meet.sweep(mu, variant)) == want, (code.dim, mu)
 
 
 @pytest.mark.parametrize("variant,ctx,shape", CASES, ids=IDS)
