@@ -3,11 +3,12 @@
 Prints the dual support-weight thresholds, then the worst-case leakage
 as a function of the number of tapped links, and finally spot-checks the
 dual-intersection formula against exhaustive mutual information on a few
-random tap profiles.
+random tap profiles; exits 1 if any spot check disagrees.
 """
 
 import argparse
 import random
+import sys
 from dataclasses import dataclass
 
 from sumrank import (
@@ -47,7 +48,7 @@ def parse_config() -> SweepConfig:
     )
 
 
-def main() -> None:
+def main() -> int:
     config = parse_config()
     ctx = FieldContext(config.q, 1)
     shape = Shape(config.m, config.n)
@@ -64,6 +65,7 @@ def main() -> None:
     print(f"thresholds (links needed for r leaked symbols): {threshold_table(code)}")
     for mu in range(shape.ncols + 1):
         print(f"  mu = {mu}: worst-case leakage {worst_case_leakage(code, mu)}")
+    mismatches = 0
     for _ in range(config.spot_checks):
         taps = []
         for i in range(shape.ell):
@@ -84,11 +86,13 @@ def main() -> None:
         exhaustive = empirical_mi(WiretapScenario(code, tuple(taps)))
         tapped = sum(b.n for b in taps if b is not None)
         verdict = "ok" if formula == exhaustive else "MISMATCH"
+        mismatches += formula != exhaustive
         print(
             f"  random profile, {tapped} links: formula {formula},"
             f" exhaustive MI {exhaustive} [{verdict}]"
         )
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, groupby, product as iter_product
 from math import prod
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .code import LinearCode, Shape
+from .code import DIST_CAP, LinearCode, Shape
 from .errors import (
     AmbientMismatch,
     ClassificationNotApplicable,
@@ -108,13 +108,12 @@ class AnticodeDescriptor:
                     raise AmbientMismatch(f"block {i}: row support ambient must be {mm}")
 
     def dim(self) -> int:
-        total = 0
-        for i, blk in enumerate(self.blocks):
-            mult = self.shape.m[i] if blk.kind == "col" else self.shape.n[i]
-            total += mult * blk.space.dim
-        if self.tail is not None:
-            total += self.tail.dim
-        return total
+        return sum(len(_lines(self.shape, i, kind)) * sp.dim for i, kind, sp in self._factors())
+
+    def _factors(self) -> List[Tuple[int, str, Subspace]]:
+        """(block index, kind, space) of each block support, then of the tail."""
+        tail = [] if self.tail is None else [(len(self.blocks), "tail", self.tail)]
+        return [(i, blk.kind, blk.space) for i, blk in enumerate(self.blocks)] + tail
 
     def _tail_max_weight(self) -> int:
         if self.tail is None or self.tail.dim == 0:
@@ -132,34 +131,16 @@ class AnticodeDescriptor:
         Sweeps measure dim(C ∩ A) through Meet instead; this serves
         classification, the CLI oracle and the tests.
         """
-        shape, ctx = self.shape, self.ctx
-        offsets = shape.block_offsets()
-        ambient = shape.ambient_dim
+        shape, ambient = self.shape, self.shape.ambient_dim
         rows: List[Tuple[int, ...]] = []
-        for i, blk in enumerate(self.blocks):
-            mm, nn, off = shape.m[i], shape.n[i], offsets[i]
-            if blk.kind == "col":
-                for s in range(mm):
-                    for l in blk.space.basis:
-                        vec = [0] * ambient
-                        vec[off + s * nn : off + (s + 1) * nn] = l
-                        rows.append(tuple(vec))
-            else:
-                for tcol in range(nn):
-                    for l in blk.space.basis:
-                        vec = [0] * ambient
-                        for r in range(mm):
-                            vec[off + r * nn + tcol] = l[r]
-                        rows.append(tuple(vec))
-        if self.tail is not None:
-            start = offsets[len(self.blocks)] if len(self.blocks) < shape.ell else ambient
-            for w in self.tail.basis:
-                vec = [0] * ambient
-                for j, x in enumerate(w):
-                    vec[start + j] = x
-                rows.append(tuple(vec))
-        code = LinearCode(shape, ctx, rows)
-        if code.dim != self.dim():
+        for i, kind, space in self._factors():
+            for line in _lines(shape, i, kind):
+                for l in space.basis:
+                    vec = [0] * ambient
+                    vec[line.start : line.stop : line.step] = l
+                    rows.append(tuple(vec))
+        code = LinearCode(shape, self.ctx, rows)
+        if code.dim != len(rows):
             raise InvariantViolation("materialized anticode lost dimension")
         return code
 
@@ -235,10 +216,8 @@ class Meet:
         if desc.ctx != code.ctx:
             raise ContextMismatch("anticode and code over different field contexts")
         checks: List[List[int]] = []
-        for i, blk in enumerate(desc.blocks):
-            checks += self._support(i, blk.kind, blk.space)[1]
-        if desc.tail is not None:
-            checks += self._support(len(desc.blocks), "tail", desc.tail)[1]
+        for i, kind, space in desc._factors():
+            checks += self._support(i, kind, space)[1]
         return code.dim - len(self._echelon(checks, code.dim, code.ctx))
 
     def sweep(
@@ -336,17 +315,8 @@ class Meet:
         code = self.code
         shape, ctx = code.shape, code.ctx
         add, mul = ctx.add, ctx.mul
-        off = shape.block_offsets()[i] if i < shape.ell else shape.ambient_dim
-        if kind == "tail":
-            lines = [range(off, shape.ambient_dim)]
-        else:
-            mm, nn = shape.m[i], shape.n[i]
-            if kind == "col":
-                lines = [range(off + s * nn, off + (s + 1) * nn) for s in range(mm)]
-            else:
-                lines = [range(off + t, off + mm * nn, nn) for t in range(nn)]
         packed, cols = self._packed, []
-        for line in lines:
+        for line in _lines(shape, i, kind):
             for chk in checks:
                 func = [(pos, h) for pos, h in zip(line, chk) if h]
                 if packed is not None:
@@ -368,6 +338,20 @@ class Meet:
                     cols.append(col)
         pairs = self._echelon(cols, code.dim, ctx)
         return pairs, [row for _, row in pairs]
+
+
+def _lines(shape: Shape, i: int, kind: str) -> List[range]:
+    """The flat coordinates a factor on block i constrains, one range per line:
+    each block row for a col support, each block column for a row support,
+    and the trailing coordinates from block i on, jointly, for a tail."""
+    off = sum(map(mul, shape.m[:i], shape.n[:i]))
+    if kind == "tail":
+        return [range(off, shape.ambient_dim)]
+    nn = shape.n[i]
+    end = off + shape.m[i] * nn
+    if kind == "col":
+        return [range(s, s + nn) for s in range(off, end, nn)]
+    return [range(off + t, end, nn) for t in range(nn)]
 
 
 def _compositions(bounds: Sequence[int], total: int) -> Iterator[Tuple[int, ...]]:
@@ -501,7 +485,7 @@ def enumerate_anticodes(
 
 
 def is_optimal_anticode(
-    code: LinearCode, cap: int = 1 << 24
+    code: LinearCode, cap: int = DIST_CAP
 ) -> Tuple[bool, Optional[AnticodeDescriptor]]:
     """Test dim = max weighted rank; on success return the classification.
 
@@ -547,10 +531,8 @@ def is_optimal_anticode(
         raise InvariantViolation(f"block {i} projection is not a support space")
     tail = None
     if use_tail:
-        start = shape.block_offsets()[k] if k < shape.ell else shape.ambient_dim
-        tail = Subspace.from_vectors(
-            ctx, shape.ell - k, [r[start:] for r in code.rows]
-        )
+        (line,) = _lines(shape, k, "tail")
+        tail = Subspace.from_vectors(ctx, shape.ell - k, [r[line.start :] for r in code.rows])
     desc = AnticodeDescriptor(shape, ctx, tuple(blocks), tail)
     if desc.materialize() != code:
         raise InvariantViolation("optimal anticode failed to factor as classified")
@@ -591,7 +573,7 @@ def anticode_dual(desc: AnticodeDescriptor) -> AnticodeDescriptor:
     return AnticodeDescriptor(shape, ctx, out)
 
 
-def max_srk_generates(code: LinearCode, cap: int = 1 << 24) -> bool:
+def max_srk_generates(code: LinearCode, cap: int = DIST_CAP) -> bool:
     """True when the codewords of maximal weighted rank span the code."""
     if code.dim == 0:
         raise TrivialCode("the zero code has no nonzero codewords")

@@ -446,21 +446,23 @@ class LinearCode:
                     break
         return sign * best
 
-    def min_distance(self, method: str = "enumerate", cap: int = DIST_CAP) -> int:
+    def min_distance(self, method: str = "enumerate", cap: Optional[int] = None) -> int:
         """Minimum sum-rank weight of a nonzero codeword.
 
-        method "enumerate" scans codewords; "anticode" asks the generalized
-        weight machinery for the first weight, a theorem-backed route that
-        the enumeration cross-checks in the test suite.
+        method "enumerate" scans at most cap codewords (default DIST_CAP);
+        "anticode" asks the generalized weight machinery for the first weight
+        over at most cap anticodes (default ANTICODE_CAP, as gen_weight), a
+        theorem-backed route that the enumeration cross-checks in the tests.
         """
         if self.dim == 0:
             raise TrivialCode("the zero code has no nonzero codewords")
         if method == "enumerate":
-            return self._scan("min", cap)
+            return self._scan("min", DIST_CAP if cap is None else cap)
         if method == "anticode":
+            from .anticode import ANTICODE_CAP
             from .genweights import gen_weight
 
-            return gen_weight(self, 1, "product", cap)
+            return gen_weight(self, 1, "product", ANTICODE_CAP if cap is None else cap)
         raise UnknownChoice(f"unknown method {method!r}")
 
     def max_srk(self, cap: int = DIST_CAP) -> int:

@@ -166,14 +166,11 @@ def _column_window_descriptor(
     shape: Shape, ctx, columns: frozenset
 ) -> AnticodeDescriptor:
     """Product anticode of everything supported on the given 1-based columns."""
-    offsets = [0]
-    for n in shape.n:
-        offsets.append(offsets[-1] + n)
     blocks = []
-    for i in range(shape.ell):
-        local = [c - offsets[i] - 1 for c in columns if offsets[i] < c <= offsets[i + 1]]
-        vecs = [tuple(1 if t == c else 0 for t in range(shape.n[i])) for c in local]
-        blocks.append(BlockSupport("col", Subspace.from_vectors(ctx, shape.n[i], vecs)))
+    for off, nn in zip(shape.column_offsets(), shape.n):
+        local = [c - off - 1 for c in columns if off < c <= off + nn]
+        vecs = [tuple(1 if t == c else 0 for t in range(nn)) for c in local]
+        blocks.append(BlockSupport("col", Subspace.from_vectors(ctx, nn, vecs)))
     return AnticodeDescriptor(shape, ctx, tuple(blocks))
 
 
@@ -259,7 +256,7 @@ def msrd_check(code: LinearCode, cap: int = ANTICODE_CAP) -> MsrdReport:
     # C1: exact dimension and zero intersection below the admissible distance
     c1 = s == 0
     if c1:
-        dmax = sum(shape.n[:j]) + delta + 1
+        dmax = d_max_for_dim(shape, code.dim)
         c1 = all(
             next(meet.sweep(mu, "all", cap, floor=0), None) is None for mu in range(1, dmax)
         )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .anticode import ANTICODE_CAP, AnticodeDescriptor, BlockSupport, Meet
+from .anticode import ANTICODE_CAP, AnticodeDescriptor, BlockSupport, Meet, _lines
 # bench/selftest.py checks that the benchmark's tracer patches this site
 from .anticode import product_descriptors  # noqa: F401
 from .code import LinearCode, Shape
@@ -137,11 +137,11 @@ class WiretapScenario:
         if len(flat) != shape.ambient_dim:
             raise AmbientMismatch("flat vector length differs from ambient dimension")
         out: List[int] = []
-        for off, mm, nn, b in zip(shape.block_offsets(), shape.m, shape.n, self.taps):
+        for i, b in enumerate(self.taps):
             if b is not None:
                 cols = list(zip(*b.rows))
-                for s in range(off, off + mm * nn, nn):
-                    out.extend(_dot(ctx, flat[s : s + nn], col) for col in cols)
+                for line in _lines(shape, i, "col"):
+                    out.extend(_dot(ctx, flat[line.start : line.stop], col) for col in cols)
         return tuple(out)
 
 

@@ -361,3 +361,18 @@ def test_gamma_nonmonomial_basis_agrees_on_spans():
         b = gamma_expand(other, [vec])
         assert a.dim == b.dim
         assert weight_profile(a).weights == weight_profile(b).weights
+
+
+def test_anticode_distance_guards_the_family_like_gen_weight():
+    """min_distance(method="anticode") without a cap sweeps at most
+    ANTICODE_CAP anticodes, the default of gen_weight, not DIST_CAP."""
+    from sumrank.errors import EnumerationTooLarge
+
+    code = LinearCode(Shape((20, 1), (20, 1)), F2, [(0,) * 400 + (1,)])
+    refusal = "2097151 anticodes at weight 1 exceed cap 1000000"
+    with pytest.raises(EnumerationTooLarge, match=refusal):
+        gen_weight(code, 1)
+    with pytest.raises(EnumerationTooLarge, match=refusal):
+        code.min_distance(method="anticode")
+    assert code.min_distance(method="anticode", cap=1 << 24) == 1
+    assert code.min_distance() == 1
