@@ -17,12 +17,11 @@ __version__ = "0.1.0"
 # home submodule of every public name
 _EXPORTS = {
     "anticode": (
-        "ANTICODE_CAP", "AnticodeDescriptor", "BlockSupport", "anticode_dual",
-        "enumerate_anticodes", "is_optimal_anticode", "max_srk_generates",
-        "optimal_hamming_subspaces", "prior_anticode_bound", "product_descriptors",
-        "staircase_profile",
+        "AnticodeDescriptor", "BlockSupport", "anticode_dual", "enumerate_anticodes",
+        "is_optimal_anticode", "max_srk_generates", "optimal_hamming_subspaces",
+        "prior_anticode_bound", "product_descriptors", "staircase_profile",
     ),
-    "code": ("DIST_CAP", "LinearCode", "MatrixTuple", "Shape", "trace_pairing"),
+    "code": ("ANTICODE_CAP", "DIST_CAP", "LinearCode", "MatrixTuple", "Shape", "trace_pairing"),
     "cover": (
         "CoverResult", "CosetWitness", "MeshulamResult", "coset_rank_lower",
         "coset_witness_exact", "covering_number", "leading_position", "meshulam_search",

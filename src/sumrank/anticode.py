@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, groupby, product as iter_product
 from math import prod
-from operator import itemgetter, mul
+from operator import itemgetter
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .code import DIST_CAP, LinearCode, Shape
+from .code import ANTICODE_CAP, DIST_CAP, LinearCode, Shape
 from .errors import (
     AmbientMismatch,
     ClassificationNotApplicable,
@@ -41,11 +41,9 @@ __all__ = [
     "staircase_profile",
     "prior_anticode_bound",
     "optimal_hamming_subspaces",
-    "ANTICODE_CAP",
     "HAMMING_TAIL_CAP",
 ]
 
-ANTICODE_CAP = 10**6
 HAMMING_TAIL_CAP = 6
 
 
@@ -108,7 +106,7 @@ class AnticodeDescriptor:
                     raise AmbientMismatch(f"block {i}: row support ambient must be {mm}")
 
     def dim(self) -> int:
-        return sum(len(_lines(self.shape, i, kind)) * sp.dim for i, kind, sp in self._factors())
+        return sum(len(self.shape.lines(i, kind)) * sp.dim for i, kind, sp in self._factors())
 
     def _factors(self) -> List[Tuple[int, str, Subspace]]:
         """(block index, kind, space) of each block support, then of the tail."""
@@ -134,7 +132,7 @@ class AnticodeDescriptor:
         shape, ambient = self.shape, self.shape.ambient_dim
         rows: List[Tuple[int, ...]] = []
         for i, kind, space in self._factors():
-            for line in _lines(shape, i, kind):
+            for line in shape.lines(i, kind):
                 for l in space.basis:
                     vec = [0] * ambient
                     vec[line.start : line.stop : line.step] = l
@@ -316,7 +314,7 @@ class Meet:
         shape, ctx = code.shape, code.ctx
         add, mul = ctx.add, ctx.mul
         packed, cols = self._packed, []
-        for line in _lines(shape, i, kind):
+        for line in shape.lines(i, kind):
             for chk in checks:
                 func = [(pos, h) for pos, h in zip(line, chk) if h]
                 if packed is not None:
@@ -338,20 +336,6 @@ class Meet:
                     cols.append(col)
         pairs = self._echelon(cols, code.dim, ctx)
         return pairs, [row for _, row in pairs]
-
-
-def _lines(shape: Shape, i: int, kind: str) -> List[range]:
-    """The flat coordinates a factor on block i constrains, one range per line:
-    each block row for a col support, each block column for a row support,
-    and the trailing coordinates from block i on, jointly, for a tail."""
-    off = sum(map(mul, shape.m[:i], shape.n[:i]))
-    if kind == "tail":
-        return [range(off, shape.ambient_dim)]
-    nn = shape.n[i]
-    end = off + shape.m[i] * nn
-    if kind == "col":
-        return [range(s, s + nn) for s in range(off, end, nn)]
-    return [range(off + t, end, nn) for t in range(nn)]
 
 
 def _compositions(bounds: Sequence[int], total: int) -> Iterator[Tuple[int, ...]]:
@@ -511,28 +495,22 @@ def is_optimal_anticode(
     covered = k if use_tail else shape.ell
     blocks = []
     for i in range(covered):
-        proj = code.block_projection(i)
-        mm, nn = shape.m[i], shape.n[i]
-        row_span = Subspace.from_vectors(
-            ctx, nn, [v[r * nn : (r + 1) * nn] for v in proj.basis for r in range(mm)]
-        )
-        if proj.dim == mm * row_span.dim:
-            blocks.append(BlockSupport("col", row_span))
-            continue
-        if mm == nn:
-            col_span = Subspace.from_vectors(
-                ctx,
-                mm,
-                [tuple(v[r * nn + c] for r in range(mm)) for v in proj.basis for c in range(nn)],
-            )
-            if proj.dim == nn * col_span.dim:
-                blocks.append(BlockSupport("row", col_span))
-                continue
-        raise InvariantViolation(f"block {i} projection is not a support space")
+        proj_dim = code.block_projection(i).dim
+        # the projection lies in the support space on the span of its block
+        # rows (col) or block columns (row), and is it when the dimensions agree
+        for kind in ("col", "row") if shape.m[i] == shape.n[i] else ("col",):
+            lines = shape.lines(i, kind)
+            vecs = [v[ln.start : ln.stop : ln.step] for v in code.rows for ln in lines]
+            span = Subspace.from_vectors(ctx, len(lines[0]), vecs)
+            if proj_dim == len(lines) * span.dim:
+                blocks.append(BlockSupport(kind, span))
+                break
+        else:
+            raise InvariantViolation(f"block {i} projection is not a support space")
     tail = None
     if use_tail:
-        (line,) = _lines(shape, k, "tail")
-        tail = Subspace.from_vectors(ctx, shape.ell - k, [r[line.start :] for r in code.rows])
+        (line,) = shape.lines(k, "tail")
+        tail = Subspace.from_vectors(ctx, len(line), [r[line.start :] for r in code.rows])
     desc = AnticodeDescriptor(shape, ctx, tuple(blocks), tail)
     if desc.materialize() != code:
         raise InvariantViolation("optimal anticode failed to factor as classified")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations, product as iter_product
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .code import DIST_CAP, LinearCode, MatrixTuple, Shape, trace_pairing
+from .code import ANTICODE_CAP, DIST_CAP, LinearCode, MatrixTuple, Shape, trace_pairing
 from .errors import (
     EnumerationTooLarge,
     InvariantViolation,
@@ -37,7 +37,7 @@ if TYPE_CHECKING:
 
 __all__ = ["RunConfig", "parse_args", "run", "main"]
 
-FAMILY_CAP = 10**6
+_DUAL_ENTRY_CAP = 10**6  # basis entries of a dual, not family members
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,7 @@ def _cmd_srk(config: RunConfig) -> dict:
 def _cmd_dist(config: RunConfig) -> dict:
     code = _read_code(config.paths[0])
     if code.shape.strict:
-        value = code.min_distance(method="anticode", cap=config.cap or FAMILY_CAP)
+        value = code.min_distance(method="anticode", cap=config.cap or ANTICODE_CAP)
         method = "anticode"
     else:
         value = code.min_distance(method="enumerate", cap=config.cap or DIST_CAP)
@@ -141,8 +141,9 @@ def _cmd_dist(config: RunConfig) -> dict:
     return {"distance": value, "method": method}
 
 
-def _check_dual_size(code: LinearCode, cap: int) -> None:
+def _check_dual_size(code: LinearCode, cap: Optional[int]) -> None:
     # a small code in a vast declared space has a dual too large to write out
+    cap = cap or _DUAL_ENTRY_CAP
     entries = code.ambient_dim * (code.ambient_dim - code.dim)
     if entries > cap:
         raise EnumerationTooLarge(f"dual basis of {entries} entries exceeds cap {cap}")
@@ -150,7 +151,7 @@ def _check_dual_size(code: LinearCode, cap: int) -> None:
 
 def _cmd_dual(config: RunConfig) -> dict:
     code = _read_code(config.paths[0])
-    _check_dual_size(code, config.cap or FAMILY_CAP)
+    _check_dual_size(code, config.cap)
     dual = code.dual()
     if config.oracle:
         for t in dual.basis_tuples():
@@ -186,7 +187,7 @@ def _flat_weights(code: LinearCode, variant: str, cap: int) -> list:
 def _cmd_gweights(config: RunConfig) -> dict:
     from .genweights import gen_weight, weight_profile
     code = _read_code(config.paths[0])
-    cap = config.cap or FAMILY_CAP
+    cap = config.cap or ANTICODE_CAP
     if config.rank is None:
         prof = weight_profile(code, config.variant, cap)
         if config.oracle:
@@ -204,7 +205,7 @@ def _cmd_gweights(config: RunConfig) -> dict:
 def _cmd_msrd(config: RunConfig) -> dict:
     from .msrd import msrd_check
     code = _read_code(config.paths[0])
-    report = msrd_check(code, cap=config.cap or FAMILY_CAP)
+    report = msrd_check(code, cap=config.cap or ANTICODE_CAP)
     if config.oracle:
         enum_cap = config.cap or DIST_CAP
         brute_d = code.min_distance(method="enumerate", cap=enum_cap)
@@ -226,8 +227,6 @@ def _cmd_anticode(config: RunConfig) -> dict:
     cap = config.cap or DIST_CAP
     optimal, desc = is_optimal_anticode(code, cap=cap)
     if config.oracle:
-        if code.ctx.q**code.dim > cap:
-            raise EnumerationTooLarge("oracle enumeration exceeds cap")
         top = 0
         for t in code.iter_codewords():
             top = max(top, t.weighted_rank())
@@ -343,8 +342,8 @@ def _cmd_leak(config: RunConfig) -> dict:
     from .wiretap import MI_CAP, WiretapScenario, empirical_mi, leakage_dim, threshold_table
     code = _read_code(config.paths[0])
     taps = _read_taps(config.paths[1], code)
-    cap = config.cap or FAMILY_CAP
-    _check_dual_size(code, cap)
+    cap = config.cap or ANTICODE_CAP
+    _check_dual_size(code, config.cap)
     leak = leakage_dim(code, taps)
     thresholds = threshold_table(code, cap=cap)
     if config.oracle:

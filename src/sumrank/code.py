@@ -4,9 +4,11 @@ An ambient space is a product of matrix blocks F_q^{m_i x n_i}.  A code is
 a shape plus a subspace: its Shape and the matfq.Subspace (an RREF basis)
 of its flattened codewords.  Flattening runs block by block, then row by
 row, then column by column, and that order is the package-wide canonical
-form.  Every weight scan (distance, maximum ranks, weight distribution)
-reads one walk over the nonzero codewords, ``LinearCode._walk``; over F_2
-it is bit-sliced and row-reduces a block for up to 2^16 codewords at once.
+form; every module finds a block's rows, columns or trailing scalars in it
+through ``Shape.lines``.  Every weight scan (distance, maximum ranks, weight
+distribution) reads one walk over the nonzero codewords, ``LinearCode._walk``;
+over F_2 it is bit-sliced and row-reduces a block for up to 2^16 codewords
+at once.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import islice
-from operator import or_
+from operator import mul, or_
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -36,10 +38,13 @@ __all__ = [
     "MatrixTuple",
     "LinearCode",
     "trace_pairing",
+    "ANTICODE_CAP",
     "DIST_CAP",
 ]
 
+# codewords a scan may walk, and anticodes a family sweep may visit
 DIST_CAP = 1 << 24
+ANTICODE_CAP = 10**6
 # the bit-sliced F_2 walk takes at most 2^_LANE_BITS codewords per chunk, and
 # fewer where the chunk's planes, one per coordinate, would pass 2^26 bits
 _LANE_BITS = 16
@@ -91,6 +96,23 @@ class Shape:
             out.append(acc)
             acc += a * b
         return tuple(out)
+
+    def lines(self, i: int, kind: str) -> List[range]:
+        """The flat coordinates of block i, one range per line: each block row
+        for kind "col", each block column for "row", and for "tail" the
+        trailing coordinates from block i on, jointly (empty at i = ell)."""
+        if not 0 <= i < len(self.m) + (kind == "tail"):
+            raise ShapeMismatch(f"block {i} out of range")
+        off = sum(map(mul, self.m[:i], self.n[:i]))  # block_offsets()[i], without the tuple
+        if kind == "tail":
+            return [range(off, self.ambient_dim)]
+        nn = self.n[i]
+        end = off + self.m[i] * nn
+        if kind == "col":
+            return [range(s, s + nn) for s in range(off, end, nn)]
+        if kind == "row":
+            return [range(off + t, end, nn) for t in range(nn)]
+        raise UnknownChoice(f"unknown line kind {kind!r}")
 
     def column_offsets(self) -> Tuple[int, ...]:
         out = []
@@ -419,13 +441,15 @@ class LinearCode:
                         yield v, n - below
                     below = n
             return
-        layout = list(zip(shape.block_offsets(), shape.m, shape.n, weights))
-        spans = [(pos, pos + a * b, b, w) for pos, a, b, w in layout]
+        blocks = [
+            ([slice(line.start, line.stop) for line in shape.lines(i, "col")], b, w)
+            for i, (b, w) in enumerate(zip(shape.n, weights))
+        ]
         for lead in range(k):
             for word in walk_span(ctx, self.rows[lead], self.rows[lead + 1 :]):
                 total = 0
-                for start, stop, b, w in spans:
-                    total += w * rank_rows([word[s : s + b] for s in range(start, stop, b)], b, ctx)
+                for cuts, b, w in blocks:
+                    total += w * rank_rows([word[cut] for cut in cuts], b, ctx)
                 yield total, ctx.q - 1
 
     def _scan(self, kind: str, cap: int, stop_at: Optional[int] = None) -> int:
@@ -459,7 +483,6 @@ class LinearCode:
         if method == "enumerate":
             return self._scan("min", DIST_CAP if cap is None else cap)
         if method == "anticode":
-            from .anticode import ANTICODE_CAP
             from .genweights import gen_weight
 
             return gen_weight(self, 1, "product", ANTICODE_CAP if cap is None else cap)
@@ -487,11 +510,9 @@ class LinearCode:
 
     def block_projection(self, i: int) -> Subspace:
         """Projection onto block i as a subspace of flattened F_q^{m_i n_i}."""
-        off = self.shape.block_offsets()[i]
-        size = self.shape.m[i] * self.shape.n[i]
-        return Subspace.from_vectors(
-            self.ctx, size, [r[off : off + size] for r in self.rows]
-        )
+        lines = self.shape.lines(i, "col")
+        start, stop = lines[0].start, lines[-1].stop
+        return Subspace.from_vectors(self.ctx, stop - start, [r[start:stop] for r in self.rows])
 
     def __eq__(self, other) -> bool:
         return (

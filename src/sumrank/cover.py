@@ -271,10 +271,9 @@ def coset_witness_exact(
                 return CosetWitness(b, achieved, "meshulam")
 
     if ctx.q ** v.dim <= cap:
+        lines = v.shape.lines(0, "col")
         for flat in v.iter_flat(include_zero=True):
-            b = MatrixFq(
-                ctx, [flat[i * n : (i + 1) * n] for i in range(m)]
-            )
+            b = MatrixFq(ctx, [flat[line.start : line.stop] for line in lines])
             achieved = (a + b).rank()
             if achieved >= t + 1:
                 return CosetWitness(b, achieved, "exhaustive")

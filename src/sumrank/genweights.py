@@ -17,10 +17,10 @@ from functools import lru_cache
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
-from .anticode import ANTICODE_CAP, Meet
+from .anticode import Meet
 # bench/selftest.py checks that the benchmark's tracer patches these sites
 from .anticode import enumerate_anticodes, product_descriptors  # noqa: F401
-from .code import LinearCode, MatrixTuple, Shape
+from .code import ANTICODE_CAP, LinearCode, MatrixTuple, Shape
 from .errors import (
     BadDegree,
     GammaNotBasis,

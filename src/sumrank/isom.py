@@ -17,7 +17,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import permutations, product as iter_product
 from math import factorial
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .code import LinearCode, MatrixTuple, Shape
 from .errors import (
@@ -28,7 +28,7 @@ from .errors import (
     SingularFactor,
 )
 from .gf import FieldContext
-from .matfq import MatrixFq, _dot, _echelon, nullspace_rows, vec_add, vec_scale
+from .matfq import MatrixFq, Subspace, _dot, _echelon, nullspace_rows, vec_add, vec_scale
 
 __all__ = [
     "Isometry",
@@ -58,7 +58,8 @@ def gl_order(n: int, q: int) -> int:
 
 
 def gl_group(ctx: FieldContext, n: int) -> Tuple[MatrixFq, ...]:
-    """All invertible n x n matrices, cached, in row-major counter order."""
+    """All invertible n x n matrices, cached, in row-major counter order:
+    the invertible points of F_q^(n x n), walked on its identity basis."""
     key = (ctx, n)
     cached = _GL_CACHE.get(key)
     if cached is not None:
@@ -66,18 +67,9 @@ def gl_group(ctx: FieldContext, n: int) -> Tuple[MatrixFq, ...]:
     q = ctx.q
     if q ** (n * n) > _GL_ENUM_CAP:
         raise GroupTooLarge(f"cannot enumerate GL({n}, F_{q})")
-    out = []
-    for enc in range(q ** (n * n)):
-        rest = enc
-        entries = []
-        for _ in range(n * n):
-            entries.append(rest % q)
-            rest //= q
-        entries.reverse()
-        mat = MatrixFq(ctx, [entries[i * n : (i + 1) * n] for i in range(n)])
-        if mat.is_invertible():
-            out.append(mat)
-    result = tuple(out)
+    lines = Shape((n,), (n,)).lines(0, "col")
+    points = _invertible_points(ctx, [lines], Subspace.full(ctx, n * n).basis, None, False)
+    result = tuple(MatrixFq(ctx, _blocks(p, [lines])[0]) for p in points)
     _GL_CACHE[key] = result
     return result
 
@@ -332,9 +324,10 @@ def _left_equations(ctx, sizes, checks, images, right):
     return rows
 
 
-def _invertible_points(ctx, sizes, space, bound, first_only):
-    """Vectors of the span of space (an RREF basis) whose square blocks of
-    the given sizes are all invertible, in lexicographic order.
+def _invertible_points(ctx, blocks, space, bound, first_only):
+    """Vectors of the span of space (an RREF basis) whose square blocks are
+    all invertible, in lexicographic order; blocks holds each block's rows
+    as the lines of its square shape, the last ending the vector.
 
     A depth-first walk over the RREF coefficients: fixing the coefficient of
     basis row i fixes every coordinate before the pivot of row i + 1, and a
@@ -342,15 +335,12 @@ def _invertible_points(ctx, sizes, space, bound, first_only):
     With bound, only vectors below it count and the walk stops once the
     fixed prefix passes it; with first_only, it stops at the first hit.
     """
-    total = sum(mm * mm for mm in sizes)
+    total = blocks[-1][-1].stop
     ends = [next(c for c, x in enumerate(row) if x) for row in space] + [total]
     done_at: List[list] = [[] for _ in ends]
-    off = 0
-    for j, mm in enumerate(sizes):
-        for a in range(mm):
-            start = off + a * mm
-            done_at[bisect_left(ends, start + mm)].append((j, start, start + mm))
-        off += mm * mm
+    for j, lines in enumerate(blocks):
+        for line in lines:
+            done_at[bisect_left(ends, line.stop)].append((j, line.start, line.stop))
     scaled = [[None] + [vec_scale(ctx, c, row) for c in range(1, ctx.q)] for row in space]
     depth = len(space)
     found: List[Tuple[int, ...]] = []
@@ -381,18 +371,14 @@ def _invertible_points(ctx, sizes, space, bound, first_only):
                 return True
         return False
 
-    visit(0, (0,) * total, [[]] * len(sizes), bound is not None)
+    visit(0, (0,) * total, [[]] * len(blocks), bound is not None)
     return found
 
 
-def _blocks(flat: Sequence[int], dims) -> list:
-    """Split a flat vector into row tuples of blocks with the given dims."""
-    out = []
-    pos = 0
-    for mm, nn in dims:
-        out.append(tuple(tuple(flat[pos + r * nn : pos + (r + 1) * nn]) for r in range(mm)))
-        pos += mm * nn
-    return out
+def _blocks(flat: Tuple[int, ...], blocks) -> list:
+    """Split a flat vector into the row tuples of its blocks, given each
+    block's rows as lines."""
+    return [tuple(flat[line.start : line.stop] for line in lines) for lines in blocks]
 
 
 def equivalent_codes(
@@ -437,11 +423,14 @@ def equivalent_codes(
     proj_dims_second = [second.block_projection(j).dim for j in range(shape.ell)]
     proj_dims_first = [first.block_projection(j).dim for j in range(shape.ell)]
     ell = shape.ell
-    dims = list(zip(shape.m, shape.n))
     sizes = shape.m
-    unknowns = sum(mm * mm for mm in sizes)
-    basis = [_blocks(row, dims) for row in first.rows]
-    checks = [_blocks(row, dims) for row in second.dual().rows]
+    # the unknowns (M_1, ..., M_l) flatten like a tuple of the square shape
+    left_shape = Shape(sizes, sizes, strict=False)
+    blocks = [shape.lines(j, "col") for j in range(ell)]
+    left_blocks = [left_shape.lines(j, "col") for j in range(ell)]
+    unknowns = left_shape.ambient_dim
+    basis = [_blocks(row, blocks) for row in first.rows]
+    checks = [_blocks(row, blocks) for row in second.dual().rows]
     right_pools = [gl_group(ctx, n) for n in shape.n]
     lefts: dict = {}
     for sigma in admissible_permutations(shape):
@@ -460,7 +449,7 @@ def equivalent_codes(
                 eqs = _left_equations(ctx, sizes, checks, images, right)
                 space = nullspace_rows(eqs, unknowns, ctx)
                 points = _invertible_points(
-                    ctx, sizes, space, best[0] if best else None, not all_witnesses
+                    ctx, left_blocks, space, best[0] if best else None, not all_witnesses
                 )
                 if all_witnesses:
                     pairs += [(point, right) for point in points]
@@ -473,7 +462,7 @@ def equivalent_codes(
                 pairs = [best]
             for point, right in pairs:
                 left = []
-                for blk in _blocks(point, zip(sizes, sizes)):
+                for blk in _blocks(point, left_blocks):
                     # one matrix per distinct left block, shared by the witnesses
                     if blk not in lefts:
                         lefts[blk] = MatrixFq(ctx, blk)

@@ -19,6 +19,7 @@ from .errors import (
     DimensionMismatch,
     EnumerationTooLarge,
     InvariantViolation,
+    NotPrime,
     ShapeMismatch,
 )
 from .gf import FieldContext
@@ -325,11 +326,20 @@ def trace_product(a: MatrixFq, b: MatrixFq) -> int:
 
 
 class Subspace:
-    """A subspace of F_q^n held as its canonical RREF basis."""
+    """A subspace of F_q^n held as its canonical RREF basis.  The constructor
+    checks that each row has n entries in 0..q-1; _from_rref trusts its caller."""
 
     __slots__ = ("ctx", "ambient", "basis", "pivots")
 
     def __init__(self, ctx: FieldContext, ambient: int, basis: Sequence[Sequence[int]] = ()):
+        if ambient < 0:
+            raise DimensionMismatch(f"ambient dimension {ambient} is negative")
+        top = ctx.q - 1
+        for row in basis:
+            if len(row) != ambient:
+                raise DimensionMismatch(f"a row of {len(row)} entries in ambient {ambient}")
+            if ambient and (min(row) < 0 or max(row) > top):
+                raise ContextMismatch(f"a row entry lies outside 0..{top}")
         rows, pivots = rref(basis, ambient, ctx)
         self.ctx, self.ambient, self.basis, self.pivots = ctx, ambient, tuple(rows), tuple(pivots)
 
@@ -421,6 +431,8 @@ class Subspace:
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
     """Number of k-dimensional subspaces of F_q^n, exact."""
+    if q < 2:
+        raise NotPrime(f"q = {q} is not a field order")
     if k < 0 or k > n:
         return 0
     num = 1
@@ -452,6 +464,8 @@ def enumerate_subspaces(
     total = gaussian_binomial(n, dim, ctx.q)
     if total > cap:
         raise EnumerationTooLarge(f"{total} subspaces exceed cap {cap}")
+    if not total:  # dim outside 0..n
+        return
     if dim == 0:
         yield Subspace.zero(ctx, n)
         return

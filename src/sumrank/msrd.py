@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from .anticode import ANTICODE_CAP, AnticodeDescriptor, BlockSupport, Meet
+from .anticode import AnticodeDescriptor, BlockSupport, Meet
 # bench/selftest.py checks that the benchmark's tracer patches these sites
 from .anticode import enumerate_anticodes, product_descriptors  # noqa: F401
-from .code import LinearCode, Shape
+from .code import ANTICODE_CAP, LinearCode, Shape
 from .errors import (
     DimNotAdmissible,
     InvariantViolation,

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .anticode import ANTICODE_CAP, AnticodeDescriptor, BlockSupport, Meet, _lines
+from .anticode import AnticodeDescriptor, BlockSupport, Meet
 # bench/selftest.py checks that the benchmark's tracer patches this site
 from .anticode import product_descriptors  # noqa: F401
-from .code import LinearCode, Shape
+from .code import ANTICODE_CAP, LinearCode, Shape
 from .errors import (
     AmbientMismatch,
     ContextMismatch,
@@ -140,7 +140,7 @@ class WiretapScenario:
         for i, b in enumerate(self.taps):
             if b is not None:
                 cols = list(zip(*b.rows))
-                for line in _lines(shape, i, "col"):
+                for line in shape.lines(i, "col"):
                     out.extend(_dot(ctx, flat[line.start : line.stop], col) for col in cols)
         return tuple(out)
 

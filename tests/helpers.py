@@ -6,7 +6,7 @@ avoid the library's theorem-backed code paths: they enumerate.
 """
 
 import random
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations, product as iter_product
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -20,7 +20,6 @@ from sumrank import (
     admissible_permutations,
     dim_decomposition,
     enumerate_anticodes,
-    gl_group,
     product_descriptors,
     r_mu,
     singleton_distance_bound,
@@ -255,13 +254,26 @@ def _row_support_rows(shape, i, basis, mm, nn):
     return out
 
 
+@lru_cache(maxsize=None)
+def gl_group_reference(ctx: FieldContext, n: int) -> Tuple[MatrixFq, ...]:
+    """GL(n, F_q) by rejection: every n x n matrix in row-major counter order
+    (first entry slowest), kept when brute_rank finds it invertible."""
+    out = []
+    for entries in iter_product(range(ctx.q), repeat=n * n):
+        rows = [entries[i * n : (i + 1) * n] for i in range(n)]
+        if brute_rank(ctx, rows) == n:
+            out.append(MatrixFq(ctx, rows))
+    return tuple(out)
+
+
 def brute_equivalence(first: LinearCode, second: LinearCode, all_witnesses: bool = False):
     """Isometry search over both GL factors, one code image per isometry.
 
     Walks permutations, transpose masks, left tuples and then right tuples
     (block 0 slowest), so the first witness is the least in that order.
     Returns that witness or None; with all_witnesses, every witness in
-    walk order.
+    walk order.  The GL pools come from gl_group_reference, so no part of
+    the search's pruned walk of invertible points is shared.
     """
     shape, ctx = first.shape, first.ctx
     found = []
@@ -274,8 +286,8 @@ def brute_equivalence(first: LinearCode, second: LinearCode, all_witnesses: bool
         for bits in range(1 << len(squares))
     ]
     basis = first.basis_tuples()
-    left_pools = [gl_group(ctx, m) for m in shape.m]
-    right_pools = [gl_group(ctx, n) for n in shape.n]
+    left_pools = [gl_group_reference(ctx, m) for m in shape.m]
+    right_pools = [gl_group_reference(ctx, n) for n in shape.n]
     for sigma in admissible_permutations(shape):
         for mask in masks:
             blocks_in = [

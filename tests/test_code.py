@@ -20,6 +20,7 @@ from sumrank.errors import (
     EnumerationTooLarge,
     ShapeMismatch,
     TrivialCode,
+    UnknownChoice,
 )
 
 from helpers import F2, F3, F4, brute_rank, random_code, random_shape
@@ -240,6 +241,38 @@ def test_block_projection():
     p1 = code.block_projection(1)
     assert p0.dim == 2 and p1.dim == 1
     assert p1.contains((1, 0))
+
+
+@pytest.mark.parametrize("i", [-1, 2, 5])
+def test_block_projection_refuses_a_block_out_of_range(i):
+    code = LinearCode(Shape((2, 2), (1, 1)), F2, [(1, 0, 1, 0)])
+    with pytest.raises(ShapeMismatch, match="out of range"):
+        code.block_projection(i)
+
+
+def test_a_row_entry_outside_the_field_is_refused():
+    # (2, 0, 0, 0) is not a word over F_2; it used to become a zero basis row
+    with pytest.raises(ContextMismatch):
+        LinearCode(Shape((2,), (2,)), F2, [(2, 0, 0, 0)])
+    with pytest.raises(ContextMismatch):
+        LinearCode(Shape((2,), (2,)), F3, [(0, -1, 0, 0)])
+
+
+def test_a_row_of_the_wrong_length_is_refused():
+    for row in [(1, 0, 0), (1, 0, 0, 0, 1)]:
+        with pytest.raises(DimensionMismatch):
+            LinearCode(Shape((2,), (2,)), F2, [(0, 1, 1, 0), row])
+
+
+def test_shape_lines_refuse_unknown_kinds_and_blocks():
+    shape = Shape((3, 1, 1), (2, 1, 1))
+    assert shape.lines(3, "tail") == [range(8, 8)]
+    with pytest.raises(ShapeMismatch):
+        shape.lines(3, "col")
+    with pytest.raises(ShapeMismatch):
+        shape.lines(4, "tail")
+    with pytest.raises(UnknownChoice):
+        shape.lines(0, "diagonal")
 
 
 def test_code_serialization_roundtrip():

@@ -20,7 +20,7 @@ from sumrank import (
 )
 from sumrank.errors import GroupTooLarge, IllegalTranspose, ShapeMismatch
 
-from helpers import F2, F3, random_code, random_shape
+from helpers import F2, F3, F4, gl_group_reference, random_code, random_shape
 
 
 def test_gl_order_values():
@@ -38,6 +38,16 @@ def test_gl_group_enumeration():
         assert len(set(group)) == len(group)
         for g in group:
             assert g.is_invertible()
+
+
+@pytest.mark.parametrize(
+    "ctx,n", [(F2, 1), (F2, 2), (F2, 3), (F2, 4), (F3, 2), (F3, 3), (F4, 2)],
+    ids=lambda x: f"F{x.q}" if hasattr(x, "q") else str(x),
+)
+def test_gl_group_matches_the_rejection_reference(ctx, n):
+    """The pruned walk lists the invertible matrices the rejection loop
+    keeps, in the same row-major counter order."""
+    assert gl_group(ctx, n) == gl_group_reference(ctx, n)
 
 
 def test_random_gl_invertible():

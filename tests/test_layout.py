@@ -1,8 +1,8 @@
 """The flat layout of anticode factors against the layout's own definition.
 
-Meet and materialize both read factor coordinates from anticode._lines, so
+Meet and materialize both read factor coordinates from Shape.lines, so
 a slip there would pass their differential tests unnoticed.  These tests
-check _lines against MatrixTuple.from_flat, and materialize against the
+check Shape.lines against MatrixTuple.from_flat, and materialize against the
 support definition through block row and column spaces.
 """
 
@@ -11,9 +11,10 @@ import random
 import pytest
 
 from sumrank import AnticodeDescriptor, BlockSupport, MatrixTuple, Shape, Subspace
-from sumrank.anticode import _lines
 
 from helpers import F2, F3
+
+_lines = Shape.lines
 
 SHAPES = [
     Shape((3, 3), (3, 3)),  # square blocks: row supports legal

@@ -23,6 +23,7 @@ from sumrank.errors import (
     ContextMismatch,
     DimensionMismatch,
     EnumerationTooLarge,
+    UsageError,
 )
 import sumrank.matfq as matfq
 from sumrank.code import trace_pairing
@@ -257,6 +258,34 @@ def test_gaussian_binomial_values():
     for n in range(6):
         for k in range(n + 1):
             assert gaussian_binomial(n, k, 2) == gaussian_binomial(n, n - k, 2)
+
+
+@pytest.mark.parametrize("q", [1, 0, -2])
+def test_gaussian_binomial_refuses_a_non_field_order(q):
+    with pytest.raises(UsageError, match="field order"):
+        gaussian_binomial(3, 1, q)
+
+
+def test_enumerate_subspaces_of_negative_dimension_is_empty():
+    assert gaussian_binomial(3, -1, 2) == 0
+    assert list(enumerate_subspaces(F2, 3, -1)) == []
+    assert list(enumerate_subspaces(F3, 2, 3)) == []
+
+
+def test_subspace_refuses_an_entry_outside_the_field():
+    with pytest.raises(ContextMismatch):
+        Subspace(F3, 3, [(1, 2, 7)])
+    with pytest.raises(ContextMismatch):
+        Subspace(F3, 3, [(1, 0, 0), (0, -1, 0)])
+    assert Subspace(F3, 3, [(1, 2, 2)]).basis == ((1, 2, 2),)
+
+
+def test_subspace_refuses_a_row_of_the_wrong_length_or_a_negative_ambient():
+    with pytest.raises(DimensionMismatch):
+        Subspace(F2, 3, [(1, 0, 1), (1, 0)])
+    with pytest.raises(DimensionMismatch):
+        Subspace(F2, -1)
+    assert Subspace(F2, 0, [()]).dim == 0
 
 
 def test_enumerate_subspaces_counts_and_distinctness():
