@@ -23,10 +23,12 @@ from sumrank import (
 from sumrank.gf import FieldContext
 from sumrank.matfq import MatrixFq
 
+from fieldarg import field_of_order
+
 
 @dataclass(frozen=True)
 class SweepConfig:
-    q: int
+    ctx: FieldContext
     m: tuple
     n: tuple
     dim: int
@@ -36,7 +38,7 @@ class SweepConfig:
 
 def parse_config() -> SweepConfig:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--q", type=int, default=2)
+    parser.add_argument("--q", type=field_of_order, default="2", help="a prime power")
     parser.add_argument("--m", type=int, nargs="+", default=[2, 2])
     parser.add_argument("--n", type=int, nargs="+", default=[2, 2])
     parser.add_argument("--dim", type=int, default=4)
@@ -50,7 +52,7 @@ def parse_config() -> SweepConfig:
 
 def main() -> int:
     config = parse_config()
-    ctx = FieldContext(config.q, 1)
+    ctx = config.ctx
     shape = Shape(config.m, config.n)
     rng = random.Random(config.seed)
     while True:

@@ -12,10 +12,12 @@ from dataclasses import dataclass
 from sumrank import LinearCode, Shape, msrd_check, msrd_weight_profile, suffix_masses
 from sumrank.gf import FieldContext
 
+from fieldarg import field_of_order
+
 
 @dataclass(frozen=True)
 class HuntConfig:
-    q: int
+    ctx: FieldContext
     m: tuple
     n: tuple
     tries: int
@@ -24,7 +26,7 @@ class HuntConfig:
 
 def parse_config() -> HuntConfig:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--q", type=int, default=2)
+    parser.add_argument("--q", type=field_of_order, default="2", help="a prime power")
     parser.add_argument("--m", type=int, nargs="+", default=[2, 1, 1])
     parser.add_argument("--n", type=int, nargs="+", default=[1, 1, 1])
     parser.add_argument("--tries", type=int, default=300)
@@ -47,7 +49,7 @@ def exact_dims(shape: Shape):
 
 def main() -> None:
     config = parse_config()
-    ctx = FieldContext(config.q, 1)
+    ctx = config.ctx
     shape = Shape(config.m, config.n)
     rng = random.Random(config.seed)
     print(f"shape {shape.m} x {shape.n} over F_{ctx.q}")

@@ -19,10 +19,12 @@ from sumrank import (
 from sumrank.errors import UnequalRowDims
 from sumrank.gf import FieldContext
 
+from fieldarg import field_of_order
+
 
 @dataclass(frozen=True)
 class DemoConfig:
-    q: int
+    ctx: FieldContext
     m: tuple
     n: tuple
     dim: int
@@ -32,7 +34,7 @@ class DemoConfig:
 
 def parse_config() -> DemoConfig:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--q", type=int, default=2)
+    parser.add_argument("--q", type=field_of_order, default="2", help="a prime power")
     parser.add_argument("--m", type=int, nargs="+", default=[2, 2])
     parser.add_argument("--n", type=int, nargs="+", default=[2, 1])
     parser.add_argument("--dim", type=int, default=3)
@@ -55,7 +57,7 @@ def random_code(rng, ctx, shape, dim) -> LinearCode:
 
 def main() -> None:
     config = parse_config()
-    ctx = FieldContext(config.q, 1)
+    ctx = config.ctx
     shape = Shape(config.m, config.n)
     rng = random.Random(config.seed)
     print(f"shape {shape.m} x {shape.n} over F_{ctx.q}, dim {config.dim}")

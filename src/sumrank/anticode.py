@@ -28,7 +28,15 @@ from .errors import (
     UnknownChoice,
 )
 from .gf import FieldContext
-from .matfq import Subspace, _echelon, _xor_echelon, enumerate_subspaces, gaussian_binomial
+from .matfq import (
+    Subspace,
+    _echelon,
+    _F3Rows,
+    _Gf2eRows,
+    _xor_echelon,
+    enumerate_subspaces,
+    gaussian_binomial,
+)
 
 __all__ = [
     "BlockSupport",
@@ -185,13 +193,19 @@ class Meet:
     kind) pool for sweep, and the binary tails once, so make one Meet per
     sweep and drop it after.
 
-    Over F_2 the column of G at each coordinate is packed once into an
-    int, bit r holding row r; a column G·h is then the XOR of the packed
-    columns where h is 1, and every echelon runs on such ints through
-    _xor_echelon.  Other fields keep list rows and _echelon.
+    The column of G at each coordinate is packed once, and __init__ picks
+    the kernel every echelon runs through.  Over F_2 a column is an int,
+    bit r holding row r; a column G·h is the XOR of the packed columns
+    where h is 1, reduced by _xor_echelon.  Over F_3 (_F3Rows) and F_{2^e}
+    (_Gf2eRows) each packed column is kept with its q multiples, G·h is
+    their packed sum, and the kernel's echelon reduces it.  Other fields
+    keep list rows and _echelon.  The zero code packs nothing and its
+    echelons are empty, however large the ambient space.
     """
 
-    __slots__ = ("code", "_columns", "_pools", "_tails", "_packed", "_echelon")
+    __slots__ = (
+        "code", "_columns", "_pools", "_tails", "_packed", "_multiples", "_sum", "_echelon"
+    )
 
     def __init__(self, code: LinearCode):
         self.code = code
@@ -199,12 +213,17 @@ class Meet:
         self._pools: dict = {}
         self._tails: Optional[List[Subspace]] = None
         self._packed: Optional[List[int]] = None
+        self._multiples: Optional[list] = None
         self._echelon = _echelon
-        if code.ctx.q == 2:
+        ctx, columns = code.ctx, list(zip(*code.rows))  # G's columns; none on the zero code
+        if ctx.q == 2:
             self._echelon = _xor_echelon
-            self._packed = [
-                sum(row[pos] << r for r, row in enumerate(code.rows))
-                for pos in range(code.shape.ambient_dim)
+            self._packed = [sum(x << r for r, x in enumerate(col)) for col in columns]
+        elif ctx.q == 3 or ctx.p == 2:
+            kernel = _F3Rows() if ctx.q == 3 else _Gf2eRows(ctx, code.dim)
+            self._echelon, self._sum = kernel.echelon, kernel.add_all
+            self._multiples = [
+                [kernel.scale(h, v) for h in range(ctx.q)] for v in map(kernel.pack, columns)
             ]
 
     def dim(self, desc: AnticodeDescriptor) -> int:
@@ -312,10 +331,15 @@ class Meet:
         """
         code = self.code
         shape, ctx = code.shape, code.ctx
+        if not code.dim:
+            return [], []
         add, mul = ctx.add, ctx.mul
-        packed, cols = self._packed, []
+        packed, multiples, cols = self._packed, self._multiples, []
         for line in shape.lines(i, kind):
             for chk in checks:
+                if multiples is not None:
+                    cols.append(self._sum([multiples[pos][h] for pos, h in zip(line, chk) if h]))
+                    continue
                 func = [(pos, h) for pos, h in zip(line, chk) if h]
                 if packed is not None:
                     col = 0

@@ -27,7 +27,7 @@ from .errors import (
     UsageError,
 )
 from .gf import field_from_dict
-from .matfq import MatrixFq
+from .matfq import _checked_matrix
 
 if TYPE_CHECKING:
     from .genweights import GammaBasis
@@ -102,7 +102,7 @@ def _read_matrix_list(path: str):
 
     def build(d):
         ctx = field_from_dict(d["field"])
-        return ctx, [MatrixFq(ctx, rows) for rows in d["mats"]]
+        return ctx, [_checked_matrix(ctx, rows) for rows in d["mats"]]
 
     return _build(path, build, data)
 
@@ -277,8 +277,8 @@ def _cmd_meshulam(config: RunConfig) -> dict:
 
     def build(d):
         ctx = field_from_dict(d["field"])
-        a = MatrixFq(ctx, d["a"])
-        mats = [MatrixFq(ctx, rows) for rows in d["mats"]]
+        a = _checked_matrix(ctx, d["a"])
+        mats = [_checked_matrix(ctx, rows) for rows in d["mats"]]
         return a, mats
 
     a, mats = _build(config.paths[0], build, data)
@@ -332,7 +332,7 @@ def _read_taps(path: str, code: LinearCode):
             raise UsageError(f"{path}: tap field differs from the code's field")
         out = []
         for entry in d["taps"]:
-            out.append(None if entry is None else MatrixFq(code.ctx, entry))
+            out.append(None if entry is None else _checked_matrix(code.ctx, entry))
         return tuple(out)
 
     return _build(path, build, data)

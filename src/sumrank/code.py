@@ -29,7 +29,7 @@ from .errors import (
     UnknownChoice,
 )
 from .gf import FieldContext, field_from_dict
-from .matfq import MatrixFq, Subspace, _dot, rank_rows, walk_span
+from .matfq import MatrixFq, Subspace, _checked_matrix, _dot, rank_rows, walk_span
 # bench/selftest.py checks that the benchmark's tracer patches this site
 from .matfq import rref  # noqa: F401
 
@@ -237,7 +237,7 @@ class MatrixTuple:
     def from_dict(cls, data: dict) -> "MatrixTuple":
         ctx = field_from_dict(data["field"])
         shape = Shape.from_dict(data["shape"])
-        return cls(shape, [MatrixFq(ctx, b) for b in data["blocks"]])
+        return cls(shape, [_checked_matrix(ctx, b) for b in data["blocks"]])
 
 
 def trace_pairing(d: MatrixTuple, c: MatrixTuple) -> int:
@@ -541,6 +541,6 @@ class LinearCode:
         ctx = field_from_dict(data["field"])
         shape = Shape.from_dict(data["shape"])
         tuples = [
-            MatrixTuple(shape, [MatrixFq(ctx, b) for b in row]) for row in data["basis"]
+            MatrixTuple(shape, [_checked_matrix(ctx, b) for b in row]) for row in data["basis"]
         ]
         return cls.from_tuples(shape, ctx, tuples)

@@ -65,8 +65,12 @@ def gen_weight(
     _check_variant_shape(code.shape, variant)
     if not 1 <= r <= code.dim:
         raise RankOutOfRange(f"r={r} outside 1..{code.dim}")
-    meet = Meet(code)
-    for mu in range(1, code.shape.ncols + 1):
+    return _least_weight(Meet(code), r, variant, cap)
+
+
+def _least_weight(meet: Meet, r: int, variant: str, cap: int) -> int:
+    """gen_weight of meet.code, through a caller's Meet and its pools."""
+    for mu in range(1, meet.code.shape.ncols + 1):
         if next(meet.sweep(mu, variant, cap, floor=r - 1), None) is not None:
             return mu
     raise InvariantViolation("the full space must meet every rank demand")

@@ -3,8 +3,10 @@
 The reduced row echelon form is the only canonical representation used
 for subspaces anywhere in the package, so equality of spans is always a
 tuple comparison.  Entries are integer element representations; every
-operation goes through the context, except in _xor_echelon, which
-reduces the F_2 rows Meet packs into ints.  One row update (_clear) serves
+operation goes through the context, except in the packed row kernels that
+reduce the columns Meet packs: _xor_echelon over F_2 (ints), _F3Rows over
+F_3 (pairs of bit planes) and _Gf2eRows over F_{2^e} (e bits per entry),
+after Boothby and Bradshaw, arXiv:0901.1413.  One row update (_clear) serves
 forward elimination, back-substitution and reduce_against, and one field
 dot product (_dot) serves every matrix product and pairing.  Results that
 come out in RREF (duals, intersections) are wrapped, not reduced again.
@@ -12,6 +14,8 @@ come out in RREF (duals, intersections) are wrapped, not reduced again.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import xor
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .errors import (
@@ -147,6 +151,112 @@ def _xor_echelon(rows: Iterable[int], ncols: int, ctx=None, start=()):
     return basis
 
 
+class _F3Rows:
+    """Vectors of F_3^k as bit-plane pairs (ones, twos): bit j of ones is set
+    where entry j is 1, of twos where it is 2.  A sum is seven OR/XOR
+    operations on whole rows, t = (a1 | b2) ^ (a2 | b1) and then
+    ((a2 | b2) ^ t, (a1 | b1) ^ t); negating a vector swaps its planes.
+    """
+
+    __slots__ = ()
+
+    @staticmethod
+    def pack(vec: Sequence[int]) -> Tuple[int, int]:
+        return (
+            sum(1 << j for j, x in enumerate(vec) if x == 1),
+            sum(1 << j for j, x in enumerate(vec) if x == 2),
+        )
+
+    @staticmethod
+    def scale(c: int, v: Tuple[int, int]) -> Tuple[int, int]:
+        return (0, 0) if c == 0 else v if c == 1 else (v[1], v[0])
+
+    @staticmethod
+    def add_all(vecs) -> Tuple[int, int]:
+        a1 = a2 = 0
+        for b1, b2 in vecs:
+            t = (a1 | b2) ^ (a2 | b1)
+            a1, a2 = (a2 | b2) ^ t, (a1 | b1) ^ t
+        return a1, a2
+
+    @staticmethod
+    def echelon(rows, ncols: int, ctx=None, start=()):
+        """_echelon on packed rows: [(lowest set bit, row)] with _echelon's
+        rows; ctx is unused, as in _xor_echelon."""
+        basis: list = list(start)
+        for row in rows:
+            if len(basis) == ncols:
+                break
+            r1, r2 = row
+            for low, (p1, p2) in basis:
+                if r1 & low:  # subtract the pivot row: add it with its planes swapped
+                    t = (r1 | p1) ^ (r2 | p2)
+                    r1, r2 = (r2 | p1) ^ t, (r1 | p2) ^ t
+                elif r2 & low:  # add it
+                    t = (r1 | p2) ^ (r2 | p1)
+                    r1, r2 = (r2 | p2) ^ t, (r1 | p1) ^ t
+            nz = r1 | r2
+            if nz:
+                low = nz & -nz
+                basis.append((low, (r1, r2) if r1 & low else (r2, r1)))
+        return basis
+
+
+class _Gf2eRows:
+    """Vectors of F_{2^e}^k, e >= 2, each packed into one int with e bits per
+    entry, entry j at bits e*j and up.  A sum is one XOR.  c times a vector
+    v is the XOR over i < e of ((v >> i) & M) * (c x^i), M marking bit 0 of
+    every entry: each product of a 0/1 entry and an element below 2^e stays
+    inside its entry.
+    """
+
+    __slots__ = ("e", "ones", "times", "inverse")
+
+    def __init__(self, ctx: FieldContext, k: int):
+        e, q = ctx.e, ctx.q
+        self.e = e
+        self.ones = ((1 << e * k) - 1) // (q - 1)
+        self.times = [[ctx.mul(c, 1 << i) for i in range(e)] for c in range(q)]
+        self.inverse = [0] + [ctx.inv(c) for c in range(1, q)]
+
+    def pack(self, vec: Sequence[int]) -> int:
+        e = self.e
+        return sum(x << e * j for j, x in enumerate(vec))
+
+    def scale(self, c: int, v: int) -> int:
+        out, ones = 0, self.ones
+        for i, x in enumerate(self.times[c]):
+            out ^= (v >> i & ones) * x
+        return out
+
+    @staticmethod
+    def add_all(vecs) -> int:
+        return reduce(xor, vecs, 0)
+
+    def echelon(self, rows, ncols: int, ctx=None, start=()):
+        """_echelon on packed rows: [(bit offset of the pivot entry, row)]
+        with _echelon's rows; ctx is unused, as in _xor_echelon."""
+        e, ones, times, inverse = self.e, self.ones, self.times, self.inverse
+        top = len(inverse) - 1
+        basis: list = list(start)
+        for row in rows:
+            if len(basis) == ncols:
+                break
+            for shift, prow in basis:
+                c = row >> shift & top
+                if c == 1:
+                    row ^= prow
+                elif c:  # row - c prow: scale's products, XORed into row
+                    for i, x in enumerate(times[c]):
+                        row ^= (prow >> i & ones) * x
+            if row:
+                shift = (row & -row).bit_length() - 1
+                shift -= shift % e
+                c = row >> shift & top
+                basis.append((shift, row if c == 1 else self.scale(inverse[c], row)))
+        return basis
+
+
 def rank_rows(rows: Iterable[Sequence[int]], ncols: int, ctx: FieldContext) -> int:
     """Rank of the matrix with the given rows, by forward elimination only."""
     return len(_echelon(rows, ncols, ctx))
@@ -196,6 +306,18 @@ def nullspace_rows(rows: Iterable[Sequence[int]], ncols: int, ctx: FieldContext)
     """Canonical basis of {x : M x = 0} for the matrix M with the given rows."""
     red, pivots = rref(rows, ncols, ctx)
     return _nullspace(red, pivots, ncols, ctx)[0]
+
+
+def _checked_matrix(ctx: FieldContext, rows) -> "MatrixFq":
+    """The MatrixFq of rows read from a payload, refusing any entry that is
+    not an int in 0..q-1 (a bool included), which the constructor would
+    reduce mod q."""
+    q = ctx.q
+    for row in rows:
+        for x in row:
+            if type(x) is not int or not 0 <= x < q:
+                raise ContextMismatch(f"matrix entry {x!r} is not an element of F_{q}")
+    return MatrixFq(ctx, rows)
 
 
 class MatrixFq:
@@ -327,7 +449,8 @@ def trace_product(a: MatrixFq, b: MatrixFq) -> int:
 
 class Subspace:
     """A subspace of F_q^n held as its canonical RREF basis.  The constructor
-    checks that each row has n entries in 0..q-1; _from_rref trusts its caller."""
+    checks that each row has n int entries in 0..q-1 (a bool passes as the
+    int it is); _from_rref trusts its caller."""
 
     __slots__ = ("ctx", "ambient", "basis", "pivots")
 
@@ -340,6 +463,8 @@ class Subspace:
                 raise DimensionMismatch(f"a row of {len(row)} entries in ambient {ambient}")
             if ambient and (min(row) < 0 or max(row) > top):
                 raise ContextMismatch(f"a row entry lies outside 0..{top}")
+            if type(sum(row)) is not int:  # a float entry, or any other non-int number
+                raise ContextMismatch("a row entry is not an int")
         rows, pivots = rref(basis, ambient, ctx)
         self.ctx, self.ambient, self.basis, self.pivots = ctx, ambient, tuple(rows), tuple(pivots)
 

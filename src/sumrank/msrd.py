@@ -24,7 +24,7 @@ from .errors import (
     ShapeMismatch,
     TrivialCode,
 )
-from .genweights import weight_profile
+from .genweights import _least_weight, weight_profile
 from .matfq import Subspace
 
 __all__ = [
@@ -235,13 +235,15 @@ def msrd_check(code: LinearCode, cap: int = ANTICODE_CAP) -> MsrdReport:
         raise TrivialCode("the zero code has no distance")
     n = shape.ncols
     ambient = shape.ambient_dim
-    d = code.min_distance(method="anticode", cap=cap)
+    # the distance is d_1 of the product family; its sweep fills the pools
+    # that the criteria below read again
+    meet = Meet(code)
+    d = _least_weight(meet, 1, "product", cap)
     j, delta, s = dim_decomposition(shape, code.dim)
     bound = singleton_distance_bound(shape, code.dim)
     if d > bound:
         raise InvariantViolation("distance exceeds the dimension bound")
     is_msrd = s == 0 and d == bound
-    meet = Meet(code)
 
     # C0: every largest anticode one short of the distance complements the
     # code, dim(C + A) = dim C + dim A - dim(C ∩ A); dim(C + A) <= ambient,

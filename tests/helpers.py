@@ -32,6 +32,8 @@ from sumrank.msrd import _column_window_descriptor
 F2 = FieldContext(2, 1)
 F3 = FieldContext(3, 1)
 F4 = FieldContext(2, 2)
+F8 = FieldContext(2, 3)
+F9 = FieldContext(3, 2)
 
 
 def random_shape(

@@ -283,6 +283,37 @@ def test_usage_failures_exit_one(tmp_path, capsys):
     assert status == 1
 
 
+@pytest.mark.parametrize("field", [{"p": 2, "e": 1}, {"p": 3, "e": 1}, {"p": 2, "e": 2}])
+def test_gweights_oracle_on_a_vast_zero_code(tmp_path, capsys, field):
+    # Meet used to pack a column for each of the 7e10 ambient coordinates
+    payload = {"field": field, "shape": {"m": [27833789, 2434], "n": [2517, 1]}, "basis": []}
+    path = _write(tmp_path, "zero.json", payload)
+    status, out, _ = _run(["gweights", path, "--oracle"], capsys)
+    assert status == 0
+    assert json.loads(out) == {"variant": "product", "dim": 0, "weights": []}
+
+
+@pytest.mark.parametrize("blocks", [[[1.5, 0], [3, 1]], [[True, 0], [-1, 1]], [[1, 0], [2, 1]]])
+def test_entries_outside_the_field_exit_one(tmp_path, capsys, blocks):
+    # these tuples used to be reduced mod 2 and answer srk 2 with exit 0
+    field = {"p": 2, "e": 1}
+    tup = {"field": field, "shape": {"m": [2], "n": [2]}, "blocks": [blocks]}
+    status, out, err = _run(["srk", _write(tmp_path, "t.json", tup)], capsys)
+    assert status == 1 and out == "" and "not an element of F_2" in err
+    code = _write(tmp_path, "c.json", dict(IDENTITY_CODE, basis=[[blocks]]))
+    status, _, err = _run(["dist", code], capsys)
+    assert status == 1 and "not an element" in err
+    taps = _write(tmp_path, "taps.json", {"field": field, "taps": [blocks]})
+    status, _, err = _run(["leak", _write(tmp_path, "i.json", IDENTITY_CODE), taps], capsys)
+    assert status == 1 and "not an element" in err
+    mats = _write(tmp_path, "m.json", dict(COVER_MATS, mats=COVER_MATS["mats"] + [blocks]))
+    status, _, err = _run(["rho", mats], capsys)
+    assert status == 1 and "not an element" in err
+    pair = _write(tmp_path, "a.json", dict(COVER_MATS, a=blocks))
+    status, _, err = _run(["meshulam", pair], capsys)
+    assert status == 1 and "not an element" in err
+
+
 def test_oracle_mismatch_exits_two(tmp_path, capsys, monkeypatch):
     import sumrank.cli as cli_mod
 

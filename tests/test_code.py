@@ -258,6 +258,27 @@ def test_a_row_entry_outside_the_field_is_refused():
         LinearCode(Shape((2,), (2,)), F3, [(0, -1, 0, 0)])
 
 
+def test_a_row_entry_that_is_not_an_int_is_refused():
+    # a float used to stay in the basis as it was given
+    for row in [(1.0, 1), (1, 1.0), (0, 0.5)]:
+        with pytest.raises(ContextMismatch):
+            LinearCode(Shape((2,), (1,)), F2, [row])
+
+
+@pytest.mark.parametrize("entry", [1.5, True, False, -1, 3, "1", None])
+def test_payload_readers_refuse_an_entry_outside_the_field(entry):
+    # MatrixFq reduces entries mod q; the payload readers must not let it
+    blocks = [[[1, 0], [entry, 1]]]
+    tup = {"field": {"p": 2, "e": 1}, "shape": {"m": [2], "n": [2]}, "blocks": blocks}
+    with pytest.raises(ContextMismatch):
+        MatrixTuple.from_dict(tup)
+    code = {"field": {"p": 2, "e": 1}, "shape": {"m": [2], "n": [2]}, "basis": [blocks]}
+    with pytest.raises(ContextMismatch):
+        LinearCode.from_dict(code)
+    ok = dict(tup, blocks=[[[1, 0], [1, 1]]])
+    assert MatrixTuple.from_dict(ok).srk() == 2
+
+
 def test_a_row_of_the_wrong_length_is_refused():
     for row in [(1, 0, 0), (1, 0, 0, 0, 1)]:
         with pytest.raises(DimensionMismatch):

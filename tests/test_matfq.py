@@ -33,14 +33,14 @@ from helpers import (
     F2,
     F3,
     F4,
+    F8,
+    F9,
     brute_rank,
     random_matrix,
     random_shape,
     reduce_against_reference,
     span_vectors,
 )
-
-F9 = FieldContext(3, 2)
 
 
 def test_rref_canonical_and_idempotent():
@@ -280,6 +280,13 @@ def test_subspace_refuses_an_entry_outside_the_field():
     assert Subspace(F3, 3, [(1, 2, 2)]).basis == ((1, 2, 2),)
 
 
+def test_subspace_refuses_an_entry_that_is_not_an_int():
+    # 1.5 used to reach pow() in the field inverse as a bare TypeError
+    for rows in ([(1.5, 0)], [(1, 0), (0, 1.0)], [(0, 2.0)]):
+        with pytest.raises(ContextMismatch):
+            Subspace(F3, 2, rows)
+
+
 def test_subspace_refuses_a_row_of_the_wrong_length_or_a_negative_ambient():
     with pytest.raises(DimensionMismatch):
         Subspace(F2, 3, [(1, 0, 1), (1, 0)])
@@ -459,6 +466,69 @@ def test_xor_echelon_matches_echelon_over_f2():
             assert matfq._xor_echelon(packed + [None], top) == got
             assert matfq._echelon(rows + [None], top, F2) == want
             assert len(matfq._xor_echelon(packed, top - 1)) == top - 1
+
+
+F16 = FieldContext(2, 4)
+
+
+def _packed_io(ctx, n):
+    """(kernel, pack, unpack, pivot column) for rows of F_q^n, packing and
+    unpacking written out one entry at a time."""
+    if ctx.q == 3:
+        return (
+            matfq._F3Rows(),
+            lambda row: (_pack([x == 1 for x in row]), _pack([x == 2 for x in row])),
+            lambda v: [(v[0] >> j & 1) + 2 * (v[1] >> j & 1) for j in range(n)],
+            lambda low: low.bit_length() - 1,
+        )
+    e = ctx.e
+    return (
+        matfq._Gf2eRows(ctx, n),
+        lambda row: sum(x << e * j for j, x in enumerate(row)),
+        lambda v: [v >> e * j & (ctx.q - 1) for j in range(n)],
+        lambda shift: shift // e,
+    )
+
+
+@pytest.mark.parametrize("ctx", [F3, F4, F8, F16], ids=["q3", "q4", "q8", "q16"])
+def test_packed_kernels_match_echelon(ctx):
+    # products L R of rank at most r, so dependent and zero rows occur, and
+    # square ones of full rank; widths up to 40 put a packed row past 64 bits
+    rng = random.Random(73 + ctx.q)
+    full = zero = 0
+    for trial in range(120):
+        n = rng.choice((1, 2, 5, 12, 40))
+        m, r = (n, n) if trial % 6 == 0 else (rng.randint(0, 12), rng.randint(0, 12))
+        left = [[rng.randrange(ctx.q) for _ in range(r)] for _ in range(m)]
+        right = [[rng.randrange(ctx.q) for _ in range(n)] for _ in range(r)]
+        rows = [[_brute_dot(ctx, row, col) for col in zip(*right)] for row in left]
+        kernel, pack, unpack, column = _packed_io(ctx, n)
+        packed = [pack(row) for row in rows]
+        want = matfq._echelon(rows, n, ctx)
+        got = kernel.echelon(packed, n)
+        assert len(got) == len(want) == brute_rank(ctx, rows)
+        full += len(got) == n
+        zero += [0] * n in rows
+        assert [column(piv) for piv, _ in got] == [col for col, _ in want]
+        assert [unpack(p) for _, p in got] == [row for _, row in want]
+        # extending a start is one-shot elimination and leaves the start as it was
+        cut = rng.randint(0, m)
+        start = kernel.echelon(packed[:cut], n)
+        kept = list(start)
+        assert kernel.echelon(packed[cut:], n, None, start) == got
+        assert start == kept
+        # elimination stops at ncols: a row past full rank is never reduced
+        if got:
+            top = len(got)
+            assert kernel.echelon(packed + [None], top) == got
+            assert len(kernel.echelon(packed, top - 1)) == top - 1
+        # the column arithmetic Meet builds G·h with
+        u, v = ([rng.randrange(ctx.q) for _ in range(n)] for _ in range(2))
+        for c in range(ctx.q):
+            assert unpack(kernel.scale(c, pack(u))) == [ctx.mul(c, x) for x in u]
+        assert unpack(kernel.add_all([pack(u), pack(v)])) == [ctx.add(x, y) for x, y in zip(u, v)]
+        assert unpack(kernel.add_all([])) == [0] * n
+    assert full and zero
 
 
 @FIELDS

@@ -19,7 +19,7 @@ from sumrank.errors import ContextMismatch, ShapeMismatch
 from sumrank.msrd import _column_window_descriptor
 from sumrank.wiretap import _tap_supports
 
-from helpers import F2, F3, F4, random_code, random_matrix
+from helpers import F2, F3, F4, F8, F9, random_code, random_matrix
 
 
 def _oracle(code, desc):
@@ -41,6 +41,9 @@ FAMILIES = [
     ("product", F2, Shape((3, 2), (3, 2))),
     ("product", F3, Shape((2, 2), (2, 2))),
     ("product", F4, Shape((2, 2), (2, 2))),
+    ("product", F8, Shape((2, 1), (2, 1))),
+    # F_9 keeps list rows and _echelon
+    ("product", F9, Shape((2, 1), (2, 1))),
     # binary Hamming tails on three trailing 1x1 blocks
     ("all", F2, Shape((2, 1, 1, 1), (2, 1, 1, 1))),
     ("all", F2, Shape((1, 1, 1), (1, 1, 1))),

@@ -1,10 +1,11 @@
 """The pruned family walker (Meet.sweep) against the flat sweep it replaced.
 
 Every result that a sweep feeds is compared with the flat loops of
-tests/helpers.py, over F_2, F_3 and F_4, on the product family, the binary
-tail family and the support family of non-strict shapes, for the zero
-code, the full space, random codes and MSRD codes.  Small caps must refuse
-at the same weight and with the same message as the flat sweep.
+tests/helpers.py, over F_2, F_3, F_4, F_8 and F_9, on the product family,
+the binary tail family and the support family of non-strict shapes, for
+the zero code, the full space, random codes and MSRD codes.  Small caps
+must refuse at the same weight and with the same message as the flat
+sweep.
 """
 
 import random
@@ -29,6 +30,8 @@ from helpers import (
     F2,
     F3,
     F4,
+    F8,
+    F9,
     flat_family,
     flat_gen_weight,
     flat_leakage,
@@ -43,6 +46,9 @@ CASES = [
     ("product", F2, Shape((3, 2), (3, 2))),
     ("product", F3, Shape((2, 2), (2, 2))),
     ("product", F4, Shape((2, 2), (2, 1))),
+    ("product", F8, Shape((2, 1), (2, 1))),
+    # F_9 keeps list rows and _echelon
+    ("product", F9, Shape((2, 1), (2, 1))),
     # binary tails on three trailing 1x1 blocks, and on a shape of 1x1
     # blocks only, where a tail has no head blocks
     ("all", F2, Shape((2, 1, 1, 1), (2, 1, 1, 1))),
@@ -114,15 +120,17 @@ def test_sweep_yields_every_member_once(variant, ctx, shape):
                 assert sorted(meet.sweep(mu, variant, size=size)) == sorted(members)
 
 
-F2_CASES = [c for c in CASES if c[1] is F2]
+PACKED_CASES = [c for c in CASES if c[1].q == 3 or c[1].p == 2]
 
 
 @pytest.mark.parametrize(
-    "variant,ctx,shape", F2_CASES, ids=[f"{v}-{s.m}x{s.n}" for v, _, s in F2_CASES]
+    "variant,ctx,shape",
+    PACKED_CASES,
+    ids=[f"{v}-{s.m}x{s.n}" if c is F2 else f"{v}-q{c.q}-{s.m}x{s.n}" for v, c, s in PACKED_CASES],
 )
 def test_packed_sweep_matches_list_rows(variant, ctx, shape):
-    # over F_2 the sweep reduces packed ints; every member's meet must be
-    # the one the list-row elimination gives
+    # over F_2, F_3 and F_{2^e} the sweep reduces packed rows; every
+    # member's meet must be the one the list-row elimination gives
     for code in _codes(ctx, shape):
         meet = Meet(code)
         for mu in range(shape.ncols + 1):
