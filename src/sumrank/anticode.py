@@ -30,10 +30,10 @@ from .errors import (
 from .gf import FieldContext
 from .matfq import (
     Subspace,
-    _echelon,
+    _F2Rows,
     _F3Rows,
     _Gf2eRows,
-    _xor_echelon,
+    _ListRows,
     enumerate_subspaces,
     gaussian_binomial,
 )
@@ -193,38 +193,24 @@ class Meet:
     kind) pool for sweep, and the binary tails once, so make one Meet per
     sweep and drop it after.
 
-    The column of G at each coordinate is packed once, and __init__ picks
-    the kernel every echelon runs through.  Over F_2 a column is an int,
-    bit r holding row r; a column G·h is the XOR of the packed columns
-    where h is 1, reduced by _xor_echelon.  Over F_3 (_F3Rows) and F_{2^e}
-    (_Gf2eRows) each packed column is kept with its q multiples, G·h is
-    their packed sum, and the kernel's echelon reduces it.  Other fields
-    keep list rows and _echelon.  The zero code packs nothing and its
-    echelons are empty, however large the ambient space.
+    G's columns are packed once by the field's row kernel (matfq), which
+    combines them into each column G·h and runs every echelon.  The zero
+    code packs nothing, so its echelons are empty at any ambient size.
     """
 
-    __slots__ = (
-        "code", "_columns", "_pools", "_tails", "_packed", "_multiples", "_sum", "_echelon"
-    )
+    __slots__ = ("code", "_columns", "_pools", "_tails", "_kernel", "_packed")
 
     def __init__(self, code: LinearCode):
         self.code = code
         self._columns: dict = {}
         self._pools: dict = {}
         self._tails: Optional[List[Subspace]] = None
-        self._packed: Optional[List[int]] = None
-        self._multiples: Optional[list] = None
-        self._echelon = _echelon
-        ctx, columns = code.ctx, list(zip(*code.rows))  # G's columns; none on the zero code
-        if ctx.q == 2:
-            self._echelon = _xor_echelon
-            self._packed = [sum(x << r for r, x in enumerate(col)) for col in columns]
-        elif ctx.q == 3 or ctx.p == 2:
-            kernel = _F3Rows() if ctx.q == 3 else _Gf2eRows(ctx, code.dim)
-            self._echelon, self._sum = kernel.echelon, kernel.add_all
-            self._multiples = [
-                [kernel.scale(h, v) for h in range(ctx.q)] for v in map(kernel.pack, columns)
-            ]
+        ctx = code.ctx
+        self._kernel = kernel = (
+            _F2Rows if ctx.q == 2 else _F3Rows if ctx.q == 3
+            else _Gf2eRows(ctx, code.dim) if ctx.p == 2 else _ListRows(ctx)
+        )
+        self._packed = [kernel.pack(col) for col in zip(*code.rows)]  # none on the zero code
 
     def dim(self, desc: AnticodeDescriptor) -> int:
         code = self.code
@@ -235,7 +221,7 @@ class Meet:
         checks: List[List[int]] = []
         for i, kind, space in desc._factors():
             checks += self._support(i, kind, space)[1]
-        return code.dim - len(self._echelon(checks, code.dim, code.ctx))
+        return code.dim - len(self._kernel.echelon(checks, code.dim))
 
     def sweep(
         self,
@@ -261,7 +247,7 @@ class Meet:
         code = self.code
         shape, ctx, kdim = code.shape, code.ctx, code.dim
         kinds = ("col",) if variant == "support" else ("col", "row")
-        extend = self._echelon
+        extend = self._kernel.echelon
 
         def descend(i, comps, basis, tail):
             nonlocal floor
@@ -274,7 +260,7 @@ class Meet:
                 for pairs, rows in chain.from_iterable(pools):
                     if floor is not None and kdim - len(basis) <= floor:
                         return
-                    echelon = extend(rows, kdim, ctx, basis) if basis else pairs
+                    echelon = extend(rows, kdim, basis) if basis else pairs
                     t = kdim - len(echelon)
                     if floor is not None and t <= floor:
                         continue
@@ -329,36 +315,14 @@ class Meet:
         block column (row); a check of a tail starting at block i applies
         along the trailing coordinates.
         """
-        code = self.code
-        shape, ctx = code.shape, code.ctx
+        code, kernel = self.code, self._kernel
         if not code.dim:
             return [], []
-        add, mul = ctx.add, ctx.mul
-        packed, multiples, cols = self._packed, self._multiples, []
-        for line in shape.lines(i, kind):
-            for chk in checks:
-                if multiples is not None:
-                    cols.append(self._sum([multiples[pos][h] for pos, h in zip(line, chk) if h]))
-                    continue
-                func = [(pos, h) for pos, h in zip(line, chk) if h]
-                if packed is not None:
-                    col = 0
-                    for pos, _ in func:
-                        col ^= packed[pos]
-                    cols.append(col)  # the kernel skips a zero column
-                    continue
-                # sparse G·h inline over F_q: the largest self-time of its sweep tasks
-                col = []
-                for row in code.rows:
-                    acc = 0
-                    for pos, h in func:
-                        x = row[pos]
-                        if x:
-                            acc = add(acc, x if h == 1 else mul(x, h))
-                    col.append(acc)
-                if any(col):
-                    cols.append(col)
-        pairs = self._echelon(cols, code.dim, ctx)
+        packed, combine, cols = self._packed, kernel.combine, []
+        for line in code.shape.lines(i, kind):
+            vecs = packed[line.start : line.stop : line.step]
+            cols += [combine(chk, vecs) for chk in checks]
+        pairs = kernel.echelon(cols, code.dim)
         return pairs, [row for _, row in pairs]
 
 

@@ -148,7 +148,14 @@ class Shape:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Shape":
-        return cls(tuple(data["m"]), tuple(data["n"]), bool(data.get("strict", True)))
+        """The shape of a payload; block dimensions must be ints and strict a
+        bool (a float, or a bool as a dimension, is refused, not coerced)."""
+        m, n, strict = tuple(data["m"]), tuple(data["n"]), data.get("strict", True)
+        if any(type(x) is not int for x in m + n):
+            raise ShapeMismatch(f"block dimensions {list(m)} x {list(n)} must be ints")
+        if type(strict) is not bool:
+            raise ShapeMismatch(f"strict = {strict!r} must be a bool")
+        return cls(m, n, strict)
 
 
 class MatrixTuple:

@@ -13,6 +13,7 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 from .errors import (
     BadDegree,
+    ContextMismatch,
     DivideByZero,
     InvariantViolation,
     NotPrime,
@@ -296,4 +297,9 @@ class FieldContext:
 
 
 def field_from_dict(data: dict) -> FieldContext:
-    return FieldContext(int(data["p"]), int(data["e"]), data.get("modulus"))
+    """The context of a payload's field; p and e must be ints (a bool or a
+    float is refused, not coerced)."""
+    p, e = data["p"], data["e"]
+    if type(p) is not int or type(e) is not int:
+        raise ContextMismatch(f"field p = {p!r} and e = {e!r} must be ints")
+    return FieldContext(p, e, data.get("modulus"))

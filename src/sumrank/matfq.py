@@ -3,18 +3,19 @@
 The reduced row echelon form is the only canonical representation used
 for subspaces anywhere in the package, so equality of spans is always a
 tuple comparison.  Entries are integer element representations; every
-operation goes through the context, except in the packed row kernels that
-reduce the columns Meet packs: _xor_echelon over F_2 (ints), _F3Rows over
-F_3 (pairs of bit planes) and _Gf2eRows over F_{2^e} (e bits per entry),
-after Boothby and Bradshaw, arXiv:0901.1413.  One row update (_clear) serves
-forward elimination, back-substitution and reduce_against, and one field
-dot product (_dot) serves every matrix product and pairing.  Results that
-come out in RREF (duals, intersections) are wrapped, not reduced again.
+operation goes through the context, except in the row kernels that Meet
+reduces with.  They share one interface, pack(vec), combine(coeffs, vecs)
+for the sum of c·v, and echelon(rows, ncols, start=()); those of F_2, F_3
+and F_{2^e} pack bits (Boothby and Bradshaw, arXiv:0901.1413).  One row
+update (_clear) serves forward elimination, back-substitution and
+reduce_against, and one dot product (_dot) every matrix product and
+pairing.  RREF results (duals, intersections) are wrapped, not reduced.
 """
 
 from __future__ import annotations
 
 from functools import reduce
+from itertools import compress
 from operator import xor
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
@@ -134,21 +135,30 @@ def _echelon(rows: Iterable[Sequence[int]], ncols: int, ctx: FieldContext, start
     return basis
 
 
-def _xor_echelon(rows: Iterable[int], ncols: int, ctx=None, start=()):
-    """_echelon over F_2 on rows packed into ints, bit j holding column j:
-    [(lowest set bit, row)] with _echelon's rows, each update one XOR.  ctx
-    is unused, so that a caller picks either kernel once and calls it alike.
-    """
-    basis: List[Tuple[int, int]] = list(start)
-    for row in rows:
-        if len(basis) == ncols:
-            break
-        for low, prow in basis:
-            if row & low:
-                row ^= prow
-        if row:
-            basis.append((row & -row, row))
-    return basis
+class _F2Rows:
+    """Vectors of F_2^k packed into ints, bit j holding entry j.  A sum is
+    one XOR; echelon gives [(lowest set bit, row)] with _echelon's rows."""
+
+    @staticmethod
+    def pack(vec: Sequence[int]) -> int:
+        return sum(x << j for j, x in enumerate(vec))
+
+    @staticmethod
+    def combine(coeffs, vecs) -> int:
+        return reduce(xor, compress(vecs, coeffs), 0)
+
+    @staticmethod
+    def echelon(rows: Iterable[int], ncols: int, start=()):
+        basis: List[Tuple[int, int]] = list(start)
+        for row in rows:
+            if len(basis) == ncols:
+                break
+            for low, prow in basis:
+                if row & low:
+                    row ^= prow
+            if row:
+                basis.append((row & -row, row))
+        return basis
 
 
 class _F3Rows:
@@ -158,31 +168,23 @@ class _F3Rows:
     ((a2 | b2) ^ t, (a1 | b1) ^ t); negating a vector swaps its planes.
     """
 
-    __slots__ = ()
-
     @staticmethod
     def pack(vec: Sequence[int]) -> Tuple[int, int]:
-        return (
-            sum(1 << j for j, x in enumerate(vec) if x == 1),
-            sum(1 << j for j, x in enumerate(vec) if x == 2),
-        )
+        return _F2Rows.pack([x == 1 for x in vec]), _F2Rows.pack([x == 2 for x in vec])
 
     @staticmethod
-    def scale(c: int, v: Tuple[int, int]) -> Tuple[int, int]:
-        return (0, 0) if c == 0 else v if c == 1 else (v[1], v[0])
-
-    @staticmethod
-    def add_all(vecs) -> Tuple[int, int]:
+    def combine(coeffs, vecs) -> Tuple[int, int]:
         a1 = a2 = 0
-        for b1, b2 in vecs:
-            t = (a1 | b2) ^ (a2 | b1)
-            a1, a2 = (a2 | b2) ^ t, (a1 | b1) ^ t
+        for c, v in zip(coeffs, vecs):
+            if c:
+                b1, b2 = v if c == 1 else v[::-1]
+                t = (a1 | b2) ^ (a2 | b1)
+                a1, a2 = (a2 | b2) ^ t, (a1 | b1) ^ t
         return a1, a2
 
     @staticmethod
-    def echelon(rows, ncols: int, ctx=None, start=()):
-        """_echelon on packed rows: [(lowest set bit, row)] with _echelon's
-        rows; ctx is unused, as in _xor_echelon."""
+    def echelon(rows, ncols: int, start=()):
+        """[(lowest set bit, row)] with _echelon's rows."""
         basis: list = list(start)
         for row in rows:
             if len(basis) == ncols:
@@ -223,19 +225,21 @@ class _Gf2eRows:
         e = self.e
         return sum(x << e * j for j, x in enumerate(vec))
 
-    def scale(self, c: int, v: int) -> int:
+    def _scale(self, c: int, v: int) -> int:
         out, ones = 0, self.ones
         for i, x in enumerate(self.times[c]):
             out ^= (v >> i & ones) * x
         return out
 
-    @staticmethod
-    def add_all(vecs) -> int:
-        return reduce(xor, vecs, 0)
+    def combine(self, coeffs, vecs) -> int:
+        out = 0
+        for c, v in zip(coeffs, vecs):
+            if c:
+                out ^= v if c == 1 else self._scale(c, v)
+        return out
 
-    def echelon(self, rows, ncols: int, ctx=None, start=()):
-        """_echelon on packed rows: [(bit offset of the pivot entry, row)]
-        with _echelon's rows; ctx is unused, as in _xor_echelon."""
+    def echelon(self, rows, ncols: int, start=()):
+        """[(bit offset of the pivot entry, row)] with _echelon's rows."""
         e, ones, times, inverse = self.e, self.ones, self.times, self.inverse
         top = len(inverse) - 1
         basis: list = list(start)
@@ -246,15 +250,44 @@ class _Gf2eRows:
                 c = row >> shift & top
                 if c == 1:
                     row ^= prow
-                elif c:  # row - c prow: scale's products, XORed into row
+                elif c:  # row - c prow: _scale's products, XORed into row
                     for i, x in enumerate(times[c]):
                         row ^= (prow >> i & ones) * x
             if row:
                 shift = (row & -row).bit_length() - 1
                 shift -= shift % e
                 c = row >> shift & top
-                basis.append((shift, row if c == 1 else self.scale(inverse[c], row)))
+                basis.append((shift, row if c == 1 else self._scale(inverse[c], row)))
         return basis
+
+
+class _ListRows:
+    """Vectors of F_q^k as tuples, every entry through the context: the row
+    kernel of the fields with no packed form (F_5, F_9, ...)."""
+
+    __slots__ = ("ctx", "add", "mul")
+
+    def __init__(self, ctx: FieldContext):
+        self.ctx, self.add, self.mul = ctx, ctx.add, ctx.mul
+
+    pack = staticmethod(tuple)
+
+    def combine(self, coeffs, vecs) -> List[int]:
+        add, mul = self.add, self.mul
+        terms = [(c, v) for c, v in zip(coeffs, vecs) if c]
+        out = []
+        for j in range(len(vecs[0])):  # entry j; in Meet, row j of G
+            acc = 0
+            for c, v in terms:
+                x = v[j]
+                if x:
+                    x = x if c == 1 else mul(x, c)
+                    acc = add(acc, x) if acc else x
+            out.append(acc)
+        return out
+
+    def echelon(self, rows, ncols: int, start=()):
+        return _echelon(rows, ncols, self.ctx, start)
 
 
 def rank_rows(rows: Iterable[Sequence[int]], ncols: int, ctx: FieldContext) -> int:
@@ -461,10 +494,13 @@ class Subspace:
         for row in basis:
             if len(row) != ambient:
                 raise DimensionMismatch(f"a row of {len(row)} entries in ambient {ambient}")
-            if ambient and (min(row) < 0 or max(row) > top):
-                raise ContextMismatch(f"a row entry lies outside 0..{top}")
-            if type(sum(row)) is not int:  # a float entry, or any other non-int number
-                raise ContextMismatch("a row entry is not an int")
+            try:
+                if ambient and (min(row) < 0 or max(row) > top):
+                    raise ContextMismatch(f"a row entry lies outside 0..{top}")
+                if type(sum(row)) is not int:  # a float entry, or any other non-int number
+                    raise ContextMismatch("a row entry is not an int")
+            except TypeError:  # an entry that does not compare or add with ints
+                raise ContextMismatch("a row entry is not an int") from None
         rows, pivots = rref(basis, ambient, ctx)
         self.ctx, self.ambient, self.basis, self.pivots = ctx, ambient, tuple(rows), tuple(pivots)
 

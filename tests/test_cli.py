@@ -314,6 +314,24 @@ def test_entries_outside_the_field_exit_one(tmp_path, capsys, blocks):
     assert status == 1 and "not an element" in err
 
 
+@pytest.mark.parametrize(
+    "field,shape",
+    [
+        ({"p": 2.9, "e": True}, {"m": [2.7], "n": [True]}),
+        ({"p": 2, "e": 1}, {"m": [2.7], "n": [True]}),
+        ({"p": 2, "e": 1}, {"m": [2], "n": [1], "strict": 0}),
+    ],
+)
+def test_field_and_shape_numbers_that_are_not_ints_exit_one(tmp_path, capsys, field, shape):
+    # int() and bool() coerced these, and the first answered srk 1 with exit 0
+    tup = {"field": field, "shape": shape, "blocks": [[[1], [0]]]}
+    status, out, err = _run(["srk", _write(tmp_path, "t.json", tup)], capsys)
+    assert status == 1 and out == "" and "must be" in err and "Traceback" not in err
+    code = {"field": field, "shape": shape, "basis": [[[[1], [0]]]]}
+    status, out, err = _run(["gweights", _write(tmp_path, "c.json", code)], capsys)
+    assert status == 1 and out == "" and "must be" in err
+
+
 def test_oracle_mismatch_exits_two(tmp_path, capsys, monkeypatch):
     import sumrank.cli as cli_mod
 

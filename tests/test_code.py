@@ -11,6 +11,7 @@ from sumrank import (
     MatrixTuple,
     Shape,
     Subspace,
+    field_from_dict,
     trace_pairing,
 )
 from sumrank.errors import (
@@ -277,6 +278,33 @@ def test_payload_readers_refuse_an_entry_outside_the_field(entry):
         LinearCode.from_dict(code)
     ok = dict(tup, blocks=[[[1, 0], [1, 1]]])
     assert MatrixTuple.from_dict(ok).srk() == 2
+
+
+@pytest.mark.parametrize(
+    "field,shape,error",
+    [
+        ({"p": 2.9, "e": True}, {"m": [2.7], "n": [True]}, ContextMismatch),
+        ({"p": 2, "e": 1.0}, {"m": [2], "n": [1]}, ContextMismatch),
+        ({"p": "2", "e": 1}, {"m": [2], "n": [1]}, ContextMismatch),
+        ({"p": 2, "e": 1}, {"m": [2.7], "n": [1]}, ShapeMismatch),
+        ({"p": 2, "e": 1}, {"m": [2], "n": [True]}, ShapeMismatch),
+        ({"p": 2, "e": 1}, {"m": [2], "n": ["1"]}, ShapeMismatch),
+        ({"p": 2, "e": 1}, {"m": [2], "n": [1], "strict": 1}, ShapeMismatch),
+        ({"p": 2, "e": 1}, {"m": [2], "n": [1], "strict": "no"}, ShapeMismatch),
+    ],
+)
+def test_payload_readers_refuse_a_field_or_shape_number_that_is_not_an_int(field, shape, error):
+    # int() and bool() used to coerce these, so 2.9 read as F_2 and [2.7] as m = 2
+    tup = {"field": field, "shape": shape, "blocks": [[[1], [0]]]}
+    with pytest.raises(error):
+        MatrixTuple.from_dict(tup)
+    with pytest.raises(error):
+        LinearCode.from_dict({"field": field, "shape": shape, "basis": []})
+    reader, part = (field_from_dict, field) if error is ContextMismatch else (Shape.from_dict, shape)
+    with pytest.raises(error):
+        reader(part)
+    good = {"field": {"p": 2, "e": 1}, "shape": {"m": [2], "n": [1], "strict": False}}
+    assert MatrixTuple.from_dict(dict(good, blocks=[[[1], [0]]])).srk() == 1
 
 
 def test_a_row_of_the_wrong_length_is_refused():

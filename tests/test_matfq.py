@@ -281,8 +281,9 @@ def test_subspace_refuses_an_entry_outside_the_field():
 
 
 def test_subspace_refuses_an_entry_that_is_not_an_int():
-    # 1.5 used to reach pow() in the field inverse as a bare TypeError
-    for rows in ([(1.5, 0)], [(1, 0), (0, 1.0)], [(0, 2.0)]):
+    # 1.5 used to reach pow() in the field inverse as a bare TypeError, and
+    # "a" still raised one from min()
+    for rows in ([(1.5, 0)], [(1, 0), (0, 1.0)], [(0, 2.0)], [("a", 0)], [(1, None)]):
         with pytest.raises(ContextMismatch):
             Subspace(F3, 2, rows)
 
@@ -439,70 +440,53 @@ def _pack(row):
     return sum(x << j for j, x in enumerate(row))
 
 
-def test_xor_echelon_matches_echelon_over_f2():
-    # products L R of rank at most r, so dependent and zero rows occur;
-    # widths past 64 put a packed row in more than one machine word
-    rng = random.Random(67)
-    for _ in range(150):
-        m, n, r = rng.randint(0, 12), rng.choice((1, 3, 8, 20, 70)), rng.randint(0, 12)
-        left = [[rng.randrange(2) for _ in range(r)] for _ in range(m)]
-        right = [_pack([rng.randrange(2) for _ in range(n)]) for _ in range(r)]
-        packed = [reduce(int.__xor__, (p for x, p in zip(row, right) if x), 0) for row in left]
-        rows = [[p >> j & 1 for j in range(n)] for p in packed]
-        want = matfq._echelon(rows, n, F2)
-        got = matfq._xor_echelon(packed, n)
-        assert len(got) == len(want) == brute_rank(F2, rows)
-        assert [low.bit_length() - 1 for low, _ in got] == [col for col, _ in want]
-        assert [p for _, p in got] == [_pack(row) for _, row in want]
-        # extending a start is one-shot elimination and leaves the start as it was
-        cut = rng.randint(0, m)
-        start = matfq._xor_echelon(packed[:cut], n)
-        kept = list(start)
-        assert matfq._xor_echelon(packed[cut:], n, None, start) == got
-        assert start == kept
-        # elimination stops at ncols: a row past full rank is never reduced
-        if got:
-            top = len(got)
-            assert matfq._xor_echelon(packed + [None], top) == got
-            assert matfq._echelon(rows + [None], top, F2) == want
-            assert len(matfq._xor_echelon(packed, top - 1)) == top - 1
+F5, F16 = FieldContext(5, 1), FieldContext(2, 4)
 
 
-F16 = FieldContext(2, 4)
-
-
-def _packed_io(ctx, n):
+def _kernel_io(ctx, n):
     """(kernel, pack, unpack, pivot column) for rows of F_q^n, packing and
     unpacking written out one entry at a time."""
+    if ctx.q == 2:
+        return (
+            matfq._F2Rows,
+            _pack,
+            lambda v: [v >> j & 1 for j in range(n)],
+            lambda low: low.bit_length() - 1,
+        )
     if ctx.q == 3:
         return (
-            matfq._F3Rows(),
+            matfq._F3Rows,
             lambda row: (_pack([x == 1 for x in row]), _pack([x == 2 for x in row])),
             lambda v: [(v[0] >> j & 1) + 2 * (v[1] >> j & 1) for j in range(n)],
             lambda low: low.bit_length() - 1,
         )
-    e = ctx.e
-    return (
-        matfq._Gf2eRows(ctx, n),
-        lambda row: sum(x << e * j for j, x in enumerate(row)),
-        lambda v: [v >> e * j & (ctx.q - 1) for j in range(n)],
-        lambda shift: shift // e,
-    )
+    if ctx.p == 2:
+        e = ctx.e
+        return (
+            matfq._Gf2eRows(ctx, n),
+            lambda row: sum(x << e * j for j, x in enumerate(row)),
+            lambda v: [v >> e * j & (ctx.q - 1) for j in range(n)],
+            lambda shift: shift // e,
+        )
+    return matfq._ListRows(ctx), tuple, list, lambda col: col
 
 
-@pytest.mark.parametrize("ctx", [F3, F4, F8, F16], ids=["q3", "q4", "q8", "q16"])
+@pytest.mark.parametrize(
+    "ctx", [F2, F3, F4, F8, F16, F5, F9], ids=["q2", "q3", "q4", "q8", "q16", "q5", "q9"]
+)
 def test_packed_kernels_match_echelon(ctx):
     # products L R of rank at most r, so dependent and zero rows occur, and
-    # square ones of full rank; widths up to 40 put a packed row past 64 bits
+    # square ones of full rank; past 64 bits a packed row spans machine words
     rng = random.Random(73 + ctx.q)
+    widths = (1, 3, 8, 20, 70) if ctx.q == 2 else (1, 2, 5, 12, 40)
     full = zero = 0
     for trial in range(120):
-        n = rng.choice((1, 2, 5, 12, 40))
+        n = rng.choice(widths)
         m, r = (n, n) if trial % 6 == 0 else (rng.randint(0, 12), rng.randint(0, 12))
         left = [[rng.randrange(ctx.q) for _ in range(r)] for _ in range(m)]
         right = [[rng.randrange(ctx.q) for _ in range(n)] for _ in range(r)]
         rows = [[_brute_dot(ctx, row, col) for col in zip(*right)] for row in left]
-        kernel, pack, unpack, column = _packed_io(ctx, n)
+        kernel, pack, unpack, column = _kernel_io(ctx, n)
         packed = [pack(row) for row in rows]
         want = matfq._echelon(rows, n, ctx)
         got = kernel.echelon(packed, n)
@@ -515,19 +499,27 @@ def test_packed_kernels_match_echelon(ctx):
         cut = rng.randint(0, m)
         start = kernel.echelon(packed[:cut], n)
         kept = list(start)
-        assert kernel.echelon(packed[cut:], n, None, start) == got
+        assert kernel.echelon(packed[cut:], n, start) == got
         assert start == kept
         # elimination stops at ncols: a row past full rank is never reduced
         if got:
             top = len(got)
             assert kernel.echelon(packed + [None], top) == got
+            assert matfq._echelon(rows + [None], top, ctx) == want
             assert len(kernel.echelon(packed, top - 1)) == top - 1
-        # the column arithmetic Meet builds G·h with
-        u, v = ([rng.randrange(ctx.q) for _ in range(n)] for _ in range(2))
+        # the column arithmetic Meet builds G·h with: every multiple of one
+        # vector, a sum with a zero coefficient, and the empty sum, every
+        # coefficient zero (a list row takes its length from the vectors)
+        u, v, w = ([rng.randrange(ctx.q) for _ in range(n)] for _ in range(3))
         for c in range(ctx.q):
-            assert unpack(kernel.scale(c, pack(u))) == [ctx.mul(c, x) for x in u]
-        assert unpack(kernel.add_all([pack(u), pack(v)])) == [ctx.add(x, y) for x, y in zip(u, v)]
-        assert unpack(kernel.add_all([])) == [0] * n
+            assert unpack(kernel.combine([c], [pack(u)])) == [ctx.mul(c, x) for x in u]
+        coeffs = [rng.randrange(1, ctx.q), 0, rng.randrange(ctx.q)]
+        total = [
+            reduce(ctx.add, [ctx.mul(c, x) for c, x in zip(coeffs, entries)], 0)
+            for entries in zip(u, v, w)
+        ]
+        assert unpack(kernel.combine(coeffs, [pack(u), pack(v), pack(w)])) == total
+        assert unpack(kernel.combine([0, 0], [pack(u), pack(v)])) == [0] * n
     assert full and zero
 
 

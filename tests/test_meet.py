@@ -42,7 +42,7 @@ FAMILIES = [
     ("product", F3, Shape((2, 2), (2, 2))),
     ("product", F4, Shape((2, 2), (2, 2))),
     ("product", F8, Shape((2, 1), (2, 1))),
-    # F_9 keeps list rows and _echelon
+    # F_9 has no packed form: its row kernel is _ListRows
     ("product", F9, Shape((2, 1), (2, 1))),
     # binary Hamming tails on three trailing 1x1 blocks
     ("all", F2, Shape((2, 1, 1, 1), (2, 1, 1, 1))),
