@@ -163,6 +163,8 @@ class AnticodeDescriptor:
 
     @classmethod
     def from_dict(cls, data: dict, shape: Shape, ctx: FieldContext) -> "AnticodeDescriptor":
+        if len(data["blocks"]) > shape.ell:
+            raise ShapeMismatch(f"{len(data['blocks'])} block supports for {shape.ell} blocks")
         blocks = []
         for i, b in enumerate(data["blocks"]):
             kind = b["kind"]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations, product as iter_product
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .code import ANTICODE_CAP, DIST_CAP, LinearCode, MatrixTuple, Shape, trace_pairing
+from .code import LinearCode, MatrixTuple, Shape, trace_pairing
 from .errors import (
     EnumerationTooLarge,
     InvariantViolation,
@@ -27,7 +27,7 @@ from .errors import (
     UsageError,
 )
 from .gf import field_from_dict
-from .matfq import _checked_matrix
+from .matfq import MatrixFq
 
 if TYPE_CHECKING:
     from .genweights import GammaBasis
@@ -57,6 +57,12 @@ class RunConfig:
             raise UsageError("--cap must be positive")
         if self.format not in ("json", "table"):
             raise UsageError(f"unknown format {self.format!r}")
+
+    @property
+    def caps(self) -> dict:
+        """The cap keyword of a library call: --cap if given, else none, so
+        the library's own default guards the call."""
+        return {} if self.cap is None else {"cap": self.cap}
 
 
 # ---------------------------------------------------------------- file input
@@ -102,7 +108,7 @@ def _read_matrix_list(path: str):
 
     def build(d):
         ctx = field_from_dict(d["field"])
-        return ctx, [_checked_matrix(ctx, rows) for rows in d["mats"]]
+        return ctx, [MatrixFq(ctx, rows) for rows in d["mats"]]
 
     return _build(path, build, data)
 
@@ -129,14 +135,10 @@ def _cmd_srk(config: RunConfig) -> dict:
 
 def _cmd_dist(config: RunConfig) -> dict:
     code = _read_code(config.paths[0])
-    if code.shape.strict:
-        value = code.min_distance(method="anticode", cap=config.cap or ANTICODE_CAP)
-        method = "anticode"
-    else:
-        value = code.min_distance(method="enumerate", cap=config.cap or DIST_CAP)
-        method = "enumerate"
+    method = "anticode" if code.shape.strict else "enumerate"
+    value = code.min_distance(method=method, **config.caps)
     if config.oracle and method == "anticode":
-        brute = code.min_distance(method="enumerate", cap=config.cap or DIST_CAP)
+        brute = code.min_distance(method="enumerate", **config.caps)
         _oracle_check("distance", value, brute)
     return {"distance": value, "method": method}
 
@@ -164,7 +166,7 @@ def _cmd_dual(config: RunConfig) -> dict:
     return dual.to_dict()
 
 
-def _flat_weights(code: LinearCode, variant: str, cap: int) -> list:
+def _flat_weights(code: LinearCode, variant: str, caps: dict) -> list:
     """d_1..d_k in one pass of Meet.dim over every member of the flat family."""
     from .anticode import Meet, enumerate_anticodes, product_descriptors
     meet, weights = Meet(code), []
@@ -172,9 +174,9 @@ def _flat_weights(code: LinearCode, variant: str, cap: int) -> list:
         if len(weights) == code.dim:
             break
         if variant == "support":
-            family = product_descriptors(code.ctx, code.shape, mu, allow_row=False, cap=cap)
+            family = product_descriptors(code.ctx, code.shape, mu, allow_row=False, **caps)
         else:
-            family = enumerate_anticodes(code.ctx, code.shape, mu, variant, cap)
+            family = enumerate_anticodes(code.ctx, code.shape, mu, variant, **caps)
         for desc in family:
             weights += [mu] * (meet.dim(desc) - len(weights))
             if len(weights) == code.dim:
@@ -187,17 +189,16 @@ def _flat_weights(code: LinearCode, variant: str, cap: int) -> list:
 def _cmd_gweights(config: RunConfig) -> dict:
     from .genweights import gen_weight, weight_profile
     code = _read_code(config.paths[0])
-    cap = config.cap or ANTICODE_CAP
     if config.rank is None:
-        prof = weight_profile(code, config.variant, cap)
+        prof = weight_profile(code, config.variant, **config.caps)
         if config.oracle:
             # the walker's pruned sweep against the flat family
-            for r, brute in enumerate(_flat_weights(code, config.variant, cap), 1):
+            for r, brute in enumerate(_flat_weights(code, config.variant, config.caps), 1):
                 _oracle_check(f"d_{r}", prof.weight(r), brute)
         return prof.to_dict()
-    value = gen_weight(code, config.rank, config.variant, cap)
+    value = gen_weight(code, config.rank, config.variant, **config.caps)
     if config.oracle:
-        brute = _flat_weights(code, config.variant, cap)[config.rank - 1]
+        brute = _flat_weights(code, config.variant, config.caps)[config.rank - 1]
         _oracle_check(f"d_{config.rank}", value, brute)
     return {"variant": config.variant, "r": config.rank, "weight": value}
 
@@ -205,10 +206,9 @@ def _cmd_gweights(config: RunConfig) -> dict:
 def _cmd_msrd(config: RunConfig) -> dict:
     from .msrd import msrd_check
     code = _read_code(config.paths[0])
-    report = msrd_check(code, cap=config.cap or ANTICODE_CAP)
+    report = msrd_check(code, **config.caps)
     if config.oracle:
-        enum_cap = config.cap or DIST_CAP
-        brute_d = code.min_distance(method="enumerate", cap=enum_cap)
+        brute_d = code.min_distance(method="enumerate", **config.caps)
         _oracle_check("distance", report.distance, brute_d)
         _oracle_check(
             "is_msrd",
@@ -216,7 +216,7 @@ def _cmd_msrd(config: RunConfig) -> dict:
             report.remainder == 0 and brute_d == report.distance_bound,
         )
         if report.dual_distance is not None:
-            brute_dd = code.dual().min_distance(method="enumerate", cap=enum_cap)
+            brute_dd = code.dual().min_distance(method="enumerate", **config.caps)
             _oracle_check("dual distance", report.dual_distance, brute_dd)
     return report.to_dict()
 
@@ -224,8 +224,7 @@ def _cmd_msrd(config: RunConfig) -> dict:
 def _cmd_anticode(config: RunConfig) -> dict:
     from .anticode import is_optimal_anticode
     code = _read_code(config.paths[0])
-    cap = config.cap or DIST_CAP
-    optimal, desc = is_optimal_anticode(code, cap=cap)
+    optimal, desc = is_optimal_anticode(code, **config.caps)
     if config.oracle:
         top = 0
         for t in code.iter_codewords():
@@ -277,8 +276,8 @@ def _cmd_meshulam(config: RunConfig) -> dict:
 
     def build(d):
         ctx = field_from_dict(d["field"])
-        a = _checked_matrix(ctx, d["a"])
-        mats = [_checked_matrix(ctx, rows) for rows in d["mats"]]
+        a = MatrixFq(ctx, d["a"])
+        mats = [MatrixFq(ctx, rows) for rows in d["mats"]]
         return a, mats
 
     a, mats = _build(config.paths[0], build, data)
@@ -311,10 +310,10 @@ def _cmd_meshulam(config: RunConfig) -> dict:
 
 
 def _cmd_equiv(config: RunConfig) -> dict:
-    from .isom import GROUP_CAP, equivalent_codes
+    from .isom import equivalent_codes
     first = _read_code(config.paths[0])
     second = _read_code(config.paths[1])
-    witness = equivalent_codes(first, second, cap=config.cap or GROUP_CAP)
+    witness = equivalent_codes(first, second, **config.caps)
     if config.oracle and witness is not None:
         if witness.apply_code(first) != second:
             raise InvariantViolation("oracle mismatch on equiv: witness fails")
@@ -332,23 +331,22 @@ def _read_taps(path: str, code: LinearCode):
             raise UsageError(f"{path}: tap field differs from the code's field")
         out = []
         for entry in d["taps"]:
-            out.append(None if entry is None else _checked_matrix(code.ctx, entry))
+            out.append(None if entry is None else MatrixFq(code.ctx, entry))
         return tuple(out)
 
     return _build(path, build, data)
 
 
 def _cmd_leak(config: RunConfig) -> dict:
-    from .wiretap import MI_CAP, WiretapScenario, empirical_mi, leakage_dim, threshold_table
+    from .wiretap import WiretapScenario, empirical_mi, leakage_dim, threshold_table
     code = _read_code(config.paths[0])
     taps = _read_taps(config.paths[1], code)
-    cap = config.cap or ANTICODE_CAP
     _check_dual_size(code, config.cap)
     leak = leakage_dim(code, taps)
-    thresholds = threshold_table(code, cap=cap)
+    thresholds = threshold_table(code, **config.caps)
     if config.oracle:
         scenario = WiretapScenario(code, taps)
-        mi = empirical_mi(scenario, cap=config.cap or MI_CAP)
+        mi = empirical_mi(scenario, **config.caps)
         _oracle_check("leak_symbols", leak, mi)
     return {"leak_symbols": leak, "threshold_table": list(thresholds)}
 
@@ -366,22 +364,9 @@ def _cmd_expand(config: RunConfig) -> dict:
         else:
             gamma = GammaBasis(base, shape, spec)
         vectors = d["vectors"]
-        for v in vectors:
-            if len(v) != shape.ell:
-                raise ParseError("each vector needs one segment per block")
-            for i, seg in enumerate(v):
-                top = gamma.exts[i].q
-                if len(seg) != shape.n[i] or any(
-                    not isinstance(w, int) or not 0 <= w < top for w in seg
-                ):
-                    raise ParseError(f"bad coordinates in block {i}")
-        degree = d.get("subfield_degree")
-        if degree is not None and (not isinstance(degree, int) or isinstance(degree, bool)):
-            raise ParseError("subfield_degree must be an integer")
-        return gamma, vectors, degree
+        return gamma, vectors, gamma_expand(gamma, vectors, d.get("subfield_degree"))
 
-    gamma, vectors, degree = _build(config.paths[0], build, data)
-    code = gamma_expand(gamma, vectors, degree)
+    gamma, vectors, code = _build(config.paths[0], build, data)
     if config.oracle:
         _verify_expansion(gamma, vectors)
     return code.to_dict()

@@ -29,7 +29,7 @@ from .errors import (
     UnknownChoice,
 )
 from .gf import FieldContext, field_from_dict
-from .matfq import MatrixFq, Subspace, _checked_matrix, _dot, rank_rows, walk_span
+from .matfq import MatrixFq, Subspace, _dot, rank_rows, walk_span
 # bench/selftest.py checks that the benchmark's tracer patches this site
 from .matfq import rref  # noqa: F401
 
@@ -64,8 +64,13 @@ class Shape:
     strict: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "m", tuple(int(x) for x in self.m))
-        object.__setattr__(self, "n", tuple(int(x) for x in self.n))
+        m, n = tuple(self.m), tuple(self.n)
+        if any(type(x) is not int for x in m + n):
+            raise ShapeMismatch(f"block dimensions {list(m)} x {list(n)} must be ints")
+        if type(self.strict) is not bool:
+            raise ShapeMismatch(f"strict = {self.strict!r} must be a bool")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
         if len(self.m) != len(self.n) or not self.m:
             raise ShapeMismatch("m and n must be non-empty lists of equal length")
         if any(x < 1 for x in self.m) or any(x < 1 for x in self.n):
@@ -148,14 +153,7 @@ class Shape:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Shape":
-        """The shape of a payload; block dimensions must be ints and strict a
-        bool (a float, or a bool as a dimension, is refused, not coerced)."""
-        m, n, strict = tuple(data["m"]), tuple(data["n"]), data.get("strict", True)
-        if any(type(x) is not int for x in m + n):
-            raise ShapeMismatch(f"block dimensions {list(m)} x {list(n)} must be ints")
-        if type(strict) is not bool:
-            raise ShapeMismatch(f"strict = {strict!r} must be a bool")
-        return cls(m, n, strict)
+        return cls(data["m"], data["n"], data.get("strict", True))
 
 
 class MatrixTuple:
@@ -244,7 +242,7 @@ class MatrixTuple:
     def from_dict(cls, data: dict) -> "MatrixTuple":
         ctx = field_from_dict(data["field"])
         shape = Shape.from_dict(data["shape"])
-        return cls(shape, [_checked_matrix(ctx, b) for b in data["blocks"]])
+        return cls(shape, [MatrixFq(ctx, b) for b in data["blocks"]])
 
 
 def trace_pairing(d: MatrixTuple, c: MatrixTuple) -> int:
@@ -547,7 +545,5 @@ class LinearCode:
     def from_dict(cls, data: dict) -> "LinearCode":
         ctx = field_from_dict(data["field"])
         shape = Shape.from_dict(data["shape"])
-        tuples = [
-            MatrixTuple(shape, [_checked_matrix(ctx, b) for b in row]) for row in data["basis"]
-        ]
+        tuples = [MatrixTuple(shape, [MatrixFq(ctx, b) for b in row]) for row in data["basis"]]
         return cls.from_tuples(shape, ctx, tuples)

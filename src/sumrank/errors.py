@@ -5,6 +5,8 @@ and exceeded enumeration guards (CLI exit code 1), ``InvariantViolation``
 covers contradictions of guaranteed identities (CLI exit code 2, always a
 bug somewhere).  The classes for bad argument values also derive from
 ``ValueError``, so callers that catch ``ValueError`` still catch them.
+Each constructor checks the numbers it holds: one that is not an int in
+range (a bool or a float included) is refused, never coerced.
 """
 
 from __future__ import annotations

@@ -23,6 +23,7 @@ from .anticode import enumerate_anticodes, product_descriptors  # noqa: F401
 from .code import ANTICODE_CAP, LinearCode, MatrixTuple, Shape
 from .errors import (
     BadDegree,
+    ContextMismatch,
     GammaNotBasis,
     InvariantViolation,
     NotLinearOverSubfield,
@@ -256,7 +257,7 @@ class GammaBasis:
         for i, gams in enumerate(bases):
             if len(gams) != shape.m[i]:
                 raise GammaNotBasis(f"block {i}: need {shape.m[i]} basis elements")
-            if any(not 0 <= g < self.exts[i].q for g in gams):
+            if any(type(g) is not int or not 0 <= g < self.exts[i].q for g in gams):
                 raise GammaNotBasis(f"block {i}: element outside the extension field")
             clean.append(tuple(gams))
         self.bases = tuple(clean)
@@ -294,15 +295,24 @@ class GammaBasis:
         t = [_dot(solver.ctx, row, rhs) for row in solver.rows]
         return tuple(_undigits(t[k * e : (k + 1) * e], p) for k in range(m))
 
-    def expand_vector(self, v: Sequence[Sequence[int]]) -> MatrixTuple:
-        """The matrix tuple whose block i solves (gamma_i) X = v_i."""
+    def _check_vector(self, v: Sequence[Sequence[int]]) -> None:
+        """Refuse v unless segment i holds n_i elements of F_{q^(m_i)}, one per block."""
         if len(v) != self.shape.ell:
             raise ShapeMismatch("one segment per block")
+        for i, seg in enumerate(v):
+            nn, top = self.shape.n[i], self.exts[i].q
+            if len(seg) != nn:
+                raise ShapeMismatch(f"block {i}: expected {nn} coordinates")
+            for w in seg:
+                if type(w) is not int or not 0 <= w < top:
+                    raise ContextMismatch(f"block {i}: {w!r} is not an element of F_{top}")
+
+    def expand_vector(self, v: Sequence[Sequence[int]]) -> MatrixTuple:
+        """The matrix tuple whose block i solves (gamma_i) X = v_i."""
+        self._check_vector(v)
         blocks = []
         for i, seg in enumerate(v):
             mm, nn = self.shape.m[i], self.shape.n[i]
-            if len(seg) != nn:
-                raise ShapeMismatch(f"block {i}: expected {nn} coordinates")
             cols = [self.coordinates(i, w) for w in seg]
             blocks.append(
                 MatrixFq(self.base, [[cols[c][r] for c in range(nn)] for r in range(mm)])
@@ -322,8 +332,12 @@ def gamma_expand(
     scalars, expanded blockwise through gamma.
     """
     shape, base = gamma.shape, gamma.base
+    for v in vectors:
+        gamma._check_vector(v)
     k = gcd(*shape.m) if len(shape.m) > 1 else shape.m[0]
     if subfield_degree is not None:
+        if type(subfield_degree) is not int:
+            raise BadDegree(f"subfield degree {subfield_degree!r} must be an int")
         if subfield_degree < 1 or k % subfield_degree:
             raise NotLinearOverSubfield(
                 f"degree {subfield_degree} does not divide every block degree"

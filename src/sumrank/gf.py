@@ -121,6 +121,8 @@ class FieldContext:
     __slots__ = ("p", "e", "q", "modulus", "generator", "_exp", "_log", "_add_table", "_neg_table")
 
     def __init__(self, p: int, e: int, modulus: Optional[Sequence[int]] = None):
+        if type(p) is not int or type(e) is not int:
+            raise ContextMismatch(f"field p = {p!r} and e = {e!r} must be ints")
         # bounded before trial division and before p**e is formed
         if p > MAX_ORDER:
             raise OrderTooLarge(f"p = {p} exceeds the supported bound {MAX_ORDER}")
@@ -136,7 +138,9 @@ class FieldContext:
         if modulus is None:
             modulus = lex_least_irreducible(p, e)
         else:
-            modulus = tuple(int(c) % p for c in modulus)
+            modulus = tuple(modulus)
+            if any(type(c) is not int or not 0 <= c < p for c in modulus):
+                raise ReducibleModulus(f"modulus {list(modulus)} must be ints in 0..{p - 1}")
             if len(modulus) != e + 1 or modulus[-1] != 1:
                 raise ReducibleModulus("modulus must be monic of degree e")
             if not is_irreducible(modulus, p):
@@ -297,9 +301,4 @@ class FieldContext:
 
 
 def field_from_dict(data: dict) -> FieldContext:
-    """The context of a payload's field; p and e must be ints (a bool or a
-    float is refused, not coerced)."""
-    p, e = data["p"], data["e"]
-    if type(p) is not int or type(e) is not int:
-        raise ContextMismatch(f"field p = {p!r} and e = {e!r} must be ints")
-    return FieldContext(p, e, data.get("modulus"))
+    return FieldContext(data["p"], data["e"], data.get("modulus"))

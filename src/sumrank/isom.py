@@ -101,6 +101,10 @@ class Isometry:
 
     def __post_init__(self):
         ell = self.shape.ell
+        if any(type(i) is not int for i in self.sigma):
+            raise ShapeMismatch(f"sigma {list(self.sigma)} must be ints")
+        if any(type(t) is not bool for t in self.transpose):
+            raise ShapeMismatch(f"transpose flags {list(self.transpose)} must be bools")
         if sorted(self.sigma) != list(range(ell)):
             raise ShapeMismatch("sigma is not a permutation of the blocks")
         if len(self.transpose) != ell or len(self.left) != ell or len(self.right) != ell:
@@ -209,7 +213,7 @@ class Isometry:
                 {
                     "M": self.left[j].to_lists(),
                     "N": self.right[j].to_lists(),
-                    "transpose": bool(self.transpose[j]),
+                    "transpose": self.transpose[j],
                 }
                 for j in range(self.shape.ell)
             ],
@@ -222,7 +226,7 @@ class Isometry:
             shape,
             ctx,
             tuple(data["sigma"]),
-            tuple(bool(b["transpose"]) for b in blocks),
+            tuple(b["transpose"] for b in blocks),
             tuple(MatrixFq(ctx, b["M"]) for b in blocks),
             tuple(MatrixFq(ctx, b["N"]) for b in blocks),
         )

@@ -341,25 +341,18 @@ def nullspace_rows(rows: Iterable[Sequence[int]], ncols: int, ctx: FieldContext)
     return _nullspace(red, pivots, ncols, ctx)[0]
 
 
-def _checked_matrix(ctx: FieldContext, rows) -> "MatrixFq":
-    """The MatrixFq of rows read from a payload, refusing any entry that is
-    not an int in 0..q-1 (a bool included), which the constructor would
-    reduce mod q."""
-    q = ctx.q
-    for row in rows:
-        for x in row:
-            if type(x) is not int or not 0 <= x < q:
-                raise ContextMismatch(f"matrix entry {x!r} is not an element of F_{q}")
-    return MatrixFq(ctx, rows)
-
-
 class MatrixFq:
-    """An m x n matrix over a fixed field context, immutable."""
+    """An m x n matrix over a fixed field context, immutable; entries are ints in 0..q-1."""
 
     __slots__ = ("ctx", "m", "n", "rows")
 
     def __init__(self, ctx: FieldContext, rows: Sequence[Sequence[int]]):
-        rows = tuple(tuple(int(x) % ctx.q for x in r) for r in rows)
+        rows = tuple(map(tuple, rows))
+        q = ctx.q
+        for r in rows:
+            for x in r:
+                if type(x) is not int or not 0 <= x < q:
+                    raise ContextMismatch(f"matrix entry {x!r} is not an element of F_{q}")
         if not rows or not rows[0]:
             raise DimensionMismatch("matrix dimensions must be positive")
         n = len(rows[0])

@@ -92,6 +92,10 @@ def test_descriptor_guards():
     # tails sit on trailing 1x1 blocks only
     with pytest.raises(ShapeMismatch):
         AnticodeDescriptor(shape, F2, (), Subspace.full(F2, 2))
+    # more block supports than blocks used to raise a bare IndexError
+    col = {"kind": "col", "L": [[1]]}
+    with pytest.raises(ShapeMismatch):
+        AnticodeDescriptor.from_dict({"blocks": [col, col, col]}, Shape((1, 1), (1, 1)), F2)
 
 
 def test_classification_of_known_codes():

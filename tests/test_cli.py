@@ -253,6 +253,11 @@ def test_expand_report(tmp_path, capsys):
     status, _, err = _run(["expand", path], capsys)
     assert status == 1 and "error:" in err
 
+    # a true coordinate or gamma element used to read as 1 and exit 0
+    for bad in (dict(payload, vectors=[[[True, 2]]]), dict(payload, gamma=[[True, 2]])):
+        status, out, err = _run(["expand", _write(tmp_path, "bad.json", bad)], capsys)
+        assert status == 1 and out == "" and "Traceback" not in err
+
 
 def test_usage_failures_exit_one(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
@@ -320,10 +325,12 @@ def test_entries_outside_the_field_exit_one(tmp_path, capsys, blocks):
         ({"p": 2.9, "e": True}, {"m": [2.7], "n": [True]}),
         ({"p": 2, "e": 1}, {"m": [2.7], "n": [True]}),
         ({"p": 2, "e": 1}, {"m": [2], "n": [1], "strict": 0}),
+        ({"p": 2, "e": 2, "modulus": [1.5, 1, True]}, {"m": [2], "n": [1]}),
     ],
 )
 def test_field_and_shape_numbers_that_are_not_ints_exit_one(tmp_path, capsys, field, shape):
-    # int() and bool() coerced these, and the first answered srk 1 with exit 0
+    # int(), bool() and the modulus's int(c) % p coerced these, and the first
+    # and last answered srk 1 with exit 0
     tup = {"field": field, "shape": shape, "blocks": [[[1], [0]]]}
     status, out, err = _run(["srk", _write(tmp_path, "t.json", tup)], capsys)
     assert status == 1 and out == "" and "must be" in err and "Traceback" not in err

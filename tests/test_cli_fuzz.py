@@ -7,6 +7,7 @@ dimensions far larger than any payload could fill, under a small --cap.
 
 import json
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from test_cli import _run
@@ -324,3 +325,80 @@ def test_rho_answers_any_payload(tmp_path, capsys, payload, cap, oracle):
 def test_meshulam_answers_any_payload(tmp_path, capsys, payload, cap, oracle):
     argv = ["meshulam", _write(tmp_path, "m.json", payload), "--cap", str(cap)]
     _check(argv + (["--oracle"] if oracle else []), capsys)
+
+
+# Valid payloads, each with the slots where a number must be an int: a
+# slot's kind is "int", "bool", or the order of the field its elements
+# live in.
+F4_TUPLE = {
+    "field": {"p": 2, "e": 2, "modulus": [1, 1, 1]},
+    "shape": {"m": [2, 1], "n": [2, 1], "strict": True},
+    "blocks": [[[1, 2], [3, 0]], [[1]]],
+}
+LEAK = [
+    {"field": {"p": 2, "e": 1}, "shape": {"m": [2], "n": [2]}, "basis": [[[[1, 0], [0, 1]]]]},
+    {"taps": [[[1], [0]]]},
+]
+GAMMA = {
+    "field": {"p": 2, "e": 1},
+    "shape": {"m": [2], "n": [2]},
+    "gamma": [[1, 2]],
+    "vectors": [[[1, 2]]],
+    "subfield_degree": 1,
+}
+SLOTS = [
+    ("srk", [F4_TUPLE], (0, "field", "p"), "int"),
+    ("srk", [F4_TUPLE], (0, "field", "e"), "int"),
+    ("srk", [F4_TUPLE], (0, "field", "modulus", 0), 2),
+    ("srk", [F4_TUPLE], (0, "field", "modulus", 2), 2),
+    ("srk", [F4_TUPLE], (0, "shape", "m", 0), "int"),
+    ("srk", [F4_TUPLE], (0, "shape", "n", 1), "int"),
+    ("srk", [F4_TUPLE], (0, "shape", "strict"), "bool"),
+    ("srk", [F4_TUPLE], (0, "blocks", 0, 1, 0), 4),
+    ("leak", LEAK, (1, "taps", 0, 1, 0), 2),
+    ("expand", [GAMMA], (0, "vectors", 0, 0, 1), 4),
+    ("expand", [GAMMA], (0, "gamma", 0, 0), 4),
+    ("expand", [GAMMA], (0, "subfield_degree"), "int"),
+]
+
+
+def _not_for(kind):
+    """Numbers a slot of this kind must refuse: floats (whole ones too) and
+    bools for an int, ints and floats for a bool, and for field elements
+    also the ints outside 0..q-1."""
+    floats = st.one_of(st.floats(), st.sampled_from([0.0, 1.0, 2.0]))
+    if kind == "bool":
+        return st.one_of(st.integers(), floats)
+    bad = st.one_of(floats, st.booleans())
+    if kind == "int":
+        return bad
+    return st.one_of(bad, st.integers(max_value=-1), st.integers(min_value=kind))
+
+
+@st.composite
+def planted_numbers(draw):
+    subcommand, payloads, (index, *keys), kind = draw(st.sampled_from(SLOTS))
+    payloads = json.loads(json.dumps(payloads))
+    slot = payloads[index]
+    for key in keys[:-1]:
+        slot = slot[key]
+    slot[keys[-1]] = draw(_not_for(kind))
+    return subcommand, payloads
+
+
+@pytest.mark.parametrize(
+    "subcommand,payloads", [("srk", [F4_TUPLE]), ("leak", LEAK), ("expand", [GAMMA])]
+)
+def test_the_payloads_that_slots_are_planted_in_exit_zero(tmp_path, capsys, subcommand, payloads):
+    paths = [_write(tmp_path, f"{i}.json", p) for i, p in enumerate(payloads)]
+    assert _run([subcommand] + paths, capsys)[0] == 0
+
+
+@FUZZ
+@given(planted=planted_numbers())
+def test_a_number_that_is_not_an_int_for_its_slot_exits_one(tmp_path, capsys, planted):
+    # a coerced number answers for another code than the one given
+    subcommand, payloads = planted
+    paths = [_write(tmp_path, f"{i}.json", p) for i, p in enumerate(payloads)]
+    status, out, err = _run([subcommand] + paths, capsys)
+    assert status == 1 and out == "" and "Traceback" not in err

@@ -38,6 +38,14 @@ def test_shape_strict_validation():
         Shape((2,), (1, 1))
     with pytest.raises(ShapeMismatch):
         Shape((2, 0), (1, 1))
+    # numbers that are not ints are refused, not coerced: (2.7,) x (True,)
+    # used to become (2,) x (1,)
+    for m, n in [((2.7,), (True,)), ((2.0,), (1,)), ((2,), ("1",)), ((2, False), (1, 1))]:
+        with pytest.raises(ShapeMismatch, match="must be ints"):
+            Shape(m, n)
+    for strict in (1, 0, "no", None):
+        with pytest.raises(ShapeMismatch, match="must be a bool"):
+            Shape((2,), (1,), strict)
     # the relaxed mode lifts both constraints
     loose = Shape((2, 3), (3, 1), strict=False)
     assert loose.ambient_dim == 9

@@ -19,6 +19,8 @@ from sumrank import (
     weight_profile,
 )
 from sumrank.errors import (
+    BadDegree,
+    ContextMismatch,
     GammaNotBasis,
     NotLinearOverSubfield,
     RankOutOfRange,
@@ -341,13 +343,27 @@ def test_gamma_guards():
         GammaBasis(F2, shape, [(1,)])
     with pytest.raises(GammaNotBasis):
         GammaBasis(F2, shape, [(1, 7)])
+    # gamma elements that are not ints: (True, 2) used to read as (1, 2)
+    for gams in [(True, 2), (1.0, 2), (1, "2")]:
+        with pytest.raises(GammaNotBasis):
+            GammaBasis(F2, shape, [gams])
     gamma = GammaBasis.monomial(F2, shape)
     with pytest.raises(NotLinearOverSubfield):
         gamma_expand(gamma, [((1,),)], subfield_degree=3)
-    with pytest.raises(ShapeMismatch):
-        gamma.expand_vector(((1,), (1,)))
-    with pytest.raises(ShapeMismatch):
-        gamma.expand_vector(((1, 2),))
+    for degree in (1.0, True, "1"):
+        with pytest.raises(BadDegree):
+            gamma_expand(gamma, [((1,),)], subfield_degree=degree)
+    for v in (((1,), (1,)), ((1, 2),)):
+        with pytest.raises(ShapeMismatch):
+            gamma.expand_vector(v)
+        with pytest.raises(ShapeMismatch):
+            gamma_expand(gamma, [v])
+    # a coordinate outside F_4 is refused, not reduced: (7,) used to equal (3,)
+    for v in (((7,),), ((-1,),), ((True,),), ((1.5,),)):
+        with pytest.raises(ContextMismatch, match="is not an element of F_4"):
+            gamma.expand_vector(v)
+        with pytest.raises(ContextMismatch, match="is not an element of F_4"):
+            gamma_expand(gamma, [((1,),), v])
 
 
 def test_gamma_nonmonomial_basis_agrees_on_spans():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from sumrank import FieldContext, field_from_dict
 from sumrank.errors import (
+    ContextMismatch,
     DivideByZero,
     NotPrime,
     OrderTooLarge,
@@ -171,6 +172,14 @@ def test_constructor_guards():
         FieldContext(2, 2, modulus=(1, 0, 1))  # x^2 + 1 = (x + 1)^2 over F_2
     with pytest.raises(ReducibleModulus):
         FieldContext(2, 2, modulus=(1, 1))  # wrong degree
+    # numbers that are not ints are refused, not coerced: e = 2.0 used to
+    # raise a bare TypeError, and modulus [1.5, 1, True] read as x^2 + x + 1
+    for p, e in [(3, 2.0), (3.0, 2), (True, 1), (2, True), ("2", 1)]:
+        with pytest.raises(ContextMismatch, match="must be ints"):
+            FieldContext(p, e)
+    for modulus in [(1.5, 1, True), (1, 1, True), (1, 1.0, 1), (3, 1, 1), (-1, 1, 1)]:
+        with pytest.raises(ReducibleModulus, match="must be ints"):
+            FieldContext(2, 2, modulus)
     with pytest.raises(DivideByZero):
         FieldContext(3, 1).inv(0)
     with pytest.raises(DivideByZero):

@@ -139,6 +139,21 @@ def test_isometry_guards():
     singular = MatrixFq(F2, [[1, 1], [1, 1]])
     with pytest.raises(ValueError):
         Isometry(shape, F2, (0, 1), (False, False), (singular, eye1), (eye2, eye1))
+    # a sigma entry that is not an int, or a transpose flag that is not a
+    # bool, is refused: (False, True) used to pass as (0, 1), and
+    # "transpose": "no" read from a payload as True
+    for sigma in [(False, True), (0.0, 1)]:
+        with pytest.raises(ShapeMismatch, match="must be ints"):
+            Isometry(shape, F2, sigma, (False, False), (eye2, eye1), (eye2, eye1))
+    for transpose in [(0, False), ("no", False), (None, False)]:
+        with pytest.raises(ShapeMismatch, match="must be bools"):
+            Isometry(shape, F2, (0, 1), transpose, (eye2, eye1), (eye2, eye1))
+    data = Isometry.identity(shape, F2).to_dict()
+    with pytest.raises(ShapeMismatch):
+        Isometry.from_dict(dict(data, sigma=[0.0, 1]), shape, F2)
+    data["blocks"][0]["transpose"] = "no"
+    with pytest.raises(ShapeMismatch):
+        Isometry.from_dict(data, shape, F2)
     tall = Shape((2,), (1,))
     with pytest.raises(IllegalTranspose):
         Isometry(

@@ -157,6 +157,13 @@ def test_matrix_inverse_guards():
         MatrixFq(ctx, [[1, 0], [1]])
     with pytest.raises(DimensionMismatch):
         MatrixFq(ctx, [])
+    # an entry outside F_q is refused, not reduced: [[3, -1]] used to store [[1, 1]]
+    for rows in ([[3, -1]], [[1, -1]], [[1.0, 0]], [[True, 0]], [["1", 0]], [[None]]):
+        with pytest.raises(ContextMismatch, match="is not an element of F_2"):
+            MatrixFq(ctx, rows)
+    assert MatrixFq(F4, [[3, 0]]).rows == ((3, 0),)
+    with pytest.raises(ContextMismatch, match="is not an element of F_4"):
+        MatrixFq(F4, [[4, 0]])
     with pytest.raises(ContextMismatch):
         MatrixFq(F2, [[1]])._check(MatrixFq(F3, [[1]]))
 
