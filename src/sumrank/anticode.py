@@ -122,9 +122,7 @@ class AnticodeDescriptor:
         return [(i, blk.kind, blk.space) for i, blk in enumerate(self.blocks)] + tail
 
     def _tail_max_weight(self) -> int:
-        if self.tail is None or self.tail.dim == 0:
-            return 0
-        return max(sum(1 for x in v if x) for v in self.tail.vectors())
+        return 0 if self.tail is None else _max_hamming_weight(self.tail)
 
     def max_weight(self) -> int:
         """Maximum sum-rank of the anticode (the support total, plus the
@@ -426,16 +424,13 @@ def optimal_hamming_subspaces(ctx: FieldContext, t: int) -> List[Subspace]:
     """Subspaces of F_q^t whose dimension equals their maximum weight."""
     if t > HAMMING_TAIL_CAP:
         raise EnumerationTooLarge(f"tail length {t} exceeds cap {HAMMING_TAIL_CAP}")
-    out = []
-    for u in range(t + 1):
-        for sub in enumerate_subspaces(ctx, t, u):
-            if u == 0:
-                out.append(sub)
-                continue
-            maxwt = max(sum(1 for x in v if x) for v in sub.vectors())
-            if maxwt == u:
-                out.append(sub)
-    return out
+    subs = (sub for u in range(t + 1) for sub in enumerate_subspaces(ctx, t, u))
+    return [sub for sub in subs if _max_hamming_weight(sub) == sub.dim]
+
+
+def _max_hamming_weight(space: Subspace) -> int:
+    """Largest Hamming weight of a vector of space, by a walk of all q^dim."""
+    return max(len(v) - v.count(0) for v in space.vectors())
 
 
 def enumerate_anticodes(
@@ -461,27 +456,21 @@ def enumerate_anticodes(
 def is_optimal_anticode(
     code: LinearCode, cap: int = DIST_CAP
 ) -> Tuple[bool, Optional[AnticodeDescriptor]]:
-    """Test dim = max weighted rank; on success return the classification.
+    """Decide dim = max weighted rank by the classification; on success
+    return it.
 
-    The returned descriptor is rebuilt from the block projections and
-    checked against the code, so a successful return certifies both the
-    optimality and the product (or tail) structure.
+    Optimal anticodes are the products of per-block support spaces, with
+    over F_2 a tail on the trailing 1x1 blocks whose dimension equals its
+    largest Hamming weight.  So the code is optimal exactly when each head
+    block's projection is a support space, the code is the product of its
+    projections, and a binary tail passes that weight test.  No codeword
+    is walked; cap bounds the 2^dim words of the tail.
     """
     shape, ctx = code.shape, code.ctx
     if not shape.strict:
         raise ShapeMismatch("optimal anticodes live in strict shapes")
-    if code.dim == 0:
-        blocks = tuple(
-            BlockSupport("col", Subspace.zero(ctx, nn)) for nn in shape.n
-        )
-        return True, AnticodeDescriptor(shape, ctx, blocks)
-    top = code.weighted_max(cap=cap, stop_at=code.dim + 1)
-    if top > code.dim:
-        return False, None
-    if top < code.dim:
-        raise InvariantViolation("dimension exceeded the weighted-rank maximum")
     k = shape.scalar_suffix_start()
-    use_tail = ctx.q == 2 and k < shape.ell
+    use_tail = ctx.q == 2 and k < shape.ell and code.dim > 0  # the zero code takes no tail
     covered = k if use_tail else shape.ell
     blocks = []
     for i in range(covered):
@@ -496,14 +485,21 @@ def is_optimal_anticode(
                 blocks.append(BlockSupport(kind, span))
                 break
         else:
-            raise InvariantViolation(f"block {i} projection is not a support space")
+            return False, None
     tail = None
     if use_tail:
         (line,) = shape.lines(k, "tail")
         tail = Subspace.from_vectors(ctx, len(line), [r[line.start :] for r in code.rows])
     desc = AnticodeDescriptor(shape, ctx, tuple(blocks), tail)
-    if desc.materialize() != code:
-        raise InvariantViolation("optimal anticode failed to factor as classified")
+    # the code lies in the product of its projections, so it is that product,
+    # the descriptor's materialization, exactly when the dimensions agree
+    if desc.dim() != code.dim:
+        return False, None
+    if tail is not None:
+        if 2**tail.dim > cap:
+            raise EnumerationTooLarge(f"2^{tail.dim} tail words exceed cap {cap}")
+        if _max_hamming_weight(tail) != tail.dim:
+            return False, None
     return True, desc
 
 
@@ -525,7 +521,7 @@ def anticode_dual(desc: AnticodeDescriptor) -> AnticodeDescriptor:
         )
     blocks = list(desc.blocks)
     if desc.tail is not None:
-        if desc.tail.dim != desc._tail_max_weight():
+        if desc.tail.dim != _max_hamming_weight(desc.tail):
             raise ClassificationNotApplicable("tail is not an optimal anticode")
         if any(sum(1 for x in r if x) != 1 for r in desc.tail.basis):
             raise ClassificationNotApplicable("tail does not factor through the blocks")

@@ -226,9 +226,7 @@ def _cmd_anticode(config: RunConfig) -> dict:
     code = _read_code(config.paths[0])
     optimal, desc = is_optimal_anticode(code, **config.caps)
     if config.oracle:
-        top = 0
-        for t in code.iter_codewords():
-            top = max(top, t.weighted_rank())
+        top = code.weighted_max(**config.caps) if code.dim else 0
         _oracle_check("is_optimal", optimal, code.dim == top)
         if optimal and desc is not None and desc.materialize() != code:
             raise InvariantViolation(

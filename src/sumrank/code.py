@@ -64,7 +64,10 @@ class Shape:
     strict: bool = True
 
     def __post_init__(self):
-        m, n = tuple(self.m), tuple(self.n)
+        try:
+            m, n = tuple(self.m), tuple(self.n)
+        except TypeError:
+            raise ShapeMismatch("block dimensions m and n must be sequences") from None
         if any(type(x) is not int for x in m + n):
             raise ShapeMismatch(f"block dimensions {list(m)} x {list(n)} must be ints")
         if type(self.strict) is not bool:
@@ -457,21 +460,19 @@ class LinearCode:
                     total += w * rank_rows([word[cut] for cut in cuts], b, ctx)
                 yield total, ctx.q - 1
 
-    def _scan(self, kind: str, cap: int, stop_at: Optional[int] = None) -> int:
-        """Min or max srk, or max weighted rank, over the values of _walk.
-
-        "min" stops at 1, a maximum once it reaches stop_at.
-        """
+    def _scan(self, kind: str, cap: int) -> int:
+        """Min or max srk, or max weighted rank, over the values of _walk;
+        "min" stops at 1."""
         if self.dim == 0:
             raise TrivialCode("the zero code has no nonzero codewords")
         self._guard(cap)
         # a minimum is the maximum of -v, reached once v = 1
-        sign, stop = (-1, -1) if kind == "min" else (1, stop_at)
+        sign = -1 if kind == "min" else 1
         best = None
         for v, _ in self._walk(kind == "weighted_max"):
             if best is None or sign * v > best:
                 best = sign * v
-                if stop is not None and best >= stop:
+                if best == -1:
                     break
         return sign * best
 
@@ -496,14 +497,14 @@ class LinearCode:
     def max_srk(self, cap: int = DIST_CAP) -> int:
         return self._scan("max", cap)
 
-    def weighted_max(self, cap: int = DIST_CAP, stop_at: Optional[int] = None) -> int:
-        """max over codewords of sum m_i rank(C_i).
+    def weighted_max(self, cap: int = DIST_CAP) -> int:
+        """max over codewords of sum m_i rank(C_i), by a scan of all q^dim.
 
-        With stop_at = s the scan may stop at the first codeword whose
-        value reaches s: a result below s is the exact maximum, any other
-        result is some value >= s, not necessarily the maximum.
+        A code attains its dimension here exactly when it is an optimal
+        anticode; is_optimal_anticode decides that without a scan, and this
+        is its oracle.
         """
-        return self._scan("weighted_max", cap, stop_at)
+        return self._scan("weighted_max", cap)
 
     def srk_distribution(self, cap: int = DIST_CAP) -> dict:
         """Count of nonzero codewords per sum-rank weight, from _walk; {} for the zero code."""

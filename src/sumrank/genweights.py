@@ -250,17 +250,18 @@ class GammaBasis:
     ):
         self.base = base
         self.shape = shape
-        if len(bases) != shape.ell:
+        try:
+            self.bases = tuple(map(tuple, bases))
+        except TypeError:
+            raise GammaNotBasis("gamma bases must be one sequence of elements per block") from None
+        if len(self.bases) != shape.ell:
             raise ShapeMismatch("one basis per block")
         self.exts = tuple(extension_context(base, m) for m in shape.m)
-        clean = []
-        for i, gams in enumerate(bases):
+        for i, gams in enumerate(self.bases):
             if len(gams) != shape.m[i]:
                 raise GammaNotBasis(f"block {i}: need {shape.m[i]} basis elements")
             if any(type(g) is not int or not 0 <= g < self.exts[i].q for g in gams):
                 raise GammaNotBasis(f"block {i}: element outside the extension field")
-            clean.append(tuple(gams))
-        self.bases = tuple(clean)
         self._solvers = tuple(self._build_solver(i) for i in range(shape.ell))
 
     @classmethod

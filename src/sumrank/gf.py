@@ -138,7 +138,10 @@ class FieldContext:
         if modulus is None:
             modulus = lex_least_irreducible(p, e)
         else:
-            modulus = tuple(modulus)
+            try:
+                modulus = tuple(modulus)
+            except TypeError:
+                raise ContextMismatch("modulus must be a sequence of coefficients") from None
             if any(type(c) is not int or not 0 <= c < p for c in modulus):
                 raise ReducibleModulus(f"modulus {list(modulus)} must be ints in 0..{p - 1}")
             if len(modulus) != e + 1 or modulus[-1] != 1:

@@ -347,7 +347,10 @@ class MatrixFq:
     __slots__ = ("ctx", "m", "n", "rows")
 
     def __init__(self, ctx: FieldContext, rows: Sequence[Sequence[int]]):
-        rows = tuple(map(tuple, rows))
+        try:
+            rows = tuple(map(tuple, rows))
+        except TypeError:
+            raise DimensionMismatch("matrix rows must be sequences of entries") from None
         q = ctx.q
         for r in rows:
             for x in r:
@@ -475,8 +478,8 @@ def trace_product(a: MatrixFq, b: MatrixFq) -> int:
 
 class Subspace:
     """A subspace of F_q^n held as its canonical RREF basis.  The constructor
-    checks that each row has n int entries in 0..q-1 (a bool passes as the
-    int it is); _from_rref trusts its caller."""
+    checks that each row has n int entries in 0..q-1 (a bool is refused);
+    _from_rref trusts its caller."""
 
     __slots__ = ("ctx", "ambient", "basis", "pivots")
 
@@ -487,13 +490,10 @@ class Subspace:
         for row in basis:
             if len(row) != ambient:
                 raise DimensionMismatch(f"a row of {len(row)} entries in ambient {ambient}")
-            try:
-                if ambient and (min(row) < 0 or max(row) > top):
-                    raise ContextMismatch(f"a row entry lies outside 0..{top}")
-                if type(sum(row)) is not int:  # a float entry, or any other non-int number
-                    raise ContextMismatch("a row entry is not an int")
-            except TypeError:  # an entry that does not compare or add with ints
-                raise ContextMismatch("a row entry is not an int") from None
+            if ambient and set(map(type, row)) != {int}:
+                raise ContextMismatch("a row entry is not an int")
+            if ambient and (min(row) < 0 or max(row) > top):
+                raise ContextMismatch(f"a row entry lies outside 0..{top}")
         rows, pivots = rref(basis, ambient, ctx)
         self.ctx, self.ambient, self.basis, self.pivots = ctx, ambient, tuple(rows), tuple(pivots)
 

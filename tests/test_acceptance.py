@@ -185,7 +185,7 @@ def test_criterion_04_anticode_bound_battery():
         code = random_code(rng, ctx, shape, rng.randint(1, top))
         if code.dim == 0 or code.dim > top:
             continue
-        assert code.dim <= code.weighted_max(stop_at=code.dim)
+        assert code.dim <= code.weighted_max()
         checked += 1
     elapsed = time.monotonic() - start
     assert elapsed < 120

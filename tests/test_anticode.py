@@ -1,6 +1,7 @@
 """Optimal anticodes: classification, enumeration, duality, staircases."""
 
 import random
+import time
 from itertools import combinations, product as iter_product
 
 import pytest
@@ -297,6 +298,53 @@ def test_anticode_duality_binary_guard():
     )
     with pytest.raises(ClassificationNotApplicable):
         anticode_dual(bad)
+
+
+def test_classification_decides_above_the_scan_guard():
+    # the full F_2 space of (5,)x(5,) has 2^25 codewords, above DIST_CAP,
+    # which the codeword scan refuses; no tail exists, so nothing is walked
+    full = LinearCode.full(Shape((5,), (5,)), F2)
+    with pytest.raises(EnumerationTooLarge):
+        full.weighted_max()
+    start = time.perf_counter()
+    ok, desc = is_optimal_anticode(full)
+    assert ok and desc.dim() == 25 and desc.materialize() == full
+    assert time.perf_counter() - start < 1.0
+
+
+def test_cap_bounds_only_the_binary_tail():
+    # full F_2 (2,1,1,1)x(2,1,1,1): dim 7, a tail of dim 3 on the 1x1 blocks
+    tailed = LinearCode.full(Shape((2, 1, 1, 1), (2, 1, 1, 1)), F2)
+    ok, desc = is_optimal_anticode(tailed, cap=8)
+    assert ok and desc.tail.dim == 3
+    with pytest.raises(EnumerationTooLarge, match=r"2\^3 tail words exceed cap 7"):
+        is_optimal_anticode(tailed, cap=7)
+    # a long binary tail: 2^6 words on six 1x1 blocks
+    cube = LinearCode.full(Shape((1,) * 6, (1,) * 6), F2)
+    assert is_optimal_anticode(cube, cap=64)[0]
+    with pytest.raises(EnumerationTooLarge):
+        is_optimal_anticode(cube, cap=63)
+    # no tail over F_3, and a code that fails before its tail is tested
+    assert is_optimal_anticode(LinearCode.full(Shape((1,) * 6, (1,) * 6), F3), cap=1)[0]
+    diag = LinearCode(Shape((2, 1), (2, 1)), F2, [(1, 0, 0, 1, 0), (0, 0, 0, 0, 1)])
+    assert is_optimal_anticode(diag, cap=1) == (False, None)
+
+
+def test_classification_walks_no_codeword(monkeypatch):
+    rng = random.Random(7)
+    shape = Shape((2, 1, 1, 1), (2, 1, 1, 1))
+    codes = [desc.materialize() for desc in enumerate_anticodes(F2, shape, 2, "all")]
+    for ctx in (F2, F3):
+        rows = [tuple(rng.randrange(ctx.q) for _ in range(7)) for _ in range(3)]
+        codes.append(LinearCode(shape, ctx, rows))
+    want = [code.dim == code.weighted_max() for code in codes]
+    assert any(want) and not all(want)
+
+    def walk(self, weighted):
+        raise AssertionError("a codeword walk started")
+
+    monkeypatch.setattr(LinearCode, "_walk", walk)
+    assert [is_optimal_anticode(code)[0] for code in codes] == want
 
 
 def test_max_srk_generates():

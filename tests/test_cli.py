@@ -174,6 +174,17 @@ def test_anticode_classification(tmp_path, capsys):
     assert report["is_optimal"] is False and report["descriptor"] is None
 
 
+def test_anticode_cap_guards_only_the_oracle_scan(tmp_path, capsys):
+    # the classification walks no codeword, so a cap below 2^4 leaves the
+    # plain answer alone; the oracle's scan still refuses the dim-4 code
+    path = _write(tmp_path, "full.json", FULL_2X2)
+    status, out, _ = _run(["anticode", path, "--cap", "8"], capsys)
+    assert status == 0 and json.loads(out)["is_optimal"] is True
+    status, out, err = _run(["anticode", path, "--oracle", "--cap", "8"], capsys)
+    assert (status, out) == (1, "")
+    assert err == "error: q^dim = 2**4 exceeds cap 8\n"
+
+
 def test_rho_and_meshulam(tmp_path, capsys):
     path = _write(tmp_path, "mats.json", COVER_MATS)
     status, out, _ = _run(["rho", path, "--oracle"], capsys)

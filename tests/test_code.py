@@ -46,6 +46,9 @@ def test_shape_strict_validation():
     for strict in (1, 0, "no", None):
         with pytest.raises(ShapeMismatch, match="must be a bool"):
             Shape((2,), (1,), strict)
+    # dimensions that are not sequences raised a bare TypeError
+    with pytest.raises(ShapeMismatch, match="must be sequences"):
+        Shape(3, 3)
     # the relaxed mode lifts both constraints
     loose = Shape((2, 3), (3, 1), strict=False)
     assert loose.ambient_dim == 9

@@ -347,6 +347,10 @@ def test_gamma_guards():
     for gams in [(True, 2), (1.0, 2), (1, "2")]:
         with pytest.raises(GammaNotBasis):
             GammaBasis(F2, shape, [gams])
+    # bases that are not sequences raised a bare TypeError
+    for bases in (5, [5]):
+        with pytest.raises(GammaNotBasis, match="one sequence of elements per block"):
+            GammaBasis(F2, shape, bases)
     gamma = GammaBasis.monomial(F2, shape)
     with pytest.raises(NotLinearOverSubfield):
         gamma_expand(gamma, [((1,),)], subfield_degree=3)

@@ -180,6 +180,9 @@ def test_constructor_guards():
     for modulus in [(1.5, 1, True), (1, 1, True), (1, 1.0, 1), (3, 1, 1), (-1, 1, 1)]:
         with pytest.raises(ReducibleModulus, match="must be ints"):
             FieldContext(2, 2, modulus)
+    # a modulus that is not a sequence raised a bare TypeError
+    with pytest.raises(ContextMismatch, match="must be a sequence"):
+        FieldContext(2, 2, 5)
     with pytest.raises(DivideByZero):
         FieldContext(3, 1).inv(0)
     with pytest.raises(DivideByZero):

@@ -13,6 +13,7 @@ from sumrank import (
     LinearCode,
     MatrixFq,
     MatrixTuple,
+    Shape,
     Subspace,
     WiretapScenario,
     count_subspaces,
@@ -157,6 +158,9 @@ def test_matrix_inverse_guards():
         MatrixFq(ctx, [[1, 0], [1]])
     with pytest.raises(DimensionMismatch):
         MatrixFq(ctx, [])
+    # rows that are not sequences raised a bare TypeError
+    with pytest.raises(DimensionMismatch, match="must be sequences"):
+        MatrixFq(ctx, 5)
     # an entry outside F_q is refused, not reduced: [[3, -1]] used to store [[1, 1]]
     for rows in ([[3, -1]], [[1, -1]], [[1.0, 0]], [[True, 0]], [["1", 0]], [[None]]):
         with pytest.raises(ContextMismatch, match="is not an element of F_2"):
@@ -289,10 +293,13 @@ def test_subspace_refuses_an_entry_outside_the_field():
 
 def test_subspace_refuses_an_entry_that_is_not_an_int():
     # 1.5 used to reach pow() in the field inverse as a bare TypeError, and
-    # "a" still raised one from min()
-    for rows in ([(1.5, 0)], [(1, 0), (0, 1.0)], [(0, 2.0)], [("a", 0)], [(1, None)]):
+    # "a" still raised one from min(); a bool passed and stayed in the basis
+    for rows in ([(1.5, 0)], [(1, 0), (0, 1.0)], [(0, 2.0)], [("a", 0)], [(1, None)], [(True, 0)]):
         with pytest.raises(ContextMismatch):
             Subspace(F3, 2, rows)
+    # so a code built from one wrote its JSON only until MatrixFq refused the bool
+    with pytest.raises(ContextMismatch, match="not an int"):
+        LinearCode(Shape((2,), (1,)), F2, [(True, 0)])
 
 
 def test_subspace_refuses_a_row_of_the_wrong_length_or_a_negative_ambient():

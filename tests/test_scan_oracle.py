@@ -6,7 +6,9 @@ block of every word longhand with ``helpers.brute_rank``; the other is the
 Shapes cover strict and non-strict products, blocks with m_i < n_i and
 1x1 tails, over F_2, F_3, F_4, F_5 and F_9.  The bit-sliced F_2 walk is
 also run with chunks of 2 to 8 codewords, so that every scan crosses many
-chunk boundaries.
+chunk boundaries.  is_optimal_anticode, which decides by the classification
+and walks no codeword, is checked against dim = max weighted rank from the
+span oracle.
 """
 
 import random
@@ -17,7 +19,14 @@ import pytest
 
 import sumrank.code
 from helpers import F2, F3, F4, brute_rank, random_code, span_vectors
-from sumrank import FieldContext, LinearCode, Shape
+from sumrank import (
+    FieldContext,
+    LinearCode,
+    Shape,
+    enumerate_anticodes,
+    enumerate_subspaces,
+    is_optimal_anticode,
+)
 from sumrank.errors import EnumerationTooLarge, TrivialCode
 
 F5 = FieldContext(5, 1)
@@ -94,21 +103,6 @@ def test_full_space_and_rank_one_codes():
     assert line.srk_distribution() == {1: 8}
 
 
-def test_weighted_max_stop_at_contract():
-    # below stop_at the result is the exact maximum; otherwise it is some
-    # value at or above stop_at, and never above the maximum
-    for code in _codes(4):
-        if code.dim == 0:
-            continue
-        top = code.weighted_max()
-        for s in range(1, top + 3):
-            got = code.weighted_max(stop_at=s)
-            if top < s:
-                assert got == top
-            else:
-                assert s <= got <= top
-
-
 def test_zero_code_and_guard():
     for ctx in (F2, F3, F9):
         zero = LinearCode.zero(Shape((2, 1), (3, 1), strict=False), ctx)
@@ -177,21 +171,6 @@ def test_f2_chunks_match_the_matrix_tuple_chain(monkeypatch):
             _check_scans(code, weights)
 
 
-@pytest.mark.parametrize("bits", [1, 2])
-def test_f2_stop_at_contract_across_chunks(monkeypatch, bits):
-    monkeypatch.setattr(sumrank.code, "_LANE_BITS", bits)
-    rng = random.Random(30 + bits)
-    for shape in SHAPES:
-        code = random_code(rng, F2, shape, min(6, shape.ambient_dim))
-        top = code.weighted_max()
-        for s in range(1, top + 3):
-            got = code.weighted_max(stop_at=s)
-            if top < s:
-                assert got == top
-            else:
-                assert s <= got <= top
-
-
 def test_f2_min_distance_stops_in_a_later_chunk(monkeypatch):
     # rows[0] is the identity (rank 2); the rank-1 word rows[1] lies in the
     # second chunk of two codewords, and the scan stops there
@@ -244,3 +223,78 @@ def test_f2_scan_cost_is_polynomial_in_block_size():
                 start = time.perf_counter()
                 assert scan() == want
                 assert time.perf_counter() - start < 1.0
+
+
+def _check_optimality(code, top):
+    """is_optimal_anticode against dim = max weighted rank top."""
+    ok, desc = is_optimal_anticode(code)
+    assert ok == (code.dim == top), code
+    assert (desc is not None) == ok
+    if ok:
+        assert desc.materialize() == code
+
+
+# F_2 with 3 to 6 trailing 1x1 blocks, with and without a head block, and
+# small F_3 and F_4 spaces, where no tail exists
+SMALL_SPACES = [
+    (F2, Shape((1,) * 3, (1,) * 3)),
+    (F2, Shape((1,) * 4, (1,) * 4)),
+    (F2, Shape((1,) * 5, (1,) * 5)),
+    (F2, Shape((1,) * 6, (1,) * 6)),
+    (F2, Shape((2, 1, 1, 1), (1, 1, 1, 1))),
+    (F2, Shape((2, 1, 1, 1, 1), (1, 1, 1, 1, 1))),
+    (F2, Shape((2, 2), (2, 1))),
+    (F3, Shape((2,), (2,))),
+    (F3, Shape((2, 1), (1, 1))),
+    (F3, Shape((1, 1, 1), (1, 1, 1))),
+    (F4, Shape((2,), (2,))),
+    (F4, Shape((1, 1, 1), (1, 1, 1))),
+]
+
+
+@pytest.mark.parametrize("ctx, shape", SMALL_SPACES)
+def test_optimality_of_every_subspace_matches_the_span_oracle(ctx, shape):
+    amb = shape.ambient_dim
+    for k in range(amb + 1):
+        for sub in enumerate_subspaces(ctx, amb, k):
+            code = LinearCode(shape, ctx, sub.basis)
+            top = max((w for _, w in _brute_weights(code)), default=0)
+            _check_optimality(code, top)
+
+
+def _mixed(rng, ctx, rows):
+    """As many random combinations of rows as rows."""
+    out = []
+    for _ in rows:
+        word = [0] * len(rows[0])
+        for row in rows:
+            c = rng.randrange(ctx.q)
+            word = [ctx.add(a, ctx.mul(c, b)) for a, b in zip(word, row)]
+        out.append(tuple(word))
+    return out
+
+
+def test_optimality_of_mixed_anticodes_matches_the_scan():
+    # each member of the "all" family with its basis mixed, then with one
+    # row dropped and with one random row added; up to 2^10 words the span
+    # oracle decides, above it the scan, which the tests above check, up to
+    # 2^16 words over F_2 (packed) and 2^12 over F_3 and F_4
+    rng = random.Random(50)
+    for ctx, limit in ((F2, 1 << 16), (F3, 1 << 12), (F4, 1 << 12)):
+        for shape in (s for s in SHAPES if s.strict):
+            for mu in range(shape.ncols + 1):
+                family = list(enumerate_anticodes(ctx, shape, mu, "all"))
+                for desc in rng.sample(family, min(4, len(family))):
+                    rows = list(desc.materialize().rows)
+                    extra = tuple(rng.randrange(ctx.q) for _ in range(shape.ambient_dim))
+                    for basis in (rows, rows[1:], rows + [extra]):
+                        code = LinearCode(shape, ctx, _mixed(rng, ctx, basis) if basis else [])
+                        if ctx.q**code.dim > limit:
+                            continue
+                        if not code.dim:
+                            top = 0
+                        elif ctx.q**code.dim <= 1 << 10:
+                            top = max(w for _, w in _brute_weights(code))
+                        else:
+                            top = code.weighted_max()
+                        _check_optimality(code, top)
