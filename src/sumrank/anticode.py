@@ -30,10 +30,7 @@ from .errors import (
 from .gf import FieldContext
 from .matfq import (
     Subspace,
-    _F2Rows,
-    _F3Rows,
-    _Gf2eRows,
-    _ListRows,
+    _row_kernel,
     enumerate_subspaces,
     gaussian_binomial,
 )
@@ -205,11 +202,7 @@ class Meet:
         self._columns: dict = {}
         self._pools: dict = {}
         self._tails: Optional[List[Subspace]] = None
-        ctx = code.ctx
-        self._kernel = kernel = (
-            _F2Rows if ctx.q == 2 else _F3Rows if ctx.q == 3
-            else _Gf2eRows(ctx, code.dim) if ctx.p == 2 else _ListRows(ctx)
-        )
+        self._kernel = kernel = _row_kernel(code.ctx, code.dim)
         self._packed = [kernel.pack(col) for col in zip(*code.rows)]  # none on the zero code
 
     def dim(self, desc: AnticodeDescriptor) -> int:

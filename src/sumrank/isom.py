@@ -7,7 +7,8 @@ module applies, samples and composes them, and decides code equivalence
 exactly: it enumerates permutations, transpose masks and right factors N,
 and for each one solves a linear system for every left tuple (M_j) that
 maps the first code into the second, so the left GL groups are never
-listed.
+listed.  The system is packed per right factor and solved by the field's
+row kernel (matfq).
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import permutations, product as iter_product
 from math import factorial
-from typing import Iterator, List, Optional, Tuple
+from operator import xor
+from typing import Iterator, List, Tuple
 
 from .code import LinearCode, MatrixTuple, Shape
 from .errors import (
@@ -28,7 +30,7 @@ from .errors import (
     SingularFactor,
 )
 from .gf import FieldContext
-from .matfq import MatrixFq, Subspace, _dot, _echelon, nullspace_rows, vec_add, vec_scale
+from .matfq import MatrixFq, Subspace, _row_kernel, vec_scale
 
 __all__ = [
     "Isometry",
@@ -68,7 +70,8 @@ def gl_group(ctx: FieldContext, n: int) -> Tuple[MatrixFq, ...]:
     if q ** (n * n) > _GL_ENUM_CAP:
         raise GroupTooLarge(f"cannot enumerate GL({n}, F_{q})")
     lines = Shape((n,), (n,)).lines(0, "col")
-    points = _invertible_points(ctx, [lines], Subspace.full(ctx, n * n).basis, None, False)
+    full = Subspace.full(ctx, n * n).basis
+    points = _invertible_points(ctx, _row_kernel(ctx, n), [lines], full, None, False, {})
     result = tuple(MatrixFq(ctx, _blocks(p, [lines])[0]) for p in points)
     _GL_CACHE[key] = result
     return result
@@ -126,25 +129,16 @@ class Isometry:
     @classmethod
     def identity(cls, shape: Shape, ctx: FieldContext) -> "Isometry":
         ell = shape.ell
-        return cls(
-            shape,
-            ctx,
-            tuple(range(ell)),
-            (False,) * ell,
-            tuple(MatrixFq.identity(ctx, m) for m in shape.m),
-            tuple(MatrixFq.identity(ctx, n) for n in shape.n),
-        )
+        left = tuple(MatrixFq.identity(ctx, m) for m in shape.m)
+        right = tuple(MatrixFq.identity(ctx, n) for n in shape.n)
+        return cls(shape, ctx, tuple(range(ell)), (False,) * ell, left, right)
 
     def apply(self, t: MatrixTuple) -> MatrixTuple:
         if t.shape != self.shape or t.ctx != self.ctx:
             raise ShapeMismatch("tuple does not live in this isometry's space")
-        blocks = []
-        for j in range(self.shape.ell):
-            x = t.blocks[self.sigma[j]]
-            if self.transpose[j]:
-                x = x.transpose()
-            blocks.append(self.left[j] @ x @ self.right[j])
-        return MatrixTuple(self.shape, blocks)
+        xs = [t.blocks[i] for i in self.sigma]
+        xs = [x.transpose() if tr else x for x, tr in zip(xs, self.transpose)]
+        return MatrixTuple(self.shape, [m @ x @ n for m, x, n in zip(self.left, xs, self.right)])
 
     def apply_code(self, code: LinearCode) -> LinearCode:
         if code.shape != self.shape or code.ctx != self.ctx:
@@ -157,79 +151,42 @@ class Isometry:
         """self after other."""
         if self.shape != other.shape or self.ctx != other.ctx:
             raise ShapeMismatch("isometries on different spaces")
-        ell = self.shape.ell
-        sigma = tuple(other.sigma[self.sigma[j]] for j in range(ell))
-        transpose = []
-        left = []
-        right = []
-        for j in range(ell):
-            i = self.sigma[j]
-            tr_inner = other.transpose[i]
-            tr_outer = self.transpose[j]
-            if tr_outer:
-                # (M' X N')^T = N'^T X^T M'^T
-                left.append(self.left[j] @ other.right[i].transpose())
-                right.append(other.left[i].transpose() @ self.right[j])
+        parts = []
+        for j, i in enumerate(self.sigma):
+            if self.transpose[j]:  # (M' X N')^T = N'^T X^T M'^T
+                left = self.left[j] @ other.right[i].transpose()
+                right = other.left[i].transpose() @ self.right[j]
             else:
-                left.append(self.left[j] @ other.left[i])
-                right.append(other.right[i] @ self.right[j])
-            transpose.append(tr_inner != tr_outer)
-        return Isometry(
-            self.shape, self.ctx, sigma, tuple(transpose), tuple(left), tuple(right)
-        )
+                left, right = self.left[j] @ other.left[i], other.right[i] @ self.right[j]
+            parts.append((other.sigma[i], other.transpose[i] != self.transpose[j], left, right))
+        sigma, transpose, left, right = zip(*parts)
+        return Isometry(self.shape, self.ctx, sigma, transpose, left, right)
 
     def inverse(self) -> "Isometry":
-        ell = self.shape.ell
-        inv_sigma = [0] * ell
-        for j in range(ell):
-            inv_sigma[self.sigma[j]] = j
-        transpose = [False] * ell
-        left: List[Optional[MatrixFq]] = [None] * ell
-        right: List[Optional[MatrixFq]] = [None] * ell
-        for j in range(ell):
-            i = self.sigma[j]
-            li = self.left[j].inverse()
-            ri = self.right[j].inverse()
+        # block j of the image came from block i = sigma[j]; undo it there
+        parts = {}
+        for j, i in enumerate(self.sigma):
+            li, ri = self.left[j].inverse(), self.right[j].inverse()
             if self.transpose[j]:
-                transpose[i] = True
-                left[i] = ri.transpose()
-                right[i] = li.transpose()
-            else:
-                left[i] = li
-                right[i] = ri
-        return Isometry(
-            self.shape,
-            self.ctx,
-            tuple(inv_sigma),
-            tuple(transpose),
-            tuple(left),  # type: ignore[arg-type]
-            tuple(right),  # type: ignore[arg-type]
-        )
+                li, ri = ri.transpose(), li.transpose()
+            parts[i] = (j, self.transpose[j], li, ri)
+        sigma, transpose, left, right = zip(*(parts[i] for i in range(self.shape.ell)))
+        return Isometry(self.shape, self.ctx, sigma, transpose, left, right)
 
     def to_dict(self) -> dict:
+        blocks = zip(self.left, self.right, self.transpose)
         return {
             "sigma": list(self.sigma),
-            "blocks": [
-                {
-                    "M": self.left[j].to_lists(),
-                    "N": self.right[j].to_lists(),
-                    "transpose": self.transpose[j],
-                }
-                for j in range(self.shape.ell)
-            ],
+            "blocks": [{"M": m.to_lists(), "N": n.to_lists(), "transpose": t}
+                       for m, n, t in blocks],
         }
 
     @classmethod
     def from_dict(cls, data: dict, shape: Shape, ctx: FieldContext) -> "Isometry":
         blocks = data["blocks"]
-        return cls(
-            shape,
-            ctx,
-            tuple(data["sigma"]),
-            tuple(b["transpose"] for b in blocks),
-            tuple(MatrixFq(ctx, b["M"]) for b in blocks),
-            tuple(MatrixFq(ctx, b["N"]) for b in blocks),
-        )
+        sigma, transpose = tuple(data["sigma"]), tuple(b["transpose"] for b in blocks)
+        left, right = (tuple(MatrixFq(ctx, b[k]) for b in blocks) for k in "MN")
+        return cls(shape, ctx, sigma, transpose, left, right)
 
 
 def random_isometry(
@@ -250,10 +207,8 @@ def random_isometry(
             rng.shuffle(shuffled)
             for pos, val in zip(idxs, shuffled):
                 sigma[pos] = val
-    transpose = tuple(
-        allow_transpose and shape.m[j] == shape.n[j] and rng.random() < 0.5
-        for j in range(ell)
-    )
+    squares = [allow_transpose and m == n for m, n in zip(shape.m, shape.n)]
+    transpose = tuple(square and rng.random() < 0.5 for square in squares)
     left = tuple(random_gl(ctx, m, rng) for m in shape.m)
     right = tuple(random_gl(ctx, n, rng) for n in shape.n)
     return Isometry(shape, ctx, tuple(sigma), transpose, left, right)
@@ -292,64 +247,91 @@ def _order_floor_bits(shape: Shape, q: int) -> int:
 
 
 def _transpose_masks(shape: Shape) -> Iterator[Tuple[bool, ...]]:
-    squares = [j for j in range(shape.ell) if shape.m[j] == shape.n[j]]
-    for bits in range(1 << len(squares)):
-        mask = [False] * shape.ell
-        for pos, j in enumerate(squares):
-            mask[j] = bool(bits >> pos & 1)
-        yield tuple(mask)
+    """Every transpose mask, the flag of the first square block fastest."""
+    flags = [(False, True) if m == n else (False,) for m, n in zip(shape.m, shape.n)]
+    return (mask[::-1] for mask in iter_product(*flags[::-1]))
 
 
-def _left_equations(ctx, sizes, checks, images, right):
-    """Rows of the linear system in (M_1, ..., M_l) for fixed right factors.
+def _left_solver(ctx, basis, checks, sizes, pools):
+    """solve(sigma, mask, idx): the RREF basis of the left tuples (M_j) that
+    map the first code into the second with N_j = pools[j][idx[j]], given
+    the first code's basis and the second's checks as row tuples per block.
 
-    images[x][j] is op(X_sigma(j)) for basis tuple x and checks[h][j] is block
-    j of parity check h, both as row tuples.  The unknown M_j[a][c] has
-    coefficient (Y_j H_j^T)[c][a] with Y_j = op(X_sigma(j)) N_j, so equation
-    (h, x) says that the image of x has zero pairing with h.
+    The unknown M_j[a][c] has a packed column: its coefficients in the
+    equations (x, h), sums over d, b of op(X_x)_j[c][d] H_h,j[a][b] N_j[d][b],
+    then its marker.  That is linear in N_j, so a table of n_j^2 columns and
+    the marker per (j, sigma(j), mask[j]) gives it for each N_j by one
+    combine with flat(N_j) + (1,).  The echelon rows of the columns that
+    pivot in the markers span the solutions: back-substituted, their
+    markers are the basis.
     """
-    right_cols = [tuple(zip(*n.rows)) for n in right]
-    ys = [
-        [
-            [tuple(_dot(ctx, row, col) for col in cols) for row in blk]
-            for blk, cols in zip(x, right_cols)
+    eqs, unknowns = len(basis) * len(checks), sum(m * m for m in sizes)
+    if not eqs:  # every left tuple solves an empty system
+        full = Subspace.full(ctx, unknowns).basis
+        return lambda sigma, mask, idx: full
+    size = eqs + unknowns
+    kernel = _row_kernel(ctx, size)
+    units = [kernel.pack((0,) * i + (1,) + (0,) * (size - i - 1)) for i in range(size)]
+    cut = kernel.echelon([units[eqs]], size)[0][0]
+    starts = [eqs + sum(m * m for m in sizes[:j]) for j in range(len(sizes))]
+    flats = [[n.flatten() + (1,) for n in pool] for pool in pools]
+    tables: dict = {}
+
+    def table(j, s, t):
+        images = [tuple(zip(*x[s])) if t else x[s] for x in basis]
+        hs = [h[j] for h in checks]
+        m, n, k, w = sizes[j], len(hs[0][0]), len(basis), len(hs)
+        squares = [(d, b) for d in range(n) for b in range(n)]
+        # the entries H_h[a][b] of every check, placed at the equations of x
+        spread = [[[kernel.combine([h[a][b] for h in hs], units[x * w :]) for x in range(k)]
+                   for b in range(n)] for a in range(m)]
+        return {}, [
+            [kernel.combine([p[c][d] for p in images], spread[a][b]) for d, b in squares]
+            + [units[starts[j] + a * m + c]]
+            for a in range(m) for c in range(m)
         ]
-        for x in images
-    ]
-    rows = []
-    for y in ys:
-        for h in checks:
-            eq = []
-            for j, mm in enumerate(sizes):
-                hj, yj = h[j], y[j]
-                for a in range(mm):
-                    eq.extend(_dot(ctx, hj[a], yj[c]) for c in range(mm))
-            rows.append(eq)
-    return rows
+
+    def solve(sigma, mask, idx):
+        columns = []
+        for j, i in enumerate(idx):
+            key = (j, sigma[j], mask[j])
+            if key not in tables:
+                tables[key] = table(*key)
+            built, tab = tables[key]
+            if i not in built:
+                built[i] = [kernel.combine(flats[j][i], col) for col in tab]
+            columns += built[i]
+        done: list = []
+        for pair in sorted((p for p in kernel.echelon(columns, size) if p[0] >= cut), reverse=True):
+            done = kernel.echelon([pair[1]], size, done)
+        return [kernel.unpack(row, eqs, size) for _, row in reversed(done)]
+
+    return solve
 
 
-def _invertible_points(ctx, blocks, space, bound, first_only):
+def _invertible_points(ctx, kernel, blocks, space, bound, first_only, memo):
     """Vectors of the span of space (an RREF basis) whose square blocks are
     all invertible, in lexicographic order; blocks holds each block's rows
     as the lines of its square shape, the last ending the vector.
 
     A depth-first walk over the RREF coefficients: fixing the coefficient of
     basis row i fixes every coordinate before the pivot of row i + 1, and a
-    branch is cut as soon as the fixed rows of some block are dependent.
-    With bound, only vectors below it count and the walk stops once the
-    fixed prefix passes it; with first_only, it stops at the first hit.
+    branch is cut as soon as the fixed rows of some block are dependent, as
+    the row kernel finds once per memo key (block size, fixed rows).  With
+    bound, only vectors below it count and the walk stops once the fixed
+    prefix passes it; with first_only, it stops at the first hit.
     """
     total = blocks[-1][-1].stop
-    ends = [next(c for c, x in enumerate(row) if x) for row in space] + [total]
+    ends = [row.index(1) for row in space] + [total]  # an RREF row's first 1 is its pivot
     done_at: List[list] = [[] for _ in ends]
-    for j, lines in enumerate(blocks):
+    for lines in blocks:
         for line in lines:
-            done_at[bisect_left(ends, line.stop)].append((j, line.start, line.stop))
+            done_at[bisect_left(ends, line.stop)].append((len(lines), lines[0].start, line.stop))
     scaled = [[None] + [vec_scale(ctx, c, row) for c in range(1, ctx.q)] for row in space]
-    depth = len(space)
+    add, depth = xor if ctx.p == 2 else ctx.add, len(space)
     found: List[Tuple[int, ...]] = []
 
-    def visit(i, vec, echelons, tied) -> bool:
+    def visit(i, vec, tied) -> bool:
         # coordinates below ends[i] are fixed; True stops the whole walk
         if tied:
             lo = ends[i - 1] if i else 0
@@ -357,25 +339,25 @@ def _invertible_points(ctx, blocks, space, bound, first_only):
             if seg > ref:
                 return True
             tied = seg == ref
-        if done_at[i]:
-            echelons = list(echelons)
-            for j, start, end in done_at[i]:
-                grown = _echelon([vec[start:end]], end - start, ctx, echelons[j])
-                if len(grown) == len(echelons[j]):
-                    return False
-                echelons[j] = grown
+        for m, start, end in done_at[i]:
+            key = (m, vec[start:end])
+            if key not in memo:
+                rows = [kernel.pack(key[1][t : t + m]) for t in range(0, end - start, m)]
+                memo[key] = len(kernel.echelon(rows, m)) == len(rows)
+            if not memo[key]:
+                return False
         if i == depth:
             if tied:
                 return True
             found.append(vec)
             return first_only
         for step in scaled[i]:
-            nxt = vec if step is None else vec_add(ctx, vec, step)
-            if visit(i + 1, nxt, echelons, tied):
+            if visit(i + 1, vec if step is None else tuple(map(add, vec, step)), tied):
                 return True
         return False
 
-    visit(0, (0,) * total, [[]] * len(blocks), bound is not None)
+    visit(0, (0,) * total, bound is not None)
+    del visit  # it refers to itself: drop the cycle so the walk's state is freed now
     return found
 
 
@@ -402,8 +384,9 @@ def equivalent_codes(
     Only the right factors are enumerated.  For fixed sigma, mask and N the
     condition "M op(X) N lies in second for every basis tuple X of first"
     is linear in (M_1, ..., M_l), so one nullspace against the parity
-    checks of second yields every candidate left tuple, and a pruned walk
-    of that space keeps the tuples whose blocks are all invertible.
+    checks of second, one echelon of packed columns (_left_solver), yields
+    every candidate left tuple, and a pruned walk of that space keeps the
+    tuples whose blocks are all invertible.
     """
     if first.shape != second.shape:
         raise ShapeMismatch("codes live in different product spaces")
@@ -426,52 +409,40 @@ def equivalent_codes(
             return None
     proj_dims_second = [second.block_projection(j).dim for j in range(shape.ell)]
     proj_dims_first = [first.block_projection(j).dim for j in range(shape.ell)]
-    ell = shape.ell
-    sizes = shape.m
+    ell, sizes = shape.ell, shape.m
     # the unknowns (M_1, ..., M_l) flatten like a tuple of the square shape
     left_shape = Shape(sizes, sizes, strict=False)
     blocks = [shape.lines(j, "col") for j in range(ell)]
     left_blocks = [left_shape.lines(j, "col") for j in range(ell)]
-    unknowns = left_shape.ambient_dim
     basis = [_blocks(row, blocks) for row in first.rows]
     checks = [_blocks(row, blocks) for row in second.dual().rows]
     right_pools = [gl_group(ctx, n) for n in shape.n]
+    solve = _left_solver(ctx, basis, checks, sizes, right_pools)
+    kernel = _row_kernel(ctx, max(sizes))
+    memo: dict = {}
     lefts: dict = {}
+    first_only = not all_witnesses
     for sigma in admissible_permutations(shape):
-        if any(
-            proj_dims_first[sigma[j]] != proj_dims_second[j] for j in range(ell)
-        ):
+        if any(proj_dims_first[i] != d for i, d in zip(sigma, proj_dims_second)):
             continue
         for mask in _transpose_masks(shape):
-            images = [
-                [tuple(zip(*x[sigma[j]])) if mask[j] else x[sigma[j]] for j in range(ell)]
-                for x in basis
-            ]
             best = None
             pairs = []
-            for right in iter_product(*right_pools):
-                eqs = _left_equations(ctx, sizes, checks, images, right)
-                space = nullspace_rows(eqs, unknowns, ctx)
-                points = _invertible_points(
-                    ctx, left_blocks, space, best[0] if best else None, not all_witnesses
-                )
-                if all_witnesses:
+            for idx in iter_product(*(range(len(pool)) for pool in right_pools)):
+                space = solve(sigma, mask, idx)
+                points = _invertible_points(ctx, kernel, left_blocks, space, best, first_only, memo)
+                if points:
+                    # with a bound, each hit lies below every earlier one
+                    right = tuple(pool[i] for pool, i in zip(right_pools, idx))
                     pairs += [(point, right) for point in points]
-                elif points:
-                    best = (points[0], right)
-            if all_witnesses:
-                # stable: for equal left tuples the right tuples stay in order
-                pairs.sort(key=lambda pair: pair[0])
-            elif best is not None:
-                pairs = [best]
-            for point, right in pairs:
-                left = []
-                for blk in _blocks(point, left_blocks):
-                    # one matrix per distinct left block, shared by the witnesses
-                    if blk not in lefts:
-                        lefts[blk] = MatrixFq(ctx, blk)
-                    left.append(lefts[blk])
-                found.append(Isometry(shape, ctx, sigma, mask, tuple(left), right))
+                    best = None if all_witnesses else points[0]
+            # stable: for equal left tuples the right tuples stay in order
+            pairs.sort(key=lambda pair: pair[0])
+            for point, right in pairs if all_witnesses else pairs[:1]:
+                # one matrix per distinct left block, shared by the witnesses
+                blks = _blocks(point, left_blocks)
+                left = tuple(lefts.get(b) or lefts.setdefault(b, MatrixFq(ctx, b)) for b in blks)
+                found.append(Isometry(shape, ctx, sigma, mask, left, right))
             if found and not all_witnesses:
                 return found[0]
     return found if all_witnesses else None

@@ -3,20 +3,22 @@
 The reduced row echelon form is the only canonical representation used
 for subspaces anywhere in the package, so equality of spans is always a
 tuple comparison.  Entries are integer element representations; every
-operation goes through the context, except in the row kernels that Meet
-reduces with.  They share one interface, pack(vec), combine(coeffs, vecs)
-for the sum of c·v, and echelon(rows, ncols, start=()); those of F_2, F_3
-and F_{2^e} pack bits (Boothby and Bradshaw, arXiv:0901.1413).  One row
-update (_clear) serves forward elimination, back-substitution and
-reduce_against, and one dot product (_dot) every matrix product and
-pairing.  RREF results (duals, intersections) are wrapped, not reduced.
+operation goes through the context, except in the row kernels, one per
+field and picked by _row_kernel, that hold packed vectors for Meet and
+the equivalence search.  They share one interface, pack(vec), unpack(vec,
+lo, hi) for entries lo..hi-1, combine(coeffs, vecs) for the sum of c·v,
+and echelon(rows, ncols, start=()); those of F_2, F_3 and F_{2^e} pack
+bits (Boothby and Bradshaw, arXiv:0901.1413).  One row update (_clear)
+serves forward elimination, back-substitution and reduce_against, and one
+dot product (_dot) every matrix product and pairing.  RREF results
+(duals, intersections) are wrapped, not reduced.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from itertools import compress
-from operator import xor
+from itertools import compress, count
+from operator import lshift, xor
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .errors import (
@@ -141,7 +143,11 @@ class _F2Rows:
 
     @staticmethod
     def pack(vec: Sequence[int]) -> int:
-        return sum(x << j for j, x in enumerate(vec))
+        return sum(map(lshift, vec, count()))
+
+    @staticmethod
+    def unpack(vec: int, lo: int, hi: int) -> Tuple[int, ...]:
+        return tuple(vec >> j & 1 for j in range(lo, hi))
 
     @staticmethod
     def combine(coeffs, vecs) -> int:
@@ -171,6 +177,10 @@ class _F3Rows:
     @staticmethod
     def pack(vec: Sequence[int]) -> Tuple[int, int]:
         return _F2Rows.pack([x == 1 for x in vec]), _F2Rows.pack([x == 2 for x in vec])
+
+    @staticmethod
+    def unpack(vec, lo: int, hi: int) -> Tuple[int, ...]:
+        return tuple((vec[0] >> j & 1) | (vec[1] >> j & 1) << 1 for j in range(lo, hi))
 
     @staticmethod
     def combine(coeffs, vecs) -> Tuple[int, int]:
@@ -209,25 +219,31 @@ class _Gf2eRows:
     entry, entry j at bits e*j and up.  A sum is one XOR.  c times a vector
     v is the XOR over i < e of ((v >> i) & M) * (c x^i), M marking bit 0 of
     every entry: each product of a 0/1 entry and an element below 2^e stays
-    inside its entry.
+    inside its entry.  A scalar's products c x^i are formed when first met.
     """
 
-    __slots__ = ("e", "ones", "times", "inverse")
+    __slots__ = ("ctx", "e", "ones", "times")
 
     def __init__(self, ctx: FieldContext, k: int):
-        e, q = ctx.e, ctx.q
-        self.e = e
-        self.ones = ((1 << e * k) - 1) // (q - 1)
-        self.times = [[ctx.mul(c, 1 << i) for i in range(e)] for c in range(q)]
-        self.inverse = [0] + [ctx.inv(c) for c in range(1, q)]
+        self.ctx, self.e = ctx, ctx.e
+        self.ones = ((1 << ctx.e * k) - 1) // (ctx.q - 1)
+        self.times: list = [None] * ctx.q
+
+    def _times(self, c: int) -> List[int]:
+        row = self.times[c] = [self.ctx.mul(c, 1 << i) for i in range(self.e)]
+        return row
 
     def pack(self, vec: Sequence[int]) -> int:
         e = self.e
         return sum(x << e * j for j, x in enumerate(vec))
 
+    def unpack(self, vec: int, lo: int, hi: int) -> Tuple[int, ...]:
+        e, top = self.e, len(self.times) - 1
+        return tuple(vec >> e * j & top for j in range(lo, hi))
+
     def _scale(self, c: int, v: int) -> int:
         out, ones = 0, self.ones
-        for i, x in enumerate(self.times[c]):
+        for i, x in enumerate(self.times[c] or self._times(c)):
             out ^= (v >> i & ones) * x
         return out
 
@@ -240,8 +256,8 @@ class _Gf2eRows:
 
     def echelon(self, rows, ncols: int, start=()):
         """[(bit offset of the pivot entry, row)] with _echelon's rows."""
-        e, ones, times, inverse = self.e, self.ones, self.times, self.inverse
-        top = len(inverse) - 1
+        e, ones, times = self.e, self.ones, self.times
+        top = len(times) - 1
         basis: list = list(start)
         for row in rows:
             if len(basis) == ncols:
@@ -251,13 +267,13 @@ class _Gf2eRows:
                 if c == 1:
                     row ^= prow
                 elif c:  # row - c prow: _scale's products, XORed into row
-                    for i, x in enumerate(times[c]):
+                    for i, x in enumerate(times[c] or self._times(c)):
                         row ^= (prow >> i & ones) * x
             if row:
                 shift = (row & -row).bit_length() - 1
                 shift -= shift % e
                 c = row >> shift & top
-                basis.append((shift, row if c == 1 else self._scale(inverse[c], row)))
+                basis.append((shift, row if c == 1 else self._scale(self.ctx.inv(c), row)))
         return basis
 
 
@@ -271,6 +287,10 @@ class _ListRows:
         self.ctx, self.add, self.mul = ctx, ctx.add, ctx.mul
 
     pack = staticmethod(tuple)
+
+    @staticmethod
+    def unpack(vec, lo: int, hi: int) -> Tuple[int, ...]:
+        return tuple(vec[lo:hi])
 
     def combine(self, coeffs, vecs) -> List[int]:
         add, mul = self.add, self.mul
@@ -288,6 +308,12 @@ class _ListRows:
 
     def echelon(self, rows, ncols: int, start=()):
         return _echelon(rows, ncols, self.ctx, start)
+
+
+def _row_kernel(ctx: FieldContext, k: int):
+    """The row kernel of ctx, for vectors of at most k entries."""
+    packed = _F2Rows if ctx.q == 2 else _F3Rows if ctx.q == 3 else None
+    return packed or (_Gf2eRows(ctx, k) if ctx.p == 2 else _ListRows(ctx))
 
 
 def rank_rows(rows: Iterable[Sequence[int]], ncols: int, ctx: FieldContext) -> int:
@@ -478,22 +504,25 @@ def trace_product(a: MatrixFq, b: MatrixFq) -> int:
 
 class Subspace:
     """A subspace of F_q^n held as its canonical RREF basis.  The constructor
-    checks that each row has n int entries in 0..q-1 (a bool is refused);
-    _from_rref trusts its caller."""
+    checks that n is an int and each row a sequence of n int entries in
+    0..q-1 (a bool is refused); _from_rref trusts its caller."""
 
     __slots__ = ("ctx", "ambient", "basis", "pivots")
 
     def __init__(self, ctx: FieldContext, ambient: int, basis: Sequence[Sequence[int]] = ()):
-        if ambient < 0:
-            raise DimensionMismatch(f"ambient dimension {ambient} is negative")
+        if type(ambient) is not int or ambient < 0:
+            raise DimensionMismatch(f"ambient dimension {ambient!r} is not an int >= 0")
         top = ctx.q - 1
-        for row in basis:
-            if len(row) != ambient:
-                raise DimensionMismatch(f"a row of {len(row)} entries in ambient {ambient}")
-            if ambient and set(map(type, row)) != {int}:
-                raise ContextMismatch("a row entry is not an int")
-            if ambient and (min(row) < 0 or max(row) > top):
-                raise ContextMismatch(f"a row entry lies outside 0..{top}")
+        try:
+            for row in basis:
+                if len(row) != ambient:
+                    raise DimensionMismatch(f"a row of {len(row)} entries in ambient {ambient}")
+                if ambient and set(map(type, row)) != {int}:
+                    raise ContextMismatch("a row entry is not an int")
+                if ambient and (min(row) < 0 or max(row) > top):
+                    raise ContextMismatch(f"a row entry lies outside 0..{top}")
+        except TypeError:
+            raise DimensionMismatch("the basis is not a sequence of rows") from None
         rows, pivots = rref(basis, ambient, ctx)
         self.ctx, self.ambient, self.basis, self.pivots = ctx, ambient, tuple(rows), tuple(pivots)
 

@@ -268,6 +268,39 @@ def gl_group_reference(ctx: FieldContext, n: int) -> Tuple[MatrixFq, ...]:
     return tuple(out)
 
 
+def _pairing(ctx: FieldContext, u: Sequence[int], v: Sequence[int]) -> int:
+    return reduce(ctx.add, [ctx.mul(a, b) for a, b in zip(u, v)], 0)
+
+
+def left_equations(ctx, sizes, checks, images, right):
+    """Rows of the linear system in (M_1, ..., M_l) for fixed right factors,
+    one entry per context call, as equivalent_codes built it on list rows.
+
+    images[x][j] is op(X_sigma(j)) for basis tuple x and checks[h][j] is block
+    j of parity check h, both as row tuples.  The unknown M_j[a][c] has
+    coefficient (Y_j H_j^T)[c][a] with Y_j = op(X_sigma(j)) N_j, so equation
+    (x, h) says that the image of x has zero pairing with h.
+    """
+    right_cols = [tuple(zip(*n.rows)) for n in right]
+    ys = [
+        [
+            [tuple(_pairing(ctx, row, col) for col in cols) for row in blk]
+            for blk, cols in zip(x, right_cols)
+        ]
+        for x in images
+    ]
+    rows = []
+    for y in ys:
+        for h in checks:
+            eq = []
+            for j, mm in enumerate(sizes):
+                hj, yj = h[j], y[j]
+                for a in range(mm):
+                    eq.extend(_pairing(ctx, hj[a], yj[c]) for c in range(mm))
+            rows.append(eq)
+    return rows
+
+
 def brute_equivalence(first: LinearCode, second: LinearCode, all_witnesses: bool = False):
     """Isometry search over both GL factors, one code image per isometry.
 

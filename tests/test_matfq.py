@@ -310,6 +310,25 @@ def test_subspace_refuses_a_row_of_the_wrong_length_or_a_negative_ambient():
     assert Subspace(F2, 0, [()]).dim == 0
 
 
+@pytest.mark.parametrize("ambient", [2.0, True, "2", None], ids=["float", "bool", "str", "none"])
+def test_subspace_refuses_an_ambient_that_is_not_an_int(ambient):
+    # 2.0 and True were kept as the ambient dimension
+    with pytest.raises(DimensionMismatch, match="not an int"):
+        Subspace(F2, ambient, [(1, 0)] if ambient == 2 else [(1,)])
+
+
+@pytest.mark.parametrize("basis", [5, [5], [(1, 0), 7], None], ids=["int", "int-row", "mixed", "none"])
+def test_subspace_refuses_a_basis_that_is_not_rows(basis):
+    # each raised a bare TypeError from iterating or measuring a row
+    with pytest.raises(DimensionMismatch, match="not a sequence of rows"):
+        Subspace(F2, 2, basis)
+
+
+def test_a_code_from_a_basis_that_is_not_rows_is_refused():
+    with pytest.raises(DimensionMismatch):
+        LinearCode(Shape((1,), (1,)), F2, 5)
+
+
 def test_enumerate_subspaces_counts_and_distinctness():
     for ctx, n in ((F2, 4), (F3, 3), (F4, 2)):
         total = 0
@@ -509,6 +528,12 @@ def test_packed_kernels_match_echelon(ctx):
         zero += [0] * n in rows
         assert [column(piv) for piv, _ in got] == [col for col, _ in want]
         assert [unpack(p) for _, p in got] == [row for _, row in want]
+        # the kernel reads back what it packed, whole or any range of entries
+        lo, hi = sorted(rng.randint(0, n) for _ in range(2))
+        for row, p in zip(rows, packed):
+            if r:  # with r = 0 the rows are empty
+                assert kernel.unpack(p, 0, n) == tuple(row)
+                assert kernel.unpack(p, lo, hi) == tuple(row[lo:hi])
         # extending a start is one-shot elimination and leaves the start as it was
         cut = rng.randint(0, m)
         start = kernel.echelon(packed[:cut], n)
@@ -535,6 +560,42 @@ def test_packed_kernels_match_echelon(ctx):
         assert unpack(kernel.combine(coeffs, [pack(u), pack(v), pack(w)])) == total
         assert unpack(kernel.combine([0, 0], [pack(u), pack(v)])) == [0] * n
     assert full and zero
+
+
+def test_one_picker_gives_each_field_its_kernel():
+    assert matfq._row_kernel(F2, 4) is matfq._F2Rows
+    assert matfq._row_kernel(F3, 4) is matfq._F3Rows
+    for ctx in (F4, F8, F16):
+        assert isinstance(matfq._row_kernel(ctx, 4), matfq._Gf2eRows)
+    for ctx in (F5, F9):
+        assert isinstance(matfq._row_kernel(ctx, 4), matfq._ListRows)
+
+
+def test_gf2e_kernel_forms_a_scalar_only_when_a_reduction_meets_it(monkeypatch):
+    # the kernel used to form c x^i for every c and every inverse up front:
+    # q e products and q - 1 inverses, 25 ms at q = 2^14 even for the zero code
+    ctx = FieldContext(2, 14)
+    calls = []
+    for name in ("mul", "inv", "add", "sub", "neg"):
+        real = getattr(FieldContext, name)
+        monkeypatch.setattr(
+            FieldContext, name, lambda self, *a, _f=real, _n=name: calls.append(_n) or _f(self, *a)
+        )
+    kernel = matfq._Gf2eRows(ctx, 5)
+    assert len(calls) <= ctx.e
+    rng = random.Random(137)
+    rows = [[rng.randrange(ctx.q) for _ in range(5)] for _ in range(4)]
+    calls.clear()
+    got = kernel.echelon([kernel.pack(row) for row in rows], 5)
+    formed = calls.count("mul")
+    # at most one row of e products per scalar met, at most 4 * 5 of them
+    assert formed % ctx.e == 0 and formed <= 20 * ctx.e
+    want = matfq._echelon(rows, 5, ctx)
+    assert [kernel.unpack(p, 0, 5) for _, p in got] == [tuple(r) for _, r in want]
+    # a second pass meets the same scalars and forms none of them again
+    calls.clear()
+    kernel.echelon([kernel.pack(row) for row in rows], 5)
+    assert calls.count("mul") == 0
 
 
 @FIELDS
