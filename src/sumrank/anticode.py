@@ -130,20 +130,24 @@ class AnticodeDescriptor:
         """The anticode as a code in full ambient coordinates.
 
         Sweeps measure dim(C ∩ A) through Meet instead; this serves
-        classification, the CLI oracle and the tests.
+        classification, the CLI oracle and the tests.  The lines are
+        disjoint and ascend and each space is in RREF, so its rows laid on
+        them, in pivot order, are the anticode's RREF: wrapped, not reduced.
         """
         shape, ambient = self.shape, self.shape.ambient_dim
-        rows: List[Tuple[int, ...]] = []
+        rows: List[Tuple[int, Tuple[int, ...]]] = []
         for i, kind, space in self._factors():
             for line in shape.lines(i, kind):
-                for l in space.basis:
+                for l, p in zip(space.basis, space.pivots):
                     vec = [0] * ambient
                     vec[line.start : line.stop : line.step] = l
-                    rows.append(tuple(vec))
-        code = LinearCode(shape, self.ctx, rows)
-        if code.dim != len(rows):
+                    rows.append((line[p], tuple(vec)))
+        rows.sort()
+        pivots = [p for p, _ in rows]
+        if len(set(pivots)) != len(rows):
             raise InvariantViolation("materialized anticode lost dimension")
-        return code
+        space = Subspace._from_rref(self.ctx, ambient, [vec for _, vec in rows], pivots)
+        return LinearCode.from_subspace(shape, space)
 
     def to_dict(self) -> dict:
         out = {

@@ -29,7 +29,7 @@ from .errors import (
     UnknownChoice,
 )
 from .gf import FieldContext, field_from_dict
-from .matfq import MatrixFq, Subspace, _dot, rank_rows, walk_span
+from .matfq import MatrixFq, Subspace, _ListRows, _dot, walk_span
 # bench/selftest.py checks that the benchmark's tracer patches this site
 from .matfq import rref  # noqa: F401
 
@@ -387,7 +387,7 @@ class LinearCode:
         message bits in Gray order.
         For q > 2 it visits the codewords whose first nonzero message
         coefficient is 1, each for its q - 1 multiples (scaling keeps every
-        block rank), and ranks blocks on slices of the word with rank_rows.
+        block rank), and ranks blocks on slices of the word with _ListRows.
         """
         shape, rows = self.shape, self.rows
         if not rows:
@@ -453,11 +453,12 @@ class LinearCode:
             ([slice(line.start, line.stop) for line in shape.lines(i, "col")], b, w)
             for i, (b, w) in enumerate(zip(shape.n, weights))
         ]
+        echelon = _ListRows(ctx).echelon  # packing each short row costs more than it saves
         for lead in range(k):
             for word in walk_span(ctx, self.rows[lead], self.rows[lead + 1 :]):
                 total = 0
                 for cuts, b, w in blocks:
-                    total += w * rank_rows([word[cut] for cut in cuts], b, ctx)
+                    total += w * len(echelon([word[cut] for cut in cuts], b))
                 yield total, ctx.q - 1
 
     def _scan(self, kind: str, cap: int) -> int:

@@ -30,7 +30,7 @@ from .errors import (
     SingularFactor,
 )
 from .gf import FieldContext
-from .matfq import MatrixFq, Subspace, _row_kernel, vec_scale
+from .matfq import MatrixFq, Subspace, _back_substitute, _row_kernel, rank_rows, vec_scale
 
 __all__ = [
     "Isometry",
@@ -301,10 +301,8 @@ def _left_solver(ctx, basis, checks, sizes, pools):
             if i not in built:
                 built[i] = [kernel.combine(flats[j][i], col) for col in tab]
             columns += built[i]
-        done: list = []
-        for pair in sorted((p for p in kernel.echelon(columns, size) if p[0] >= cut), reverse=True):
-            done = kernel.echelon([pair[1]], size, done)
-        return [kernel.unpack(row, eqs, size) for _, row in reversed(done)]
+        marked = [p for p in kernel.echelon(columns, size) if p[0] >= cut]
+        return [kernel.unpack(row, eqs, size) for _, row in _back_substitute(kernel, marked, size)]
 
     return solve
 
@@ -407,12 +405,14 @@ def equivalent_codes(
     if not all_witnesses and 0 < first.dim and ctx.q**first.dim <= 1 << 14:
         if first.srk_distribution() != second.srk_distribution():
             return None
-    proj_dims_second = [second.block_projection(j).dim for j in range(shape.ell)]
-    proj_dims_first = [first.block_projection(j).dim for j in range(shape.ell)]
     ell, sizes = shape.ell, shape.m
     # the unknowns (M_1, ..., M_l) flatten like a tuple of the square shape
     left_shape = Shape(sizes, sizes, strict=False)
     blocks = [shape.lines(j, "col") for j in range(ell)]
+    # each block's projection dimension is isometry-invariant: a rank gives it, not an RREF
+    proj_dims_first, proj_dims_second = (
+        [rank_rows([r[b[0].start : b[-1].stop] for r in c.rows], b[-1].stop - b[0].start, ctx)
+         for b in blocks] for c in (first, second))
     left_blocks = [left_shape.lines(j, "col") for j in range(ell)]
     basis = [_blocks(row, blocks) for row in first.rows]
     checks = [_blocks(row, blocks) for row in second.dual().rows]

@@ -2,16 +2,16 @@
 
 The reduced row echelon form is the only canonical representation used
 for subspaces anywhere in the package, so equality of spans is always a
-tuple comparison.  Entries are integer element representations; every
-operation goes through the context, except in the row kernels, one per
-field and picked by _row_kernel, that hold packed vectors for Meet and
-the equivalence search.  They share one interface, pack(vec), unpack(vec,
-lo, hi) for entries lo..hi-1, combine(coeffs, vecs) for the sum of c·v,
-and echelon(rows, ncols, start=()); those of F_2, F_3 and F_{2^e} pack
-bits (Boothby and Bradshaw, arXiv:0901.1413).  One row update (_clear)
-serves forward elimination, back-substitution and reduce_against, and one
-dot product (_dot) every matrix product and pairing.  RREF results
-(duals, intersections) are wrapped, not reduced.
+tuple comparison.  Entries are integer element representations.  Every
+row reduction runs on the row kernel of its field, picked by _row_kernel.
+The kernels share one interface, pack(vec), unpack(vec, lo, hi) for
+entries lo..hi-1, combine(coeffs, vecs) for the sum of c·v, and
+echelon(rows, ncols, start=()); those of F_2, F_3 and F_{2^e} pack bits
+(Boothby and Bradshaw, arXiv:0901.1413), the others take each entry of a
+list row through the context.  One back-substitution (_back_substitute)
+serves rref and the equivalence search, and one dot product (_dot), entry
+by entry, every matrix product and pairing.  RREF results (duals,
+intersections) are wrapped, not reduced.
 """
 
 from __future__ import annotations
@@ -87,22 +87,6 @@ def walk_span(ctx: FieldContext, base: Tuple[int, ...], rows) -> Iterator[Tuple[
             partial[i + 1] = tuple(map(add, partial[i], scaled[i][d])) if d else partial[i]
 
 
-def _clear(row: List[int], pairs, mul, sub) -> None:
-    """Subtract from row, in place, the multiple of each (pivot column,
-    pivot row) that clears that column; pairs are taken in order.
-
-    The one row update behind _echelon, rref and reduce_against; mul and
-    sub are the field context's, bound once by the caller.
-    """
-    n = len(row)
-    for col, prow in pairs:
-        c = row[col]
-        if c:
-            for j in range(col, n):
-                if prow[j]:
-                    row[j] = sub(row[j], mul(c, prow[j]))
-
-
 def _dot(ctx: FieldContext, u: Sequence[int], v: Sequence[int]) -> int:
     """The sum of u_i v_i over the context."""
     acc = 0
@@ -125,8 +109,12 @@ def _echelon(rows: Iterable[Sequence[int]], ncols: int, ctx: FieldContext, start
         if len(basis) == ncols:
             break
         row = list(r)
-        if basis:  # a call for the first row made F_q scans about 4% slower
-            _clear(row, basis, mul, sub)
+        for col, prow in basis:  # subtract the multiple of each pivot row that clears its column
+            c = row[col]
+            if c:
+                for j in range(col, len(row)):
+                    if prow[j]:
+                        row[j] = sub(row[j], mul(c, prow[j]))
         for col, x in enumerate(row):
             if x:
                 if x != 1:
@@ -141,13 +129,16 @@ class _F2Rows:
     """Vectors of F_2^k packed into ints, bit j holding entry j.  A sum is
     one XOR; echelon gives [(lowest set bit, row)] with _echelon's rows."""
 
+    BITS = bytes.maketrans(b"01", b"\0\1")  # a binary digit to its entry
+
     @staticmethod
     def pack(vec: Sequence[int]) -> int:
         return sum(map(lshift, vec, count()))
 
     @staticmethod
     def unpack(vec: int, lo: int, hi: int) -> Tuple[int, ...]:
-        return tuple(vec >> j & 1 for j in range(lo, hi))
+        w = hi - lo  # the 1 at bit w keeps bin()'s leading zeros; [:2:-1] drops "0b1"
+        return tuple(bin(vec >> lo & (1 << w) - 1 | 1 << w)[:2:-1].encode().translate(_F2Rows.BITS))
 
     @staticmethod
     def combine(coeffs, vecs) -> int:
@@ -174,9 +165,13 @@ class _F3Rows:
     ((a2 | b2) ^ t, (a1 | b1) ^ t); negating a vector swaps its planes.
     """
 
+    # the binary digit of an entry in the plane of 1s, and of 2s
+    ONES, TWOS = (bytes(48 + (x == c) for x in range(256)) for c in (1, 2))
+
     @staticmethod
     def pack(vec: Sequence[int]) -> Tuple[int, int]:
-        return _F2Rows.pack([x == 1 for x in vec]), _F2Rows.pack([x == 2 for x in vec])
+        digits = bytes(vec)[::-1] or b"\0"  # entry j becomes binary digit j from the right
+        return int(digits.translate(_F3Rows.ONES), 2), int(digits.translate(_F3Rows.TWOS), 2)
 
     @staticmethod
     def unpack(vec, lo: int, hi: int) -> Tuple[int, ...]:
@@ -219,31 +214,32 @@ class _Gf2eRows:
     entry, entry j at bits e*j and up.  A sum is one XOR.  c times a vector
     v is the XOR over i < e of ((v >> i) & M) * (c x^i), M marking bit 0 of
     every entry: each product of a 0/1 entry and an element below 2^e stays
-    inside its entry.  A scalar's products c x^i are formed when first met.
+    inside its entry.  A scalar's products c x^i, and M, are formed when a
+    product first needs them (with no row to reduce, k may be vast).
     """
 
-    __slots__ = ("ctx", "e", "ones", "times")
+    __slots__ = ("ctx", "e", "k", "ones", "times")
 
     def __init__(self, ctx: FieldContext, k: int):
-        self.ctx, self.e = ctx, ctx.e
-        self.ones = ((1 << ctx.e * k) - 1) // (ctx.q - 1)
+        self.ctx, self.e, self.k, self.ones = ctx, ctx.e, k, 0
         self.times: list = [None] * ctx.q
 
     def _times(self, c: int) -> List[int]:
+        self.ones = self.ones or ((1 << self.e * self.k) - 1) // (self.ctx.q - 1)
         row = self.times[c] = [self.ctx.mul(c, 1 << i) for i in range(self.e)]
         return row
 
     def pack(self, vec: Sequence[int]) -> int:
-        e = self.e
-        return sum(x << e * j for j, x in enumerate(vec))
+        return sum(map(lshift, vec, range(0, self.e * len(vec), self.e)))
 
     def unpack(self, vec: int, lo: int, hi: int) -> Tuple[int, ...]:
         e, top = self.e, len(self.times) - 1
         return tuple(vec >> e * j & top for j in range(lo, hi))
 
     def _scale(self, c: int, v: int) -> int:
-        out, ones = 0, self.ones
-        for i, x in enumerate(self.times[c] or self._times(c)):
+        out, times = 0, self.times[c] or self._times(c)
+        ones = self.ones  # set by _times
+        for i, x in enumerate(times):
             out ^= (v >> i & ones) * x
         return out
 
@@ -256,7 +252,7 @@ class _Gf2eRows:
 
     def echelon(self, rows, ncols: int, start=()):
         """[(bit offset of the pivot entry, row)] with _echelon's rows."""
-        e, ones, times = self.e, self.ones, self.times
+        e, times = self.e, self.times
         top = len(times) - 1
         basis: list = list(start)
         for row in rows:
@@ -267,7 +263,8 @@ class _Gf2eRows:
                 if c == 1:
                     row ^= prow
                 elif c:  # row - c prow: _scale's products, XORed into row
-                    for i, x in enumerate(times[c] or self._times(c)):
+                    xs, ones = times[c] or self._times(c), self.ones
+                    for i, x in enumerate(xs):
                         row ^= (prow >> i & ones) * x
             if row:
                 shift = (row & -row).bit_length() - 1
@@ -316,22 +313,27 @@ def _row_kernel(ctx: FieldContext, k: int):
     return packed or (_Gf2eRows(ctx, k) if ctx.p == 2 else _ListRows(ctx))
 
 
+def _back_substitute(kernel, basis, ncols: int) -> list:
+    """The reduced form of an echelon basis from kernel.echelon, as
+    [(pivot, row)] with pivots ascending.  One echelon of the rows, last
+    pivot first, takes each into the rows done so far: that clears its
+    entries at their pivots and keeps its own leading 1."""
+    return kernel.echelon([row for _, row in sorted(basis, reverse=True)], ncols)[::-1]
+
+
 def rank_rows(rows: Iterable[Sequence[int]], ncols: int, ctx: FieldContext) -> int:
-    """Rank of the matrix with the given rows, by forward elimination only."""
-    return len(_echelon(rows, ncols, ctx))
+    """Rank of the matrix with the given rows: forward elimination on the row kernel."""
+    kernel = _row_kernel(ctx, ncols)
+    return len(kernel.echelon(map(kernel.pack, rows), ncols))
 
 
 def rref(rows: Iterable[Sequence[int]], ncols: int, ctx: FieldContext):
-    """Reduced row echelon form.  Returns (rows, pivot_columns).
-
-    Forward elimination, then back-substitution from the last pivot up.
-    """
-    mul, sub = ctx.mul, ctx.sub
-    done: List[Tuple[int, List[int]]] = []
-    for col, row in sorted(_echelon(rows, ncols, ctx), reverse=True):
-        _clear(row, done, mul, sub)
-        done.append((col, row))
-    return [tuple(r) for _, r in reversed(done)], [c for c, _ in reversed(done)]
+    """Reduced row echelon form, returned as (rows, pivot_columns): forward
+    elimination on the row kernel, then back-substitution."""
+    kernel = _row_kernel(ctx, ncols)
+    basis = kernel.echelon(map(kernel.pack, rows), ncols)
+    red = [kernel.unpack(row, 0, ncols) for _, row in _back_substitute(kernel, basis, ncols)]
+    return red, [row.index(1) for row in red]  # a reduced row's first nonzero entry is its 1
 
 
 def reduce_against(
@@ -340,24 +342,21 @@ def reduce_against(
     """Reduce vec against an RREF basis.  Returns (coefficients, remainder).
 
     In RREF no other basis row touches a pivot column, so the coefficient
-    of each basis row is vec's entry at its pivot.
+    of each basis row is vec's entry at its pivot, and the remainder is
+    vec minus one combination of the rows.
     """
-    rem = list(vec)
-    _clear(rem, zip(pivots, basis), ctx.mul, ctx.sub)
-    return [vec[p] for p in pivots], tuple(rem)
+    coeffs, kernel = [vec[p] for p in pivots], _row_kernel(ctx, len(vec))
+    negs = [1] + [ctx.neg(c) for c in coeffs]
+    rem = kernel.combine(negs, [kernel.pack(v) for v in (vec, *basis)])
+    return coeffs, kernel.unpack(rem, 0, len(vec))
 
 
 def _nullspace(red, pivots, ncols: int, ctx: FieldContext):
-    """RREF (rows, pivots) of {x : M x = 0} for M = red, itself in RREF."""
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f not in pivot_set:
-            vec = [0] * ncols
-            vec[f] = 1
-            for row, p in zip(red, pivots):
-                vec[p] = ctx.neg(row[f])
-            basis.append(vec)
+    """RREF (rows, pivots) of {x : M x = 0} for M = red, itself in RREF:
+    a vector per free column f, 1 at f and -row[f] at each row's pivot."""
+    at = dict(zip(pivots, red))
+    free = [f for f in range(ncols) if f not in at]
+    basis = [[ctx.neg(at[j][f]) if j in at else int(j == f) for j in range(ncols)] for f in free]
     return rref(basis, ncols, ctx)
 
 
@@ -370,7 +369,7 @@ def nullspace_rows(rows: Iterable[Sequence[int]], ncols: int, ctx: FieldContext)
 class MatrixFq:
     """An m x n matrix over a fixed field context, immutable; entries are ints in 0..q-1."""
 
-    __slots__ = ("ctx", "m", "n", "rows")
+    __slots__ = ("ctx", "m", "n", "rows", "_rank")
 
     def __init__(self, ctx: FieldContext, rows: Sequence[Sequence[int]]):
         try:
@@ -391,6 +390,7 @@ class MatrixFq:
         self.m = len(rows)
         self.n = n
         self.rows = rows
+        self._rank = None
 
     @classmethod
     def zero(cls, ctx: FieldContext, m: int, n: int) -> "MatrixFq":
@@ -445,11 +445,10 @@ class MatrixFq:
     def transpose(self) -> "MatrixFq":
         return MatrixFq(self.ctx, list(zip(*self.rows)))
 
-    def rank(self) -> int:
-        return rank_rows(self.rows, self.n, self.ctx)
-
-    def rref(self):
-        return rref(self.rows, self.n, self.ctx)
+    def rank(self) -> int:  # kept from the first call: the matrix never changes
+        if self._rank is None:
+            self._rank = rank_rows(self.rows, self.n, self.ctx)
+        return self._rank
 
     def is_zero(self) -> bool:
         return all(all(x == 0 for x in r) for r in self.rows)
@@ -557,18 +556,13 @@ class Subspace:
             raise DimensionMismatch("ambient dimensions differ")
 
     def contains(self, vec: Sequence[int]) -> bool:
-        if len(vec) != self.ambient:
-            raise DimensionMismatch("vector length differs from ambient dimension")
-        _, rem = reduce_against(vec, self.basis, self.pivots, self.ctx)
-        return all(x == 0 for x in rem)
+        return self.coordinates(vec) is not None
 
     def coordinates(self, vec: Sequence[int]):
         if len(vec) != self.ambient:
             raise DimensionMismatch("vector length differs from ambient dimension")
         coeffs, rem = reduce_against(vec, self.basis, self.pivots, self.ctx)
-        if any(rem):
-            return None
-        return tuple(coeffs)
+        return None if any(rem) else tuple(coeffs)
 
     def add(self, other: "Subspace") -> "Subspace":
         self._check(other)

@@ -26,7 +26,7 @@ from sumrank import (
 )
 from sumrank.anticode import Meet
 from sumrank.errors import TrivialCode
-from sumrank.matfq import rank_rows
+from sumrank.matfq import _echelon, rank_rows
 from sumrank.msrd import _column_window_descriptor
 
 F2 = FieldContext(2, 1)
@@ -116,6 +116,21 @@ def reduce_against_reference(
         coeffs.append(c)
         rem = [ctx.sub(x, ctx.mul(c, y)) for x, y in zip(rem, row)]
     return coeffs, tuple(rem)
+
+
+def list_rref(rows: Sequence[Sequence[int]], ncols: int, ctx: FieldContext):
+    """(rows, pivots) of the RREF on list rows, as matfq.rref computed it
+    before it ran on the row kernels: forward elimination by matfq._echelon,
+    then each row, last pivot first, cleared one entry at a time at the
+    pivots of the rows done so far."""
+    done = []
+    for col, row in sorted(_echelon(rows, ncols, ctx), reverse=True):
+        for p, prow in done:
+            c = row[p]
+            if c:
+                row = [ctx.sub(x, ctx.mul(c, y)) for x, y in zip(row, prow)]
+        done.append((col, row))
+    return [tuple(r) for _, r in reversed(done)], [c for c, _ in reversed(done)]
 
 
 def span_vectors(

@@ -18,7 +18,7 @@ from sumrank import (
     random_gl,
     random_isometry,
 )
-from sumrank.errors import GroupTooLarge, IllegalTranspose, ShapeMismatch
+from sumrank.errors import GroupTooLarge, IllegalTranspose, ShapeMismatch, SingularFactor
 
 from helpers import F2, F3, F4, gl_group_reference, random_code, random_shape
 
@@ -211,6 +211,26 @@ def test_automorphism_witnesses_of_a_line():
     for w in autos:
         assert w.sigma == (0, 1)
         assert w.apply_code(code) == code
+
+
+def test_automorphism_witnesses_rank_each_shared_factor_once(monkeypatch):
+    # the witnesses share one matrix per distinct factor and a matrix keeps
+    # its rank, so Isometry's invertibility checks rank each factor once,
+    # not once per witness
+    import sumrank.matfq as matfq
+
+    calls = []
+    real = matfq.rank_rows
+    monkeypatch.setattr(matfq, "rank_rows", lambda *a: calls.append(a) or real(*a))
+    code = random_code(random.Random(73), F3, Shape((2, 1), (1, 1)), 2)
+    autos = equivalent_codes(code, code, all_witnesses=True)
+    factors = {id(m) for w in autos for m in w.left + w.right}
+    assert len(autos) > len(factors) and len(calls) <= len(factors)
+    assert all(w.apply_code(code) == code for w in autos)
+    # a caller's factors are still checked: a singular one is refused
+    with pytest.raises(SingularFactor):
+        Isometry(code.shape, F3, (0, 1), (False, False),
+                 (MatrixFq(F3, [[1, 1], [1, 1]]),) + autos[0].left[1:], autos[0].right)
 
 
 def test_equivalence_is_reflexive_with_witness():

@@ -37,22 +37,59 @@ from helpers import (
     F8,
     F9,
     brute_rank,
+    list_rref,
     random_matrix,
     random_shape,
     reduce_against_reference,
     span_vectors,
 )
 
+F5, F16 = FieldContext(5, 1), FieldContext(2, 4)
+# one field per row kernel and layout: F_2, F_3, F_{2^e}, list rows
+ALL = (F2, F3, F4, F8, F16, F5, F9)
+ALL_FIELDS = pytest.mark.parametrize("ctx", ALL, ids=["q2", "q3", "q4", "q8", "q16", "q5", "q9"])
+
+
+def _low_rank_rows(rng, ctx, m, n, r):
+    """The m rows of L R, L m x r and R r x n random: rank at most r, so
+    zero and dependent rows occur."""
+    left = [[rng.randrange(ctx.q) for _ in range(r)] for _ in range(m)]
+    right = [[rng.randrange(ctx.q) for _ in range(n)] for _ in range(r)]
+    return [[_brute_dot(ctx, row, [v[j] for v in right]) for j in range(n)] for row in left]
+
+
+def _edge_cases(rng, ctx):
+    """(rows, ncols): low-rank products, one past 64 bits in every packed
+    layout, no rows, and no columns."""
+    shapes = ((6, 70, 3), (12, 20, 5), (3, 5, 0))
+    cases = [(_low_rank_rows(rng, ctx, m, n, r), n) for m, n, r in shapes]
+    return cases + [([], 4), ([], 0), ([(), ()], 0)]
+
+
+def _kernel_by_oracle(rows, n, ctx):
+    """RREF (rows, pivots) of {x : M x = 0}, each reduction by list_rref."""
+    red, piv = list_rref(rows, n, ctx)
+    free = [f for f in range(n) if f not in piv]
+    vecs = [[int(j == f) for j in range(n)] for f in free]
+    for vec, f in zip(vecs, free):
+        for row, p in zip(red, piv):
+            vec[p] = ctx.neg(row[f])
+    return list_rref(vecs, n, ctx)
+
 
 def test_rref_canonical_and_idempotent():
-    rng = random.Random(11)
-    for ctx in (F2, F3, F4):
+    rng, extra = random.Random(11), random.Random(12)
+    for ctx in ALL:
+        cases = []
         for _ in range(60):
             m = rng.randint(1, 4)
             n = rng.randint(1, 5)
-            rows = [[rng.randrange(ctx.q) for _ in range(n)] for _ in range(m)]
+            cases.append(([[rng.randrange(ctx.q) for _ in range(n)] for _ in range(m)], n))
+        for rows, n in cases + _edge_cases(extra, ctx):
             red, piv = rref(rows, n, ctx)
-            assert len(red) == len(piv) == brute_rank(ctx, rows) if rows else True
+            assert (red, piv) == list_rref(rows, n, ctx)
+            assert len(red) == len(piv) == brute_rank(ctx, rows)
+            assert len(red) == len(matfq._echelon(rows, n, ctx))
             again, piv2 = rref(red, n, ctx)
             assert again == red and piv2 == piv
             # pivots strictly increase and pivot columns are unit
@@ -87,12 +124,15 @@ def test_reduce_against_reconstructs():
 
 
 def test_nullspace_is_the_kernel():
-    rng = random.Random(23)
-    for ctx in (F2, F3, F4):
+    rng, extra = random.Random(23), random.Random(24)
+    for ctx in ALL:
+        cases = []
         for _ in range(30):
             m, n = rng.randint(1, 3), rng.randint(1, 4)
-            rows = [[rng.randrange(ctx.q) for _ in range(n)] for _ in range(m)]
+            cases.append(([[rng.randrange(ctx.q) for _ in range(n)] for _ in range(m)], n))
+        for rows, n in cases + _edge_cases(extra, ctx):
             null = nullspace_rows(rows, n, ctx)
+            assert null == _kernel_by_oracle(rows, n, ctx)[0]
             assert len(null) == n - brute_rank(ctx, rows)
             for vec in null:
                 for row in rows:
@@ -120,21 +160,35 @@ def test_matrix_algebra():
 
 
 def test_matrix_rank_against_reference():
-    rng = random.Random(3)
-    for ctx in (F2, F3, F4):
-        for _ in range(80):
-            m, n = rng.randint(1, 4), rng.randint(1, 4)
-            mat = random_matrix(rng, ctx, m, n)
+    rng, extra = random.Random(3), random.Random(4)
+    for ctx in ALL:
+        mats = [random_matrix(rng, ctx, rng.randint(1, 4), rng.randint(1, 4)) for _ in range(80)]
+        # the augmented rows [M | I] of a 33 x 33 matrix pass 64 bits in every layout
+        mats.append(random_matrix(extra, ctx, 33, 33))
+        mats.append(MatrixFq(ctx, _low_rank_rows(extra, ctx, 9, 9, 6)))
+        for mat in mats:
             assert mat.rank() == brute_rank(ctx, mat.rows)
             assert mat.rank() == mat.transpose().rank()
+            if mat.m != mat.n:
+                continue
+            eye = [[int(i == j) for j in range(mat.n)] for i in range(mat.n)]
+            red, _ = list_rref([list(r) + e for r, e in zip(mat.rows, eye)], 2 * mat.n, ctx)
+            if mat.rank() == mat.n:
+                assert mat.inverse().rows == tuple(r[mat.n :] for r in red)
+            else:
+                with pytest.raises(DimensionMismatch, match="singular"):
+                    mat.inverse()
 
 
 def test_rank_rows_on_products_of_known_rank():
     # A = L R with L m x r and R r x n has rank at most r, so dependent and
     # zero rows occur; rank_rows must agree with the longhand rank
-    rng = random.Random(7)
-    for ctx in (F2, F3, F4, FieldContext(3, 2)):
+    rng, extra = random.Random(7), random.Random(8)
+    for ctx in (F2, F3, F4, F9, F8, F16, F5):
         assert rank_rows([], 3, ctx) == 0
+        for rows, n in _edge_cases(extra, ctx):
+            assert rank_rows(rows, n, ctx) == brute_rank(ctx, rows)
+            assert rank_rows(rows, n, ctx) == len(matfq._echelon(rows, n, ctx))
         for _ in range(60):
             m, n, r = rng.randint(1, 5), rng.randint(1, 5), rng.randint(0, 3)
             left = [[rng.randrange(ctx.q) for _ in range(r)] for _ in range(m)]
@@ -379,7 +433,8 @@ def test_count_subspaces_consistent(n, k):
 
 
 def _random_subspaces(rng, ctx, count):
-    """Seeded subspaces of F_q^n, n <= 8, the zero and full spaces included."""
+    """Seeded subspaces of F_q^n, n <= 8, the zero and full spaces included,
+    then one of F_q^0 and two of F_q^70, each from a zero and a repeated row."""
     out = [Subspace.zero(ctx, 5), Subspace.full(ctx, 5), Subspace.full(ctx, 1)]
     for _ in range(count):
         n = rng.randint(1, 8)
@@ -387,6 +442,10 @@ def _random_subspaces(rng, ctx, count):
             [rng.randrange(ctx.q) for _ in range(n)] for _ in range(rng.randint(0, n + 1))
         ]
         out.append(Subspace(ctx, n, rows))
+    out.append(Subspace(ctx, 0, [(), ()]))
+    for dim in (3, 6):
+        rows = _low_rank_rows(rng, ctx, dim, 70, dim)
+        out.append(Subspace(ctx, 70, rows + [[0] * 70, rows[0]]))
     return out
 
 
@@ -406,7 +465,7 @@ def _zassenhaus_reduced_afresh(a, b):
     n = a.ambient
     stacked = [tuple(r) + tuple(r) for r in a.basis]
     stacked += [tuple(r) + (0,) * n for r in b.basis]
-    red, _ = rref(stacked, 2 * n, a.ctx)
+    red, _ = list_rref(stacked, 2 * n, a.ctx)
     return Subspace(a.ctx, n, [r[n:] for r in red if not any(r[:n])])
 
 
@@ -417,7 +476,7 @@ def _brute_dot(ctx, u, v):
 FIELDS = pytest.mark.parametrize("ctx", [F2, F3, F4, F9], ids=["q2", "q3", "q4", "q9"])
 
 
-@FIELDS
+@ALL_FIELDS
 def test_orthogonal_is_wrapped_rref_of_the_old_path(ctx):
     rng = random.Random(41 + ctx.q)
     for sp in _random_subspaces(rng, ctx, 40):
@@ -427,11 +486,13 @@ def test_orthogonal_is_wrapped_rref_of_the_old_path(ctx):
         assert (perp.basis, perp.pivots) == (fresh.basis, fresh.pivots)
         old = Subspace(ctx, sp.ambient, nullspace_rows(sp.basis, sp.ambient, ctx))
         assert (perp.basis, perp.pivots) == (old.basis, old.pivots)
+        red, piv = _kernel_by_oracle(sp.basis, sp.ambient, ctx)
+        assert (perp.basis, perp.pivots) == (tuple(red), tuple(piv))
         assert perp.dim == sp.ambient - sp.dim
         assert all(_brute_dot(ctx, u, v) == 0 for u in sp.basis for v in perp.basis)
 
 
-@FIELDS
+@ALL_FIELDS
 def test_intersect_is_wrapped_rref_of_the_old_path(ctx):
     rng = random.Random(43 + ctx.q)
     by_n = {}
@@ -447,7 +508,10 @@ def test_intersect_is_wrapped_rref_of_the_old_path(ctx):
         old = _zassenhaus_reduced_afresh(a, b)
         assert (meet.basis, meet.pivots) == (old.basis, old.pivots)
         assert all(a.contains(v) and b.contains(v) for v in meet.basis)
-        assert meet.dim == a.dim + b.dim - a.add(b).dim
+        join = a.add(b)
+        red, piv = list_rref(a.basis + b.basis, a.ambient, ctx)
+        assert (join.basis, join.pivots) == (tuple(red), tuple(piv))
+        assert meet.dim == a.dim + b.dim - join.dim
 
 
 def test_orthogonal_and_intersect_reduce_once(monkeypatch):
@@ -471,9 +535,6 @@ def test_orthogonal_and_intersect_reduce_once(monkeypatch):
 
 def _pack(row):
     return sum(x << j for j, x in enumerate(row))
-
-
-F5, F16 = FieldContext(5, 1), FieldContext(2, 4)
 
 
 def _kernel_io(ctx, n):
@@ -504,9 +565,7 @@ def _kernel_io(ctx, n):
     return matfq._ListRows(ctx), tuple, list, lambda col: col
 
 
-@pytest.mark.parametrize(
-    "ctx", [F2, F3, F4, F8, F16, F5, F9], ids=["q2", "q3", "q4", "q8", "q16", "q5", "q9"]
-)
+@ALL_FIELDS
 def test_packed_kernels_match_echelon(ctx):
     # products L R of rank at most r, so dependent and zero rows occur, and
     # square ones of full rank; past 64 bits a packed row spans machine words
@@ -598,7 +657,7 @@ def test_gf2e_kernel_forms_a_scalar_only_when_a_reduction_meets_it(monkeypatch):
     assert calls.count("mul") == 0
 
 
-@FIELDS
+@ALL_FIELDS
 def test_reduce_against_matches_the_per_entry_reference(ctx):
     rng = random.Random(53 + ctx.q)
     for sp in _random_subspaces(rng, ctx, 40):

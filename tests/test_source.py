@@ -51,3 +51,31 @@ def test_no_assertion_errors_raised_in_the_package():
     # which the CLI maps onto exit code 2 instead of a traceback
     found = _raise_sites("AssertionError")
     assert not found, f"raise AssertionError: {found}"
+
+
+def test_one_elimination_path():
+    # every row reduction runs on a row kernel: only matfq names _echelon,
+    # only _ListRows.echelon calls it, and no module keeps a list-row update
+    # (_clear) for a second elimination beside it
+    found = []
+    for path in sorted(Path(sumrank.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        if path.name == "matfq.py":
+            kernel = next(c for c in tree.body if getattr(c, "name", "") == "_ListRows")
+            method = next(f for f in kernel.body if getattr(f, "name", "") == "echelon")
+            allowed = {id(node) for node in ast.walk(method)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, (ast.alias, ast.FunctionDef)):
+                name = node.name
+            else:
+                continue
+            # matfq defines _echelon once; that is no use of it
+            defined = isinstance(node, ast.FunctionDef) and path.name == "matfq.py"
+            if name == "_clear" or name == "_echelon" and not defined and id(node) not in allowed:
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert not found, f"list-row elimination outside _ListRows: {found}"
