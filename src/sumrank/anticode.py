@@ -471,7 +471,7 @@ def is_optimal_anticode(
     covered = k if use_tail else shape.ell
     blocks = []
     for i in range(covered):
-        proj_dim = code.block_projection(i).dim
+        proj_dim = code._projection_dim(i)
         # the projection lies in the support space on the span of its block
         # rows (col) or block columns (row), and is it when the dimensions agree
         for kind in ("col", "row") if shape.m[i] == shape.n[i] else ("col",):

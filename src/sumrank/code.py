@@ -29,7 +29,7 @@ from .errors import (
     UnknownChoice,
 )
 from .gf import FieldContext, field_from_dict
-from .matfq import MatrixFq, Subspace, _ListRows, _dot, walk_span
+from .matfq import MatrixFq, Subspace, _ListRows, _products, rank_rows, walk_span
 # bench/selftest.py checks that the benchmark's tracer patches this site
 from .matfq import rref  # noqa: F401
 
@@ -254,7 +254,7 @@ def trace_pairing(d: MatrixTuple, c: MatrixTuple) -> int:
         raise ShapeMismatch("tuples from different ambient spaces")
     if d.ctx != c.ctx:
         raise ContextMismatch("tuples over different field contexts")
-    return _dot(d.ctx, d.flatten(), c.flatten())
+    return _products(d.ctx, [d.flatten()], [(x,) for x in c.flatten()], 1)[0][0]
 
 
 class LinearCode:
@@ -520,6 +520,11 @@ class LinearCode:
         lines = self.shape.lines(i, "col")
         start, stop = lines[0].start, lines[-1].stop
         return Subspace.from_vectors(self.ctx, stop - start, [r[start:stop] for r in self.rows])
+
+    def _projection_dim(self, i: int) -> int:
+        """block_projection(i).dim, as the rank of the block's slice: no RREF is formed."""
+        start, width = self.shape.block_offsets()[i], self.shape.m[i] * self.shape.n[i]
+        return rank_rows([r[start : start + width] for r in self.rows], width, self.ctx)
 
     def __eq__(self, other) -> bool:
         return (

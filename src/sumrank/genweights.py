@@ -33,7 +33,7 @@ from .errors import (
     UnknownChoice,
 )
 from .gf import FieldContext, _digits, _undigits
-from .matfq import MatrixFq, _dot
+from .matfq import MatrixFq, _products
 
 __all__ = [
     "WeightProfile",
@@ -209,21 +209,20 @@ def subfield_embedding(small: FieldContext, big: FieldContext) -> Tuple[int, ...
         return tuple(range(p))
     if small == big:
         return tuple(range(small.q))
-    root = None
     coeffs = list(reversed(small.modulus))
-    for z in range(big.q):
+    for root in range(big.q):
         acc = 0
         for c in coeffs:
-            acc = big.add(big.mul(acc, z), c)
+            acc = big.add(big.mul(acc, root), c)
         if acc == 0:
-            root = z
             break
-    if root is None:
+    else:
         raise InvariantViolation("the modulus splits in every overfield")
     powers = [1]
     for _ in range(1, e):
         powers.append(big.mul(powers[-1], root))
-    return tuple(_dot(big, _digits(x, p, e), powers) for x in range(small.q))
+    digits = [_digits(x, p, e) for x in range(small.q)]
+    return tuple(row[0] for row in _products(big, digits, [(w,) for w in powers], 1))
 
 
 def _monomial_reprs(degree: int, p: int) -> Tuple[int, ...]:
@@ -240,7 +239,8 @@ class GammaBasis:
 
     Block i carries a basis of F_{q^{m_i}} over F_q, as elements of the
     extension context; coordinates of any extension scalar in that basis
-    come from one prime-field linear solve, precomputed per block.
+    come from one prime-field linear solve, precomputed per block and held
+    transposed, so that the solve is one product of the scalar's digits.
     """
 
     __slots__ = ("base", "shape", "exts", "bases", "_solvers")
@@ -272,28 +272,25 @@ class GammaBasis:
             extension_context(base, m)
         return cls(base, shape, [_monomial_reprs(m, base.p) for m in shape.m])
 
-    def _build_solver(self, i: int) -> MatrixFq:
+    def _build_solver(self, i: int) -> Tuple[Tuple[int, ...], ...]:
+        """The rows of the inverse of block i's system, transposed."""
         base, big = self.base, self.exts[i]
-        p, e, m = base.p, base.e, self.shape.m[i]
-        em = e * m
-        prime = _prime_context(p)
+        p, e, em = base.p, base.e, base.e * self.shape.m[i]
         embed = subfield_embedding(base, big)
         cols = []
         for gam in self.bases[i]:
             for j in range(e):
                 beta = embed[_undigits([0] * j + [1], p)] if j else 1
                 cols.append(_digits(big.mul(beta, gam), p, em))
-        mat = MatrixFq(prime, [[cols[c][r] for c in range(em)] for r in range(em)])
+        mat = MatrixFq(_prime_context(p), cols)  # the transpose of the system's matrix
         if not mat.is_invertible():
             raise GammaNotBasis(f"block {i}: elements are dependent over the base field")
-        return mat.inverse()
+        return mat.inverse().rows
 
     def coordinates(self, i: int, w: int) -> Tuple[int, ...]:
         """Base-field coordinates of extension scalar w in basis i."""
         p, e, m = self.base.p, self.base.e, self.shape.m[i]
-        solver = self._solvers[i]
-        rhs = _digits(w, p, e * m)
-        t = [_dot(solver.ctx, row, rhs) for row in solver.rows]
+        (t,) = _products(_prime_context(p), [_digits(w, p, e * m)], self._solvers[i], e * m)
         return tuple(_undigits(t[k * e : (k + 1) * e], p) for k in range(m))
 
     def _check_vector(self, v: Sequence[Sequence[int]]) -> None:
@@ -351,7 +348,7 @@ def gamma_expand(
     for v in vectors:
         for s in scalars:
             scaled = tuple(
-                tuple(gamma.exts[i].mul(embeds[i][s], w) for w in seg)
+                _products(gamma.exts[i], [(embeds[i][s],)], [seg], len(seg))[0]
                 for i, seg in enumerate(v)
             )
             spanning.append(gamma.expand_vector(scaled))

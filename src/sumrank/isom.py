@@ -30,7 +30,7 @@ from .errors import (
     SingularFactor,
 )
 from .gf import FieldContext
-from .matfq import MatrixFq, Subspace, _back_substitute, _row_kernel, rank_rows, vec_scale
+from .matfq import MatrixFq, Subspace, _back_substitute, _row_kernel, vec_scale
 
 __all__ = [
     "Isometry",
@@ -325,8 +325,8 @@ def _invertible_points(ctx, kernel, blocks, space, bound, first_only, memo):
     for lines in blocks:
         for line in lines:
             done_at[bisect_left(ends, line.stop)].append((len(lines), lines[0].start, line.stop))
-    scaled = [[None] + [vec_scale(ctx, c, row) for c in range(1, ctx.q)] for row in space]
     add, depth = xor if ctx.p == 2 else ctx.add, len(space)
+    scaled: list = [None] * depth  # row i's multiples, formed when the walk first reaches i
     found: List[Tuple[int, ...]] = []
 
     def visit(i, vec, tied) -> bool:
@@ -349,6 +349,8 @@ def _invertible_points(ctx, kernel, blocks, space, bound, first_only, memo):
                 return True
             found.append(vec)
             return first_only
+        if scaled[i] is None:  # c = 0 adds nothing, c = 1 adds the row itself
+            scaled[i] = [None, space[i]] + [vec_scale(ctx, c, space[i]) for c in range(2, ctx.q)]
         for step in scaled[i]:
             if visit(i + 1, vec if step is None else tuple(map(add, vec, step)), tied):
                 return True
@@ -409,10 +411,8 @@ def equivalent_codes(
     # the unknowns (M_1, ..., M_l) flatten like a tuple of the square shape
     left_shape = Shape(sizes, sizes, strict=False)
     blocks = [shape.lines(j, "col") for j in range(ell)]
-    # each block's projection dimension is isometry-invariant: a rank gives it, not an RREF
-    proj_dims_first, proj_dims_second = (
-        [rank_rows([r[b[0].start : b[-1].stop] for r in c.rows], b[-1].stop - b[0].start, ctx)
-         for b in blocks] for c in (first, second))
+    # each block's projection dimension is isometry-invariant
+    dims = [[c._projection_dim(i) for i in range(ell)] for c in (first, second)]
     left_blocks = [left_shape.lines(j, "col") for j in range(ell)]
     basis = [_blocks(row, blocks) for row in first.rows]
     checks = [_blocks(row, blocks) for row in second.dual().rows]
@@ -423,7 +423,7 @@ def equivalent_codes(
     lefts: dict = {}
     first_only = not all_witnesses
     for sigma in admissible_permutations(shape):
-        if any(proj_dims_first[i] != d for i, d in zip(sigma, proj_dims_second)):
+        if any(dims[0][i] != d for i, d in zip(sigma, dims[1])):
             continue
         for mask in _transpose_masks(shape):
             best = None

@@ -9,9 +9,10 @@ entries lo..hi-1, combine(coeffs, vecs) for the sum of c·v, and
 echelon(rows, ncols, start=()); those of F_2, F_3 and F_{2^e} pack bits
 (Boothby and Bradshaw, arXiv:0901.1413), the others take each entry of a
 list row through the context.  One back-substitution (_back_substitute)
-serves rref and the equivalence search, and one dot product (_dot), entry
-by entry, every matrix product and pairing.  RREF results (duals,
-intersections) are wrapped, not reduced.
+serves rref and the equivalence search.  Products, pairings, sums and
+scalings run on the kernels too: row i of A B is one combine of B's packed
+rows with row i of A as the coefficients (_products).  RREF results
+(duals, intersections) are wrapped, not reduced.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from functools import reduce
 from itertools import compress, count
 from operator import lshift, xor
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
     ContextMismatch,
@@ -37,7 +38,6 @@ __all__ = [
     "rref",
     "rank_rows",
     "nullspace_rows",
-    "vec_add",
     "vec_scale",
     "walk_span",
     "gaussian_binomial",
@@ -47,11 +47,6 @@ __all__ = [
 ]
 
 SUBSPACE_CAP = 10**6
-
-
-def vec_add(ctx: FieldContext, u: Sequence[int], v: Sequence[int]) -> Tuple[int, ...]:
-    add = ctx.add
-    return tuple(add(a, b) for a, b in zip(u, v))
 
 
 def vec_scale(ctx: FieldContext, c: int, v: Sequence[int]) -> Tuple[int, ...]:
@@ -85,15 +80,6 @@ def walk_span(ctx: FieldContext, base: Tuple[int, ...], rows) -> Iterator[Tuple[
         for i in range(pos, k):
             d = digits[i]
             partial[i + 1] = tuple(map(add, partial[i], scaled[i][d])) if d else partial[i]
-
-
-def _dot(ctx: FieldContext, u: Sequence[int], v: Sequence[int]) -> int:
-    """The sum of u_i v_i over the context."""
-    acc = 0
-    for a, b in zip(u, v):
-        if a and b:
-            acc = ctx.add(acc, ctx.mul(a, b))
-    return acc
 
 
 def _echelon(rows: Iterable[Sequence[int]], ncols: int, ctx: FieldContext, start=()):
@@ -313,6 +299,14 @@ def _row_kernel(ctx: FieldContext, k: int):
     return packed or (_Gf2eRows(ctx, k) if ctx.p == 2 else _ListRows(ctx))
 
 
+def _products(ctx: FieldContext, left, right, n: int) -> List[Tuple[int, ...]]:
+    """The rows of L R, L and R given by their rows, R's of n entries: row i
+    is one combine of R's packed rows, with row i of L as the coefficients."""
+    kernel = _row_kernel(ctx, n)
+    packed = [kernel.pack(row) for row in right]
+    return [kernel.unpack(kernel.combine(row, packed), 0, n) for row in left]
+
+
 def _back_substitute(kernel, basis, ncols: int) -> list:
     """The reduced form of an echelon basis from kernel.echelon, as
     [(pivot, row)] with pivots ascending.  One echelon of the rows, last
@@ -413,34 +407,35 @@ class MatrixFq:
         if same_shape and (self.m != other.m or self.n != other.n):
             raise ShapeMismatch(f"{self.m}x{self.n} vs {other.m}x{other.n}")
 
+    def _combine(self, c: int, other: Optional["MatrixFq"] = None, d: int = 0) -> "MatrixFq":
+        """c self + d other: row i is one combine of the stacked rows, c at row i
+        and d at row m + i (without other, past the last row and so unused)."""
+        m, rows = self.m, self.rows + (other.rows if other else ())
+        coeffs = [(0,) * i + (c,) + (0,) * (m - 1) + (d,) for i in range(m)]
+        return MatrixFq(self.ctx, _products(self.ctx, coeffs, rows, self.n))
+
     def __add__(self, other: "MatrixFq") -> "MatrixFq":
         self._check(other)
-        return MatrixFq(
-            self.ctx, [vec_add(self.ctx, a, b) for a, b in zip(self.rows, other.rows)]
-        )
+        return self._combine(1, other, 1)
 
     def __sub__(self, other: "MatrixFq") -> "MatrixFq":
         self._check(other)
-        sub = self.ctx.sub
-        return MatrixFq(
-            self.ctx,
-            [tuple(sub(a, b) for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows)],
-        )
+        return self._combine(1, other, self.ctx.neg(1))
 
     def __neg__(self) -> "MatrixFq":
-        neg = self.ctx.neg
-        return MatrixFq(self.ctx, [tuple(neg(x) for x in r) for r in self.rows])
+        return self._combine(self.ctx.neg(1))
 
     def scale(self, c: int) -> "MatrixFq":
-        return MatrixFq(self.ctx, [vec_scale(self.ctx, c, r) for r in self.rows])
+        q = self.ctx.q
+        if type(c) is not int or not 0 <= c < q:
+            raise ContextMismatch(f"scalar {c!r} is not an element of F_{q}")
+        return self._combine(c)
 
     def __matmul__(self, other: "MatrixFq") -> "MatrixFq":
         self._check(other, same_shape=False)
         if self.n != other.m:
             raise ShapeMismatch("inner dimensions differ")
-        ctx = self.ctx
-        cols = list(zip(*other.rows))
-        return MatrixFq(ctx, [[_dot(ctx, r, c) for c in cols] for r in self.rows])
+        return MatrixFq(self.ctx, _products(self.ctx, self.rows, other.rows, other.n))
 
     def transpose(self) -> "MatrixFq":
         return MatrixFq(self.ctx, list(zip(*self.rows)))
@@ -498,7 +493,7 @@ class MatrixFq:
 def trace_product(a: MatrixFq, b: MatrixFq) -> int:
     """tr(a b^T), which is the entrywise dot product of a and b."""
     a._check(b)
-    return _dot(a.ctx, a.flatten(), b.flatten())
+    return _products(a.ctx, [a.flatten()], [(x,) for x in b.flatten()], 1)[0][0]
 
 
 class Subspace:

@@ -10,6 +10,7 @@ reproduces it exactly.  Strictness of the shape is never assumed here.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -26,7 +27,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .genweights import gen_weight, weight_profile
-from .matfq import MatrixFq, Subspace, _dot, rank_rows
+from .matfq import MatrixFq, Subspace, _products, _row_kernel, rank_rows
 
 __all__ = [
     "canonical_complement",
@@ -139,9 +140,8 @@ class WiretapScenario:
         out: List[int] = []
         for i, b in enumerate(self.taps):
             if b is not None:
-                cols = list(zip(*b.rows))
-                for line in shape.lines(i, "col"):
-                    out.extend(_dot(ctx, flat[line.start : line.stop], col) for col in cols)
+                rows = [flat[line.start : line.stop] for line in shape.lines(i, "col")]
+                out += [x for row in _products(ctx, rows, b.rows, b.n) for x in row]
         return tuple(out)
 
 
@@ -186,20 +186,22 @@ def empirical_mi(scenario: WiretapScenario, cap: int = MI_CAP) -> int:
     pairs = q**code.ambient_dim
     if pairs > cap:
         raise EnumerationTooLarge(f"{pairs} pairs exceed cap {cap}")
-    msg_flats = list(msg.iter_flat(include_zero=True))
     observed_code = [scenario.observe_flat(c) for c in code.iter_flat(include_zero=True)]
-    observed_msg = [scenario.observe_flat(m) for m in msg_flats]
-    m_counts: Dict[int, int] = {}
-    w_counts: Dict[Tuple[int, ...], int] = {}
-    joint_counts: Dict[Tuple[int, Tuple[int, ...]], int] = {}
-    width = len(observed_msg[0]) if observed_msg else 0
-    for mi_idx, wm in enumerate(observed_msg):
-        for wc in observed_code:
-            w = tuple(ctx.add(a, b) for a, b in zip(wm, wc)) if width else ()
-            m_counts[mi_idx] = m_counts.get(mi_idx, 0) + 1
-            w_counts[w] = w_counts.get(w, 0) + 1
-            key = (mi_idx, w)
-            joint_counts[key] = joint_counts.get(key, 0) + 1
+    observed_msg = [scenario.observe_flat(m) for m in msg.iter_flat(include_zero=True)]
+    width = len(observed_msg[0])  # the zero message is always there
+    kernel = _row_kernel(ctx, width)
+    packed_code = [kernel.pack(wc) for wc in observed_code]
+    # the view of message i under codeword c is the sum of their views
+    joint_counts = Counter(
+        (mi_idx, kernel.unpack(kernel.combine((1, 1), (wm, wc)), 0, width))
+        for mi_idx, wm in enumerate(map(kernel.pack, observed_msg))
+        for wc in packed_code
+    )
+    w_counts: Counter = Counter()
+    for (_, w), count in joint_counts.items():
+        w_counts[w] += count
+    # every message meets every codeword once
+    m_counts = dict.fromkeys(range(len(observed_msg)), len(observed_code))
     total = len(observed_msg) * len(observed_code)
     mi = (
         _entropy_q(m_counts, total, q)

@@ -290,6 +290,69 @@ def test_gamma_basis_identity():
                 assert acc == v[i][c]
 
 
+# an odd prime base, an extension base and a base on the list-row kernel
+BASES = pytest.mark.parametrize(
+    "base", [F3, FieldContext(2, 2), FieldContext(5, 1)], ids=["q3", "q4", "q5"]
+)
+
+
+@BASES
+def test_expansion_recombines_over_odd_and_extension_bases(base):
+    # every expand_vector block recombines to its segment: the sum over r of
+    # embed(X[r][c]) gamma_r is w_c in the extension field, for the monomial
+    # basis and a random one
+    rng = random.Random(89 + base.q)
+    shape = Shape((3, 2), (2, 1))
+    gammas = [GammaBasis.monomial(base, shape)]
+    while len(gammas) < 2:
+        exts = gammas[0].exts
+        bases = [[rng.randrange(1, ext.q) for _ in range(m)] for ext, m in zip(exts, shape.m)]
+        try:
+            gammas.append(GammaBasis(base, shape, bases))
+        except GammaNotBasis:
+            pass  # dependent over the base field: draw again
+    for gamma in gammas:
+        embeds = [subfield_embedding(base, ext) for ext in gamma.exts]
+        for _ in range(8):
+            v = tuple(
+                tuple(rng.randrange(ext.q) for _ in range(n))
+                for ext, n in zip(gamma.exts, shape.n)
+            )
+            t = gamma.expand_vector(v)
+            for ext, embed, gams, blk, seg in zip(gamma.exts, embeds, gamma.bases, t.blocks, v):
+                for c, w in enumerate(seg):
+                    acc = 0
+                    for r, gam in enumerate(gams):
+                        acc = ext.add(acc, ext.mul(embed[blk.rows[r][c]], gam))
+                    assert acc == w
+
+
+@BASES
+def test_expansion_is_closed_under_the_subfield_scalars(base):
+    # over F_{q^2} the code of v is spanned by the expansions of v and of
+    # x v, with x v formed entry by entry in the extension field
+    rng = random.Random(97 + base.q)
+    shape = Shape((2, 2), (2, 1))
+    gamma = GammaBasis.monomial(base, shape)
+    x = base.p  # the extension variable
+    for _ in range(5):
+        v = tuple(tuple(rng.randrange(1, ext.q) for _ in range(n))
+                  for ext, n in zip(gamma.exts, shape.n))
+        code = gamma_expand(gamma, [v])
+        xv = tuple(tuple(ext.mul(x, w) for w in seg) for ext, seg in zip(gamma.exts, v))
+        assert code.dim == 2
+        for u in (v, xv):
+            assert code.contains_flat(gamma.expand_vector(u).flatten())
+    # the subfield copy inside F_{q^4} is a field homomorphism
+    sub, big = extension_context(base, 2), extension_context(base, 4)
+    table = subfield_embedding(sub, big)
+    assert len(set(table)) == sub.q
+    for a in range(sub.q):
+        for b in range(sub.q):
+            assert table[sub.add(a, b)] == big.add(table[a], table[b])
+            assert table[sub.mul(a, b)] == big.mul(table[a], table[b])
+
+
 def test_gamma_expand_known_matrices():
     shape = Shape((2,), (2,))
     gamma = GammaBasis.monomial(F2, shape)

@@ -224,6 +224,15 @@ def test_matrix_inverse_guards():
         MatrixFq(F4, [[4, 0]])
     with pytest.raises(ContextMismatch):
         MatrixFq(F2, [[1]])._check(MatrixFq(F3, [[1]]))
+    # a scalar outside F_q is refused, as an entry is: scale(7) over F_4 raised
+    # IndexError, scale(-1) over F_4 gave [[3, 3]], scale(4) over F_3 read as 1
+    for ctx, c in ((F4, 7), (F9, 9), (F4, -1), (F9, -2), (F3, 4), (F2, 2.0), (F3, "1"),
+                   (F2, True), (F5, None)):
+        mat = MatrixFq(ctx, [[1, 1], [0, 1]])
+        pair = MatrixTuple(Shape((2,), (2,)), [mat])
+        for scaled in (mat.scale, pair.scale):
+            with pytest.raises(ContextMismatch, match=f"{c!r} is not an element of F_{ctx.q}"):
+                scaled(c)
 
 
 def test_trace_product_is_dot():
@@ -473,9 +482,6 @@ def _brute_dot(ctx, u, v):
     return reduce(ctx.add, [ctx.mul(x, y) for x, y in zip(u, v)], 0)
 
 
-FIELDS = pytest.mark.parametrize("ctx", [F2, F3, F4, F9], ids=["q2", "q3", "q4", "q9"])
-
-
 @ALL_FIELDS
 def test_orthogonal_is_wrapped_rref_of_the_old_path(ctx):
     rng = random.Random(41 + ctx.q)
@@ -669,11 +675,19 @@ def test_reduce_against_matches_the_per_entry_reference(ctx):
             )
 
 
-@FIELDS
+def _entrywise(op, *mats):
+    """op applied entry by entry to matrices of one shape, as lists."""
+    return [[op(*xs) for xs in zip(*rows)] for rows in zip(*(mat.rows for mat in mats))]
+
+
+@ALL_FIELDS
 def test_products_and_pairings_match_brute_sums(ctx):
     rng = random.Random(59 + ctx.q)
-    for _ in range(30):
-        m, k, n = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+    for trial in range(30):
+        # every tenth product is wide: its rows pass 64 bits in every packed layout
+        wide = trial % 10 == 9
+        m, k = rng.randint(1, 4), rng.randint(1, 4)
+        n = rng.randint(65, 70) if wide else rng.randint(1, 4)
         a, b = random_matrix(rng, ctx, m, k), random_matrix(rng, ctx, k, n)
         want = [
             [_brute_dot(ctx, a.rows[i], [b.rows[t][j] for t in range(k)]) for j in range(n)]
@@ -682,6 +696,14 @@ def test_products_and_pairings_match_brute_sums(ctx):
         assert (a @ b).to_lists() == want
         c = random_matrix(rng, ctx, m, k)
         assert trace_product(a, c) == _brute_dot(ctx, a.flatten(), c.flatten())
+        d = random_matrix(rng, ctx, k, n)
+        assert trace_product(b, d) == _brute_dot(ctx, b.flatten(), d.flatten())
+        # sums, differences, negations and scalings, against the context entry by entry
+        assert (b + d).to_lists() == _entrywise(ctx.add, b, d)
+        assert (b - d).to_lists() == _entrywise(ctx.sub, b, d)
+        assert (-b).to_lists() == _entrywise(ctx.neg, b)
+        for s in {0, 1, ctx.q - 1, rng.randrange(ctx.q)}:
+            assert b.scale(s).to_lists() == _entrywise(lambda x: ctx.mul(s, x), b)
     for _ in range(20):
         shape = random_shape(rng)
         d, c = (
@@ -691,9 +713,11 @@ def test_products_and_pairings_match_brute_sums(ctx):
             for _ in range(2)
         )
         assert trace_pairing(d, c) == _brute_dot(ctx, d.flatten(), c.flatten())
+        assert (d + c).flatten() == tuple(map(ctx.add, d.flatten(), c.flatten()))
+        assert (d - c).flatten() == tuple(map(ctx.sub, d.flatten(), c.flatten()))
 
 
-@FIELDS
+@ALL_FIELDS
 def test_observe_flat_matches_brute_sums(ctx):
     rng = random.Random(61 + ctx.q)
     for _ in range(20):

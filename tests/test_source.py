@@ -79,3 +79,24 @@ def test_one_elimination_path():
             if name == "_clear" or name == "_echelon" and not defined and id(node) not in allowed:
                 found.append(f"{path.name}:{node.lineno} {name}")
     assert not found, f"list-row elimination outside _ListRows: {found}"
+
+
+def test_no_entrywise_product_path():
+    # every matrix product, pairing, sum and scaling runs on the row kernels
+    # (matfq._products): no module defines or imports a dot product or vector
+    # sum that goes entry by entry beside them
+    banned = {"_dot", "vec_add"}
+    found = []
+    for path in sorted(Path(sumrank.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = {node.name}
+            elif isinstance(node, ast.alias):
+                names = {node.name, node.asname}
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names = {node.id}
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names & banned]
+    assert not found, f"entrywise product path: {found}"
