@@ -9,7 +9,8 @@ import argparse
 import random
 from dataclasses import dataclass
 
-from sumrank import LinearCode, Shape, msrd_check, msrd_weight_profile, suffix_masses
+from sumrank import LinearCode, Shape, msrd_check, msrd_weight_profile
+from sumrank.anticode import _anticode_bound_inverse
 from sumrank.gf import FieldContext
 
 from fieldarg import field_of_order
@@ -36,15 +37,10 @@ def parse_config() -> HuntConfig:
 
 
 def exact_dims(shape: Shape):
-    """Dimensions of the form suffix mass minus a multiple of one block's rows."""
-    masses = suffix_masses(shape)
-    out = set()
-    for j in range(shape.ell):
-        for delta in range(shape.n[j]):
-            dim = masses[j] - delta * shape.m[j]
-            if dim > 0:
-                out.add(dim)
-    return sorted(out)
+    """Dimensions the Anticode Bound's inversion meets with no remainder."""
+    return [
+        dim for dim in range(1, shape.ambient_dim + 1) if _anticode_bound_inverse(shape, dim)[1] == 0
+    ]
 
 
 def main() -> None:

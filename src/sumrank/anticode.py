@@ -20,6 +20,7 @@ from .errors import (
     AmbientMismatch,
     ClassificationNotApplicable,
     ContextMismatch,
+    DimNotAdmissible,
     EnumerationTooLarge,
     IllegalTranspose,
     InvariantViolation,
@@ -557,10 +558,18 @@ def staircase_profile(shape: Shape, u: Sequence[int]) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def prior_anticode_bound(shape: Shape, weight: int) -> int:
-    """max sum m_i u_i over sum u_i = weight, 0 <= u_i <= n_i (greedy fill)."""
-    if weight < 0 or weight > shape.ncols:
-        raise ShapeMismatch("weight out of range")
+def _strict(shape: Shape) -> None:
+    if not shape.strict:
+        raise ShapeMismatch("the Anticode Bound lives in strict shapes")
+
+
+def _anticode_bound(shape: Shape, weight: int) -> int:
+    """r(weight) = max sum m_i u_i over sum u_i = weight, 0 <= u_i <= n_i.
+
+    The rows never grow on a strict shape, so filling the columns from the
+    first block on attains the maximum.
+    """
+    _strict(shape)
     rest = weight
     total = 0
     for mm, nn in zip(shape.m, shape.n):
@@ -568,3 +577,27 @@ def prior_anticode_bound(shape: Shape, weight: int) -> int:
         total += mm * take
         rest -= take
     return total
+
+
+def _anticode_bound_inverse(shape: Shape, dim: int) -> Tuple[int, int]:
+    """(h, s) with r(h) <= N - dim = r(h) + s, s below the rows of column
+    h + 1, N the ambient dimension: one pass takes whole blocks while their
+    mass fits, then whole columns of the block where it stops."""
+    _strict(shape)
+    ambient = shape.ambient_dim
+    if not 1 <= dim <= ambient:
+        raise DimNotAdmissible(f"dimension {dim} outside 1..{ambient}")
+    rest, j, h, m, n = ambient - dim, 0, 0, shape.m, shape.n
+    while rest >= m[j] * n[j]:  # rest < ambient, so some block stops the walk
+        rest -= m[j] * n[j]
+        h += n[j]
+        j += 1
+    delta, s = divmod(rest, m[j])
+    return h + delta, s
+
+
+def prior_anticode_bound(shape: Shape, weight: int) -> int:
+    """max sum m_i u_i over sum u_i = weight, 0 <= u_i <= n_i (greedy fill)."""
+    if weight < 0 or weight > shape.ncols:
+        raise ShapeMismatch("weight out of range")
+    return _anticode_bound(shape, weight)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations, product as iter_product
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .code import LinearCode, MatrixTuple, Shape, trace_pairing
+from .code import LinearCode, MatrixTuple, Shape
 from .errors import (
     EnumerationTooLarge,
     InvariantViolation,
@@ -27,7 +27,7 @@ from .errors import (
     UsageError,
 )
 from .gf import field_from_dict
-from .matfq import MatrixFq
+from .matfq import MatrixFq, _products
 
 if TYPE_CHECKING:
     from .genweights import GammaBasis
@@ -156,12 +156,10 @@ def _cmd_dual(config: RunConfig) -> dict:
     _check_dual_size(code, config.cap)
     dual = code.dual()
     if config.oracle:
-        for t in dual.basis_tuples():
-            for c in code.basis_tuples():
-                if trace_pairing(t, c) != 0:
-                    raise InvariantViolation(
-                        "oracle mismatch on dual: nonzero trace pairing"
-                    )
+        if code.dim:  # entry (i, j) is the trace pairing of dual row i with code row j
+            pairings = _products(code.ctx, dual.rows, list(zip(*code.rows)), code.dim)
+            if any(map(any, pairings)):
+                raise InvariantViolation("oracle mismatch on dual: nonzero trace pairing")
         _oracle_check("dual dim", dual.dim, code.ambient_dim - code.dim)
     return dual.to_dict()
 

@@ -94,7 +94,7 @@ class Shape:
 
     @property
     def ambient_dim(self) -> int:
-        return sum(a * b for a, b in zip(self.m, self.n))
+        return sum(map(mul, self.m, self.n))
 
     def block_offsets(self) -> Tuple[int, ...]:
         """Flat offsets of each block in the flattened coordinate order."""

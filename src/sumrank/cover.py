@@ -23,7 +23,7 @@ from .errors import (
     ShapeMismatch,
     ZeroMatrix,
 )
-from .matfq import MatrixFq, reduce_against
+from .matfq import MatrixFq, _products, reduce_against
 
 __all__ = [
     "leading_position",
@@ -122,12 +122,17 @@ def _leading_minor_nonsingular(mat: MatrixFq, k: int) -> bool:
     return mat.submatrix(range(k), range(k)).rank() == k
 
 
+def _combinations(coeffs: Sequence[Sequence[int]], mats: Sequence[MatrixFq]) -> List[MatrixFq]:
+    """sum_i c_i mats[i] for each coefficient row c, all from one product of
+    the rows c with the flattened matrices."""
+    ctx, m, n = mats[0].ctx, mats[0].m, mats[0].n
+    flats = _products(ctx, coeffs, [mat.flatten() for mat in mats], m * n)
+    return [MatrixFq(ctx, [flat[i : i + n] for i in range(0, m * n, n)]) for flat in flats]
+
+
 def _shift(a: MatrixFq, coeffs: Sequence[int], mats: Sequence[MatrixFq]) -> MatrixFq:
     """a + sum of the mats[i] with coeffs[i] = 1."""
-    for x, mat in zip(coeffs, mats):
-        if x:
-            a = a + mat
-    return a
+    return _combinations([(1, *coeffs)], [a, *mats])[0]
 
 
 def meshulam_search(a: MatrixFq, mats: Sequence[MatrixFq]) -> MeshulamResult:
@@ -287,12 +292,9 @@ def coset_witness_exact(
     rng = random.Random(seed)
     basis = _single_block_matrices(v)
     for _ in range(attempts):
-        b = MatrixFq.zero(ctx, m, n)
-        for mat in basis:
-            c = rng.randrange(ctx.q)
-            if c:
-                b = b + mat.scale(c)
-        achieved = (a + b).rank()
+        cs = [rng.randrange(ctx.q) for _ in basis]
+        b, total = _combinations([(0, *cs), (1, *cs)], [a, *basis])
+        achieved = total.rank()
         if achieved >= t + 1:
             return CosetWitness(b, achieved, "random")
     raise SearchExhausted(f"no witness after {attempts} random samples")

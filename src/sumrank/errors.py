@@ -3,8 +3,9 @@
 Two top-level families matter to callers: ``UsageError`` covers bad inputs
 and exceeded enumeration guards (CLI exit code 1), ``InvariantViolation``
 covers contradictions of guaranteed identities (CLI exit code 2, always a
-bug somewhere).  The classes for bad argument values also derive from
-``ValueError``, so callers that catch ``ValueError`` still catch them.
+bug somewhere).  Three classes for bad argument values, ``UnknownChoice``,
+``BadDegree`` and ``SingularFactor``, also derive from ``ValueError``, so
+callers that catch ``ValueError`` still catch them; the others do not.
 Each constructor checks the numbers it holds: one that is not an int in
 range (a bool or a float included) is refused, never coerced.
 """

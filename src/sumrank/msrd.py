@@ -1,11 +1,13 @@
 """Maximum sum-rank distance codes: bounds, criteria, weight formulas.
 
-The dimension of a strict product space decomposes uniquely against the
-suffix masses T_j = sum of m_i n_i over i >= j, which pins the largest
-distance a code of that dimension can have.  Codes meeting it are MSRD;
-the module checks the definition, four bordering criteria, the
-column-window characterization, and the closed-form weight hierarchy,
-cross-asserting every equivalence the theory promises.
+Every closed form reads one bound or its inversion.  The Anticode Bound
+r(h) is the largest dimension of a weight-h optimal anticode, the greedy
+column fill of a strict shape of ambient dimension N; at a dimension k
+its inversion is (h, s) with r(h) <= N - k = r(h) + s.  A code of
+dimension k has distance at most h + 1; codes meeting it with s = 0 are
+MSRD, and their weights are d_r = min{h : r(h) >= N - k + r}.  The module
+checks the definition, four bordering criteria and the column-window
+characterization, cross-asserting every equivalence the theory promises.
 """
 
 from __future__ import annotations
@@ -13,7 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from .anticode import AnticodeDescriptor, BlockSupport, Meet
+from .anticode import (
+    AnticodeDescriptor,
+    BlockSupport,
+    Meet,
+    _anticode_bound,
+    _anticode_bound_inverse,
+)
 # bench/selftest.py checks that the benchmark's tracer patches these sites
 from .anticode import enumerate_anticodes, product_descriptors  # noqa: F401
 from .code import ANTICODE_CAP, LinearCode, Shape
@@ -52,20 +60,11 @@ def suffix_masses(shape: Shape) -> Tuple[int, ...]:
 
 
 def dim_decomposition(shape: Shape, dim: int) -> Tuple[int, int, int]:
-    """Unique (j, delta, s) with dim = T_j - delta*m_j - s, 0 <= s < m_j.
-
-    j is 0-based; delta stays below n_j.  Codes can only be MSRD when the
-    remainder s vanishes.
-    """
-    masses = suffix_masses(shape)
-    if not 1 <= dim <= masses[0]:
-        raise DimNotAdmissible(f"dimension {dim} outside 1..{masses[0]}")
-    j = max(i for i in range(shape.ell) if masses[i] >= dim)
-    rest = masses[j] - dim
-    delta, s = divmod(rest, shape.m[j])
-    if delta > shape.n[j] - 1:
-        raise InvariantViolation("the block deficit must stay below the block width")
-    return j, delta, s
+    """Unique (j, delta, s) with dim = T_j - delta*m_j - s, 0 <= s < m_j:
+    (h, s) inverts the Anticode Bound at dim, (j, delta) decomposes distance
+    h + 1.  Codes can only be MSRD when the remainder s vanishes."""
+    h, s = _anticode_bound_inverse(shape, dim)
+    return (*distance_decomposition(shape, h + 1), s)
 
 
 def distance_decomposition(shape: Shape, d: int) -> Tuple[int, int]:
@@ -79,86 +78,55 @@ def distance_decomposition(shape: Shape, d: int) -> Tuple[int, int]:
 
 def d_max_for_dim(shape: Shape, dim: int) -> int:
     """Largest admissible distance for an exactly-decomposable dimension."""
-    j, delta, s = dim_decomposition(shape, dim)
+    h, s = _anticode_bound_inverse(shape, dim)
     if s:
+        j = shape.block_of_column(h + 1)
         raise DimNotAdmissible(f"dimension {dim} leaves remainder {s} in block {j}")
-    return sum(shape.n[:j]) + delta + 1
+    return h + 1
 
 
 def r_mu(shape: Shape, mu: int) -> int:
-    """Largest dimension of a weight-mu product anticode (prefix fill)."""
-    if mu == 0:
-        return 0
-    j, delta = distance_decomposition(shape, mu)
-    return sum(m * n for m, n in zip(shape.m[:j], shape.n[:j])) + (delta + 1) * shape.m[j]
+    """Largest dimension of a weight-mu product anticode: the Anticode Bound."""
+    if mu and not 1 <= mu <= shape.ncols:
+        raise DimNotAdmissible(f"distance {mu} outside 1..{shape.ncols}")
+    return _anticode_bound(shape, mu)
 
 
 def anticode_dim_extremes(shape: Shape, mu: int) -> Tuple[int, int]:
     """(min, max) dimension over weight-mu product anticodes.
 
-    The max fills columns from the heaviest blocks forward, the min from
-    the lightest blocks backward.
+    The max fills columns from the heaviest blocks forward; the min leaves
+    out the heaviest ncols - mu columns, whose fill is the same bound.
     """
     if not 0 <= mu <= shape.ncols:
         raise DimNotAdmissible(f"weight {mu} outside 0..{shape.ncols}")
-    big = r_mu(shape, mu)
-    rest = mu
-    small = 0
-    for i in range(shape.ell - 1, -1, -1):
-        take = min(rest, shape.n[i])
-        small += take * shape.m[i]
-        rest -= take
-    if small > big:
-        raise InvariantViolation("the lightest fill must not exceed the heaviest")
-    return small, big
+    return shape.ambient_dim - _anticode_bound(shape, shape.ncols - mu), _anticode_bound(shape, mu)
 
 
 def singleton_distance_bound(shape: Shape, dim: int) -> int:
-    """Sharpest distance bound for the given dimension."""
-    masses = suffix_masses(shape)
-    for d in range(shape.ncols, 0, -1):
-        j, delta = distance_decomposition(shape, d)
-        if dim <= masses[j] - shape.m[j] * delta:
-            return d
-    raise DimNotAdmissible(f"dimension {dim} admits no distance")
+    """Sharpest distance bound for the given dimension: the largest d with
+    r(d - 1) <= N - dim, which is h + 1 of the bound's inversion."""
+    if dim > shape.ambient_dim:
+        raise DimNotAdmissible(f"dimension {dim} admits no distance")
+    return _anticode_bound_inverse(shape, dim)[0] + 1
 
 
 def admissible_ranks(shape: Shape, dim: int) -> Dict[int, int]:
-    """Map r -> h over the column range of an exactly-decomposable code.
-
-    r = r_h - r_(dmax-1) - m_k + 1 walks the ranks at which the weight
-    hierarchy of an MSRD code steps to column h; consecutive entries are
-    m_k apart, which the construction re-checks.
-    """
-    dmax = d_max_for_dim(shape, dim)
-    base = r_mu(shape, dmax - 1)
-    if base != shape.ambient_dim - dim:
-        raise InvariantViolation("prefix mass must complement the dimension")
-    out: Dict[int, int] = {}
-    prev: Optional[Tuple[int, int]] = None
-    for h in range(dmax, shape.ncols + 1):
-        k = shape.block_of_column(h)
-        r = r_mu(shape, h) - base - shape.m[k] + 1
-        if prev is not None and r != prev[0] + shape.m[prev[1]]:
-            raise InvariantViolation("rank steps must advance by the block row count")
-        out[r] = h
-        prev = (r, k)
-    if prev is None:
-        raise InvariantViolation("an admissible dimension has at least one rank")
-    if prev[0] + shape.m[prev[1]] - 1 != dim:
-        raise InvariantViolation("the rank walk must end at the code dimension")
-    return out
+    """Map r -> h: the first rank of each run of the MSRD weight hierarchy,
+    to the column h that the run's weights equal."""
+    weights = msrd_weight_profile(shape, dim)
+    return {r: h for r, h in enumerate(weights, 1) if r == 1 or weights[r - 2] != h}
 
 
 def msrd_weight_profile(shape: Shape, dim: int) -> Tuple[int, ...]:
-    """Closed-form weights of an MSRD code of the given dimension."""
-    weights = [0] * dim
-    for r, h in admissible_ranks(shape, dim).items():
-        k = shape.block_of_column(h)
-        for t in range(r, r + shape.m[k]):
-            weights[t - 1] = h
-    if 0 in weights or list(weights) != sorted(weights):
-        raise InvariantViolation("the closed form must fill a monotone profile")
+    """Closed-form weights of an MSRD code of the given dimension:
+    d_r = min{h : r(h) >= N - dim + r}."""
+    h = d_max_for_dim(shape, dim)  # r(h - 1) = N - dim, so every d_r >= h
+    weights = []
+    for need in range(shape.ambient_dim - dim + 1, shape.ambient_dim + 1):
+        while _anticode_bound(shape, h) < need:
+            h += 1
+        weights.append(h)
     return tuple(weights)
 
 
@@ -214,11 +182,6 @@ class MsrdReport:
         }
 
 
-def _is_msrd_by_numbers(shape: Shape, dim: int, distance: int) -> bool:
-    _, _, s = dim_decomposition(shape, dim)
-    return s == 0 and distance == singleton_distance_bound(shape, dim)
-
-
 def msrd_check(code: LinearCode, cap: int = ANTICODE_CAP) -> MsrdReport:
     """Full criteria battery with the theory's equivalences re-asserted.
 
@@ -255,13 +218,11 @@ def msrd_check(code: LinearCode, cap: int = ANTICODE_CAP) -> MsrdReport:
         floor = code.dim + target - ambient
         c0 = next(meet.sweep(d - 1, "all", cap, floor=floor, size=target), None) is None
 
-    # C1: exact dimension and zero intersection below the admissible distance
-    c1 = s == 0
-    if c1:
-        dmax = d_max_for_dim(shape, code.dim)
-        c1 = all(
-            next(meet.sweep(mu, "all", cap, floor=0), None) is None for mu in range(1, dmax)
-        )
+    # C1: exact dimension and zero intersection below the admissible distance,
+    # which is the bound once the remainder vanishes
+    c1 = s == 0 and all(
+        next(meet.sweep(mu, "all", cap, floor=0), None) is None for mu in range(1, bound)
+    )
 
     # C2: products at the distance meet the code in at least m_k dimensions,
     # k the last block with a nonzero support; a lower bound, so no cut
@@ -301,7 +262,8 @@ def msrd_check(code: LinearCode, cap: int = ANTICODE_CAP) -> MsrdReport:
     if window != is_msrd:
         raise InvariantViolation("the column windows must match the definition")
     if c3 is not None:
-        both = is_msrd and _is_msrd_by_numbers(shape, dual.dim, dual_d)
+        dual_h, dual_s = _anticode_bound_inverse(shape, dual.dim)
+        both = is_msrd and dual_s == 0 and dual_d == dual_h + 1
         # only one direction survives unequal row counts: a pair of extremal
         # codes can attain their bounds at different decomposition points,
         # leaving d + d' short of n + 2

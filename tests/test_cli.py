@@ -103,6 +103,23 @@ def test_dual_emits_code_json_and_involutes(tmp_path, capsys):
     assert LinearCode.from_dict(json.loads(out)) == code
 
 
+def test_dual_oracle_on_every_row_kernel(tmp_path, capsys, monkeypatch):
+    # F_2 and F_3 bit rows, F_4 packed entries, F_5 list rows; the zero code
+    # and the full space pair nothing
+    for p, e in ((2, 1), (3, 1), (2, 2), (5, 1)):
+        corner = [[[[1, 0], [0, 0]]]]
+        for basis in ([], corner, FULL_2X2["basis"]):
+            payload = {"field": {"p": p, "e": e}, "shape": {"m": [2], "n": [2]}, "basis": basis}
+            status, _, err = _run(["dual", _write(tmp_path, "c.json", payload), "--oracle"], capsys)
+            assert (status, err) == (0, "")
+    # a "dual" that pairs nontrivially with the code trips the oracle
+    monkeypatch.setattr(LinearCode, "dual", lambda self: self)
+    payload = {"field": {"p": 5, "e": 1}, "shape": {"m": [2], "n": [2]}, "basis": corner}
+    status, _, err = _run(["dual", _write(tmp_path, "c.json", payload), "--oracle"], capsys)
+    assert status == 2
+    assert "oracle mismatch on dual: nonzero trace pairing" in err
+
+
 def test_gweights_profile_single_rank_and_table(tmp_path, capsys):
     path = _write(tmp_path, "full.json", FULL_2X2)
     status, out, _ = _run(["gweights", path, "--oracle"], capsys)

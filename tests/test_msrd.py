@@ -14,6 +14,7 @@ from sumrank import (
     distance_decomposition,
     msrd_check,
     msrd_weight_profile,
+    prior_anticode_bound,
     r_msrd_check,
     r_mu,
     singleton_distance_bound,
@@ -25,6 +26,7 @@ from sumrank.errors import (
     ShapeMismatch,
     TrivialCode,
 )
+from sumrank.msrd import d_max_for_dim
 
 from helpers import F2, F3, random_code
 
@@ -103,6 +105,69 @@ def test_singleton_bound_matches_brute_force():
             assert singleton_distance_bound(shape, dim) == best
     # the suffix formula alone is not sharp here; the scan is
     assert singleton_distance_bound(Shape((2, 2), (1, 1)), 2) == 2
+
+
+def test_dimension_extremes_refuse_non_strict_shapes():
+    with pytest.raises(ShapeMismatch):
+        anticode_dim_extremes(Shape((1, 2), (1, 1), strict=False), 1)
+
+
+def test_anticode_bound_refuses_non_strict_shapes():
+    # the greedy column fill reads 1 here, though u = (0, 1) reaches 3
+    loose = Shape((1, 3), (1, 1), strict=False)
+    with pytest.raises(ShapeMismatch):
+        r_mu(loose, 1)
+    with pytest.raises(ShapeMismatch):
+        prior_anticode_bound(loose, 1)
+
+
+def test_singleton_bound_refuses_dimensions_below_one():
+    for dim in (0, -3):
+        with pytest.raises(DimNotAdmissible):
+            singleton_distance_bound(Shape((3, 2), (2, 2)), dim)
+
+
+def _strict_shapes(blocks, size):
+    """Every strict shape with at most `blocks` blocks and m_i, n_i <= size."""
+    for ell in range(1, blocks + 1):
+        for m in iter_product(range(size, 0, -1), repeat=ell):
+            if list(m) == sorted(m, reverse=True):
+                for n in iter_product(*(range(1, x + 1) for x in m)):
+                    yield Shape(m, n)
+
+
+def test_closed_forms_match_brute_force_on_small_shapes():
+    for shape in _strict_shapes(3, 3):
+        ambient, ncols = shape.ambient_dim, shape.ncols
+        brute = [_brute_max_anticode_dim(shape, mu) for mu in range(ncols + 1)]
+        for mu in range(ncols + 1):
+            lightest = min(
+                sum(m * x for m, x in zip(shape.m, u))
+                for u in iter_product(*(range(n + 1) for n in shape.n))
+                if sum(u) == mu
+            )
+            assert r_mu(shape, mu) == prior_anticode_bound(shape, mu) == brute[mu]
+            assert anticode_dim_extremes(shape, mu) == (lightest, brute[mu])
+        for dim in range(1, ambient + 1):
+            h = max(x for x in range(ncols + 1) if brute[x] <= ambient - dim)
+            s = ambient - dim - brute[h]
+            assert singleton_distance_bound(shape, dim) == h + 1
+            j, delta, rest = dim_decomposition(shape, dim)
+            assert (sum(shape.n[:j]) + delta, rest) == (h, s)
+            assert 0 <= delta < shape.n[j] and 0 <= rest < shape.m[j]
+            if s:
+                for closed_form in (d_max_for_dim, admissible_ranks, msrd_weight_profile):
+                    with pytest.raises(DimNotAdmissible):
+                        closed_form(shape, dim)
+                continue
+            assert d_max_for_dim(shape, dim) == h + 1
+            weights = tuple(
+                min(x for x in range(1, ncols + 1) if brute[x] >= ambient - dim + r)
+                for r in range(1, dim + 1)
+            )
+            assert msrd_weight_profile(shape, dim) == weights
+            starts = {r: w for r, w in enumerate(weights, 1) if r == 1 or weights[r - 2] != w}
+            assert admissible_ranks(shape, dim) == starts
 
 
 def test_admissible_ranks_structure():
