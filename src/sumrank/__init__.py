@@ -43,7 +43,7 @@ _EXPORTS = {
     "msrd": (
         "MsrdReport", "admissible_ranks", "anticode_dim_extremes", "dim_decomposition",
         "distance_decomposition", "msrd_check", "msrd_weight_profile", "r_msrd_check",
-        "r_mu", "singleton_distance_bound", "suffix_masses",
+        "r_mu", "singleton_distance_bound",
     ),
     "wiretap": (
         "MI_CAP", "WiretapScenario", "canonical_complement", "empirical_mi",

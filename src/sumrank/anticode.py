@@ -4,14 +4,16 @@ The dimension of any code is at most the maximum over its codewords of
 sum m_i rank(C_i); spaces attaining it are the optimal anticodes.  They
 factor into per-block support spaces, with one genuinely non-product
 family: binary subspaces of trailing 1x1 blocks whose dimension equals
-their maximum Hamming weight.
+their maximum Hamming weight.  Such a tail is decided, generated and
+counted from its RREF (_optimal_tail), never by walking its words.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, groupby, product as iter_product
-from math import prod
+from itertools import chain, combinations, groupby, product as iter_product
+from math import comb, prod
 from operator import itemgetter
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -47,10 +49,7 @@ __all__ = [
     "staircase_profile",
     "prior_anticode_bound",
     "optimal_hamming_subspaces",
-    "HAMMING_TAIL_CAP",
 ]
-
-HAMMING_TAIL_CAP = 6
 
 
 @dataclass(frozen=True)
@@ -192,8 +191,8 @@ class Meet:
     with its own block's columns only, so the rank of a prefix bounds every
     meet below it and lets a caller's floor cut whole subtrees.  The
     reduced columns are kept per support for dim and per (block, weight,
-    kind) pool for sweep, and the binary tails once, so make one Meet per
-    sweep and drop it after.
+    kind) pool for sweep, and the binary tails per dimension, so make one
+    Meet per sweep and drop it after.
 
     G's columns are packed once by the field's row kernel (matfq), which
     combines them into each column G·h and runs every echelon.  The zero
@@ -206,7 +205,7 @@ class Meet:
         self.code = code
         self._columns: dict = {}
         self._pools: dict = {}
-        self._tails: Optional[List[Subspace]] = None
+        self._tails: dict = {}
         self._kernel = kernel = _row_kernel(code.ctx, code.dim)
         self._packed = [kernel.pack(col) for col in zip(*code.rows)]  # none on the zero code
 
@@ -278,11 +277,12 @@ class Meet:
                 comps = [c for c in comps if sum(m * x for m, x in zip(mults, c)) == size]
             yield from descend(0, comps, [], tail)
 
-    def _hamming(self, ctx: FieldContext, t: int) -> List[Subspace]:
-        """optimal_hamming_subspaces of the code's tail, computed on first use."""
-        if self._tails is None:
-            self._tails = optimal_hamming_subspaces(ctx, t)
-        return self._tails
+    def _hamming(self, ctx: FieldContext, t: int, r: int) -> List[Subspace]:
+        """The dim-r optimal tails of the code's tail, built on first use."""
+        tails = self._tails.get(r)
+        if tails is None:
+            tails = self._tails[r] = list(_optimal_tails(ctx, t, r))
+        return tails
 
     def _pool(self, i: int, u: int, kind: str, cap: int) -> list:
         """(echelon, its rows) of the columns G·h for each weight-u support
@@ -355,11 +355,12 @@ def _family(
     """(tail, block weights) of each part of the weight-mu family, in order.
 
     First the products (tail None); then, for variant "all" over F_2, each
-    binary tail with the weights of the head blocks before it.  Cube tails
-    duplicate plain products, so only the genuinely non-product tails (some
-    basis row of weight >= 2) come.  Each part's count is checked against
-    cap when the walk first reaches it.  hamming is
-    optimal_hamming_subspaces or a caller's store of its result.
+    binary tail with the weights of the head blocks before it.  The dim-r
+    coordinate spaces, comb(t, r) of them, duplicate plain products, so only
+    the genuinely non-product tails (some basis row of weight >= 2) come.
+    Each part's count is checked against cap when the walk first reaches it,
+    the tails' from _tail_counts before any is built.  hamming(ctx, t, r)
+    gives the dim-r tails: _optimal_tails or a caller's store of them.
     """
     if variant not in ("product", "all", "support"):
         raise UnknownChoice(f"unknown variant {variant!r}")
@@ -371,15 +372,20 @@ def _family(
     k = shape.scalar_suffix_start()
     if variant != "all" or ctx.q != 2 or k == shape.ell:
         return
-    tails = [
-        (w, list(_compositions(shape.n[:k], mu - w.dim)))
-        for w in hamming(ctx, shape.ell - k)
-        if w.dim <= mu and any(sum(1 for x in r if x) > 1 for r in w.basis)
-    ]
-    total = sum(_family_size(shape, ctx.q, heads, True) for _, heads in tails)
+    t = shape.ell - k
+    heads = [list(_compositions(shape.n[:k], mu - r)) for r in range(min(mu, t) + 1)]
+    counts = _tail_counts(ctx.q, t)
+    total = sum(
+        (counts[r] - comb(t, r)) * _family_size(shape, ctx.q, comps, True)
+        for r, comps in enumerate(heads)
+    )
     if total > cap:
         raise EnumerationTooLarge(f"{total} tail anticodes at weight {mu} exceed cap {cap}")
-    yield from tails
+    for r, comps in enumerate(heads):
+        if comps:
+            for w in hamming(ctx, t, r):
+                if any(sum(1 for x in row if x) > 1 for row in w.basis):
+                    yield w, comps
 
 
 def _descriptors(
@@ -388,7 +394,7 @@ def _descriptors(
     """Every member of _family, block supports multiplied out in order;
     the supports of each (block, weight) are built once per call."""
     pools: dict = {}
-    for tail, comps in _family(ctx, shape, mu, variant, cap, optimal_hamming_subspaces):
+    for tail, comps in _family(ctx, shape, mu, variant, cap, _optimal_tails):
         for comp in comps:
             for i, u in enumerate(comp):
                 if (i, u) not in pools:
@@ -419,15 +425,96 @@ def product_descriptors(
 
 
 def optimal_hamming_subspaces(ctx: FieldContext, t: int) -> List[Subspace]:
-    """Subspaces of F_q^t whose dimension equals their maximum weight."""
-    if t > HAMMING_TAIL_CAP:
-        raise EnumerationTooLarge(f"tail length {t} exceeds cap {HAMMING_TAIL_CAP}")
-    subs = (sub for u in range(t + 1) for sub in enumerate_subspaces(ctx, t, u))
-    return [sub for sub in subs if _max_hamming_weight(sub) == sub.dim]
+    """Subspaces of F_q^t whose dimension equals their maximum weight, by
+    dimension, each dimension in enumerate_subspaces order.  Their number
+    is checked against ANTICODE_CAP before any is built."""
+    total = sum(_tail_counts(ctx.q, t))
+    if total > ANTICODE_CAP:
+        raise EnumerationTooLarge(f"{total} optimal tails exceed cap {ANTICODE_CAP}")
+    return [w for r in range(t + 1) for w in _optimal_tails(ctx, t, r)]
+
+
+def _optimal_tail(tail: Subspace) -> bool:
+    """Whether dim T equals the largest Hamming weight of a word of T.
+
+    Statement: this holds exactly when every RREF row of T is a unit
+    vector, or, over F_2 only, every row has weight at most 2 and every
+    non-pivot column is nonzero in an even number of rows.  So T is a
+    direct sum, on disjoint coordinates, of single coordinates and (q = 2
+    only) even-weight codes of odd length at least 3.
+
+    Proof.  Let r = dim T and R_j the set of rows nonzero at a non-pivot
+    column j.  A word whose coefficients are nonzero on the rows I is
+    nonzero at the |I| pivots of I and at some non-pivot columns.  Over F_2
+    it is the sum of the rows in I, of weight |I| + #{j : |I ∩ R_j| odd}.
+    I = all rows gives weight r only if every |R_j| is even; then all rows
+    but row i give r - 1 + #{j : i in R_j}, so row i spills into at most
+    one non-pivot column.  The conditions suffice: the R_j are then
+    disjoint and even, so each j with |I ∩ R_j| odd has a row of R_j outside
+    I, and the weight is at most |I| + (r - |I|) = r.  For q >= 3, the word
+    with all coefficients 1 has weight above r unless it is zero at every
+    non-pivot column; then changing the coefficient of a row nonzero at a
+    non-pivot column j to a third value makes column j nonzero, a word of
+    weight r + 1.  So no row may spill.
+    """
+    spills = [
+        [j for j, x in enumerate(row) if x and j != p]
+        for row, p in zip(tail.basis, tail.pivots)
+    ]
+    if tail.ctx.q != 2:
+        return not any(spills)
+    hits = Counter(chain.from_iterable(spills))
+    return all(len(s) <= 1 for s in spills) and all(c % 2 == 0 for c in hits.values())
+
+
+def _optimal_tails(ctx: FieldContext, t: int, r: int) -> Iterator[Subspace]:
+    """The dim-r subspaces of F_q^t that pass _optimal_tail, in
+    enumerate_subspaces order: pivot sets ascend, then the free entries
+    row by row, so each row takes no spill (least), then one spill column,
+    the last column first."""
+    spare = range(t - 1, -1, -1) if ctx.q == 2 else ()
+
+    def spills(pivots, i, odd):
+        # odd: the columns hit an odd number of times so far; each later row
+        # evens at most one, right of its pivot
+        if len(odd) > r - i or odd and min(odd) < pivots[i]:
+            return
+        if i == r:
+            yield ()
+            return
+        p = pivots[i]
+        for j in (None, *(j for j in spare if j > p and j not in pivots)):
+            for rest in spills(pivots, i + 1, odd if j is None else odd ^ {j}):
+                yield (j, *rest)
+
+    for pivots in combinations(range(t), r):
+        for spill in spills(pivots, 0, frozenset()):
+            rows = [tuple(int(c in (p, j)) for c in range(t)) for p, j in zip(pivots, spill)]
+            yield Subspace._from_rref(ctx, t, rows, pivots)
+
+
+def _tail_counts(q: int, t: int) -> List[int]:
+    """[number of dim-r optimal tails of F_q^t for r = 0..t], building none.
+
+    By _optimal_tail the last coordinate is a single coordinate, or it
+    closes an even-weight code of length 2s + 1 and dimension 2s with 2s of
+    the t - 1 others (s = 0: a zero coordinate; s >= 1 only for q = 2).
+    As a polynomial in y marking the dimension,
+    P_t = y P_{t-1} + sum_s comb(t - 1, 2s) y^{2s} P_{t-1-2s}.
+    """
+    polys = [[1]]
+    for n in range(1, t + 1):
+        out = [0, *polys[n - 1]]
+        for s in range((n + 1) // 2 if q == 2 else 1):
+            for r, c in enumerate(polys[n - 1 - 2 * s]):
+                out[r + 2 * s] += comb(n - 1, 2 * s) * c
+        polys.append(out)
+    return polys[t]
 
 
 def _max_hamming_weight(space: Subspace) -> int:
-    """Largest Hamming weight of a vector of space, by a walk of all q^dim."""
+    """Largest Hamming weight of a vector of space, by a walk of all q^dim;
+    only max_weight, which holds any tail, needs it."""
     return max(len(v) - v.count(0) for v in space.vectors())
 
 
@@ -451,9 +538,7 @@ def enumerate_anticodes(
     yield from _descriptors(ctx, shape, mu, variant, cap)
 
 
-def is_optimal_anticode(
-    code: LinearCode, cap: int = DIST_CAP
-) -> Tuple[bool, Optional[AnticodeDescriptor]]:
+def is_optimal_anticode(code: LinearCode) -> Tuple[bool, Optional[AnticodeDescriptor]]:
     """Decide dim = max weighted rank by the classification; on success
     return it.
 
@@ -461,8 +546,8 @@ def is_optimal_anticode(
     over F_2 a tail on the trailing 1x1 blocks whose dimension equals its
     largest Hamming weight.  So the code is optimal exactly when each head
     block's projection is a support space, the code is the product of its
-    projections, and a binary tail passes that weight test.  No codeword
-    is walked; cap bounds the 2^dim words of the tail.
+    projections, and a binary tail passes that weight test, which reads
+    the tail's RREF (_optimal_tail).  No codeword or tail word is walked.
     """
     shape, ctx = code.shape, code.ctx
     if not shape.strict:
@@ -493,33 +578,25 @@ def is_optimal_anticode(
     # the descriptor's materialization, exactly when the dimensions agree
     if desc.dim() != code.dim:
         return False, None
-    if tail is not None:
-        if 2**tail.dim > cap:
-            raise EnumerationTooLarge(f"2^{tail.dim} tail words exceed cap {cap}")
-        if _max_hamming_weight(tail) != tail.dim:
-            return False, None
+    if tail is not None and not _optimal_tail(tail):
+        return False, None
     return True, desc
-
-
-def _shape_allows_duality(shape: Shape, q: int) -> bool:
-    return q != 2 or shape.ell - shape.scalar_suffix_start() <= 2
 
 
 def anticode_dual(desc: AnticodeDescriptor) -> AnticodeDescriptor:
     """Blockwise orthogonal descriptor; the dual of an optimal anticode.
 
-    Valid whenever q is not 2 or at most two trailing 1x1 blocks exist;
-    outside that range duals of optimal anticodes stop being optimal
-    (binary even-weight tails dualize to repetition codes).
+    A product dualizes block by block on any shape, each support into the
+    support of its orthogonal.  A tail dualizes only when it is a
+    coordinate space, the product of its 1x1 blocks.  Every other optimal
+    tail holds a binary even-weight code of odd length L >= 3, whose dual
+    holds the repetition code, of dimension 1 and weight L: no anticode.
+    So such a tail is refused, as is a tail that fails _optimal_tail.
     """
     shape, ctx = desc.shape, desc.ctx
-    if not _shape_allows_duality(shape, ctx.q):
-        raise ClassificationNotApplicable(
-            "anticode duality fails over F_2 with three or more trailing 1x1 blocks"
-        )
     blocks = list(desc.blocks)
     if desc.tail is not None:
-        if desc.tail.dim != _max_hamming_weight(desc.tail):
+        if not _optimal_tail(desc.tail):
             raise ClassificationNotApplicable("tail is not an optimal anticode")
         if any(sum(1 for x in r if x) != 1 for r in desc.tail.basis):
             raise ClassificationNotApplicable("tail does not factor through the blocks")

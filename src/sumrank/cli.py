@@ -222,7 +222,7 @@ def _cmd_msrd(config: RunConfig) -> dict:
 def _cmd_anticode(config: RunConfig) -> dict:
     from .anticode import is_optimal_anticode
     code = _read_code(config.paths[0])
-    optimal, desc = is_optimal_anticode(code, **config.caps)
+    optimal, desc = is_optimal_anticode(code)
     if config.oracle:
         top = code.weighted_max(**config.caps) if code.dim else 0
         _oracle_check("is_optimal", optimal, code.dim == top)

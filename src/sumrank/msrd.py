@@ -36,7 +36,6 @@ from .genweights import _least_weight, weight_profile
 from .matfq import Subspace
 
 __all__ = [
-    "suffix_masses",
     "dim_decomposition",
     "distance_decomposition",
     "d_max_for_dim",
@@ -49,14 +48,6 @@ __all__ = [
     "msrd_check",
     "r_msrd_check",
 ]
-
-
-def suffix_masses(shape: Shape) -> Tuple[int, ...]:
-    """T_j = dim of the product of blocks j..ell-1, plus a trailing 0."""
-    out = [0] * (shape.ell + 1)
-    for i in range(shape.ell - 1, -1, -1):
-        out[i] = out[i + 1] + shape.m[i] * shape.n[i]
-    return tuple(out)
 
 
 def dim_decomposition(shape: Shape, dim: int) -> Tuple[int, int, int]:

@@ -212,6 +212,21 @@ def hamming_generalized_weights(code: LinearCode) -> Tuple[int, ...]:
     return tuple(out)
 
 
+def max_hamming_weight(space) -> int:
+    """Largest Hamming weight of a word of space, by a walk of all q^dim."""
+    return max(len(v) - v.count(0) for v in space.vectors())
+
+
+def brute_optimal_tails(ctx: FieldContext, t: int) -> list:
+    """Subspaces of F_q^t whose dimension equals their largest Hamming
+    weight: every subspace, by dimension in enumerate_subspaces order, kept
+    when a walk of its words finds no heavier word."""
+    from sumrank import enumerate_subspaces
+
+    subs = (sub for u in range(t + 1) for sub in enumerate_subspaces(ctx, t, u))
+    return [sub for sub in subs if max_hamming_weight(sub) == sub.dim]
+
+
 def exhaustive_gen_weight(code: LinearCode, r: int) -> int:
     """d_r straight from the definition: every product anticode, materialized.
 

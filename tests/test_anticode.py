@@ -31,7 +31,9 @@ from sumrank.errors import (
     TrivialCode,
 )
 
-from helpers import F2, F3
+from sumrank.anticode import _optimal_tail, _optimal_tails, _tail_counts
+
+from helpers import F2, F3, F4, brute_optimal_tails, max_hamming_weight
 
 
 SECT_SHAPE = Shape((3, 2), (1, 2))
@@ -129,8 +131,37 @@ def test_optimal_hamming_subspace_counts():
     for sub in optimal_hamming_subspaces(F2, 3):
         if sub.dim:
             assert max(sum(v) for v in sub.vectors()) == sub.dim
-    with pytest.raises(EnumerationTooLarge):
-        optimal_hamming_subspaces(F2, 7)
+    assert len(optimal_hamming_subspaces(F2, 7)) == 913
+
+
+def test_optimal_tails_match_the_word_walk():
+    # the same list, order included, as the filter of every subspace
+    for ctx, top in ((F2, 7), (F3, 4), (F4, 4)):
+        for t in range(top + 1):
+            assert optimal_hamming_subspaces(ctx, t) == brute_optimal_tails(ctx, t), (ctx.q, t)
+
+
+def test_optimal_tail_decides_every_subspace():
+    # the zero space included: it has no rows, and its columns are empty
+    for ctx, top in ((F2, 7), (F3, 4)):
+        for t in range(top + 1):
+            for u in range(t + 1):
+                for sub in enumerate_subspaces(ctx, t, u):
+                    assert _optimal_tail(sub) == (max_hamming_weight(sub) == u), sub.basis
+
+
+def test_tail_counts_match_the_generated_tails():
+    for ctx in (F2, F3):
+        for t in range(10):
+            built = [sum(1 for _ in _optimal_tails(ctx, t, r)) for r in range(t + 1)]
+            assert _tail_counts(ctx.q, t) == built, (ctx.q, t)
+
+
+def test_long_tails_refuse_by_count_before_building():
+    start = time.perf_counter()
+    with pytest.raises(EnumerationTooLarge, match=r"^\d+ optimal tails exceed cap 1000000$"):
+        optimal_hamming_subspaces(F2, 30)
+    assert time.perf_counter() - start < 1.0
 
 
 def _expected_product_count(ctx, shape, mu):
@@ -201,7 +232,7 @@ def _reference_descriptors(ctx, shape, mu, allow_row, tails=False):
     if not tails:
         return
     k = shape.scalar_suffix_start()
-    for w in optimal_hamming_subspaces(ctx, shape.ell - k):
+    for w in brute_optimal_tails(ctx, shape.ell - k):
         if w.dim <= mu and any(sum(map(bool, r)) > 1 for r in w.basis):
             yield from products(shape.n[:k], mu - w.dim, w)
 
@@ -300,6 +331,21 @@ def test_anticode_duality_binary_guard():
         anticode_dual(bad)
 
 
+def test_anticode_dual_of_products_on_many_binary_blocks():
+    for shape in (Shape((1, 1, 1), (1, 1, 1)), Shape((1,) * 5, (1,) * 5)):
+        for mu in range(shape.ncols + 1):
+            for desc in product_descriptors(F2, shape, mu):
+                assert anticode_dual(desc).materialize() == desc.materialize().dual()
+    # an even-weight tail still has no anticode dual
+    tailed = [
+        d for d in enumerate_anticodes(F2, Shape((1,) * 5, (1,) * 5), 2, "all") if d.tail
+    ]
+    assert tailed
+    for desc in tailed:
+        with pytest.raises(ClassificationNotApplicable, match="does not factor"):
+            anticode_dual(desc)
+
+
 def test_classification_decides_above_the_scan_guard():
     # the full F_2 space of (5,)x(5,) has 2^25 codewords, above DIST_CAP,
     # which the codeword scan refuses; no tail exists, so nothing is walked
@@ -313,21 +359,29 @@ def test_classification_decides_above_the_scan_guard():
 
 
 def test_cap_bounds_only_the_binary_tail():
+    # no cap bounds the binary tail any more: its RREF decides it, so no
+    # tail word is walked, however long the tail
+    start = time.perf_counter()
     # full F_2 (2,1,1,1)x(2,1,1,1): dim 7, a tail of dim 3 on the 1x1 blocks
     tailed = LinearCode.full(Shape((2, 1, 1, 1), (2, 1, 1, 1)), F2)
-    ok, desc = is_optimal_anticode(tailed, cap=8)
+    ok, desc = is_optimal_anticode(tailed)
     assert ok and desc.tail.dim == 3
-    with pytest.raises(EnumerationTooLarge, match=r"2\^3 tail words exceed cap 7"):
-        is_optimal_anticode(tailed, cap=7)
-    # a long binary tail: 2^6 words on six 1x1 blocks
+    # 2^6 words on six 1x1 blocks
     cube = LinearCode.full(Shape((1,) * 6, (1,) * 6), F2)
-    assert is_optimal_anticode(cube, cap=64)[0]
-    with pytest.raises(EnumerationTooLarge):
-        is_optimal_anticode(cube, cap=63)
+    assert is_optimal_anticode(cube)[0]
+    # a 40-long tail with 2^38 words: the even-weight code of length 39 and
+    # a zero coordinate is optimal; the even-weight code of length 40 is not
+    long = Shape((1,) * 40, (1,) * 40)
+    odd = [tuple(int(j in (i, 38)) for j in range(40)) for i in range(38)]
+    ok, desc = is_optimal_anticode(LinearCode(long, F2, odd))
+    assert ok and desc.tail.dim == 38 and desc.materialize() == LinearCode(long, F2, odd)
+    even = [tuple(int(j in (i, 39)) for j in range(40)) for i in range(39)]
+    assert is_optimal_anticode(LinearCode(long, F2, even)) == (False, None)
+    assert time.perf_counter() - start < 1.0
     # no tail over F_3, and a code that fails before its tail is tested
-    assert is_optimal_anticode(LinearCode.full(Shape((1,) * 6, (1,) * 6), F3), cap=1)[0]
+    assert is_optimal_anticode(LinearCode.full(Shape((1,) * 6, (1,) * 6), F3))[0]
     diag = LinearCode(Shape((2, 1), (2, 1)), F2, [(1, 0, 0, 1, 0), (0, 0, 0, 0, 1)])
-    assert is_optimal_anticode(diag, cap=1) == (False, None)
+    assert is_optimal_anticode(diag) == (False, None)
 
 
 def test_classification_walks_no_codeword(monkeypatch):

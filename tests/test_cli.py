@@ -202,6 +202,24 @@ def test_anticode_cap_guards_only_the_oracle_scan(tmp_path, capsys):
     assert err == "error: q^dim = 2**4 exceeds cap 8\n"
 
 
+def test_long_binary_tails_answer_or_refuse_by_count(tmp_path, capsys):
+    # seven trailing 1x1 blocks: the oracles walk the whole tail family
+    shape = Shape((2,) + (1,) * 7, (2,) + (1,) * 7)
+    rows = [(1,) * 5 + (0,) * 6, (0,) * 4 + (1,) * 3 + (0,) * 4, (0,) * 7 + (1,) * 4]
+    path = _write(tmp_path, "t7.json", LinearCode(shape, F2, rows).to_dict())
+    for argv in (["gweights", path, "--variant", "all", "--oracle"], ["msrd", path, "--oracle"]):
+        status, out, err = _run(argv, capsys)
+        assert (status, err) == (0, ""), err
+    # thirty binary 1x1 blocks: at weight 2, C(30, 3) even-weight tails
+    # exceed the cap before any tail is built
+    thirty = Shape((1,) * 30, (1,) * 30)
+    rows = [tuple(int(10 * i <= j < 10 * i + 10) for j in range(30)) for i in range(3)]
+    path = _write(tmp_path, "t30.json", LinearCode(thirty, F2, rows).to_dict())
+    status, out, err = _run(["gweights", path, "--variant", "all", "--cap", "1000"], capsys)
+    assert (status, out) == (1, "")
+    assert err == "error: 4060 tail anticodes at weight 2 exceed cap 1000\n"
+
+
 def test_rho_and_meshulam(tmp_path, capsys):
     path = _write(tmp_path, "mats.json", COVER_MATS)
     status, out, _ = _run(["rho", path, "--oracle"], capsys)

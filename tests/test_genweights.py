@@ -32,6 +32,7 @@ from helpers import (
     F2,
     F3,
     exhaustive_gen_weight,
+    flat_weights,
     hamming_generalized_weights,
     random_code,
     random_shape,
@@ -159,17 +160,21 @@ def test_scalar_blocks_reduce_to_hamming_weights():
 
 
 def test_a_sweep_builds_the_binary_tails_once(monkeypatch):
+    # a head block of two columns: each tail dimension r serves the weights
+    # r, r + 1 and r + 2, and is built once per Meet
+    shape = Shape((2,) + (1,) * 5, (2,) + (1,) * 5)
+    code = random_code(random.Random(5), F2, shape, 5)
+    want = flat_weights(code, "all")
     calls = []
-    build = anticode.optimal_hamming_subspaces
+    build = anticode._optimal_tails
 
-    def counted(ctx, t):
-        calls.append(t)
-        return build(ctx, t)
+    def counted(ctx, t, r):
+        calls.append((t, r))
+        return build(ctx, t, r)
 
-    monkeypatch.setattr(anticode, "optimal_hamming_subspaces", counted)
-    code = random_code(random.Random(5), F2, Shape((1,) * 6, (1,) * 6), 3)
-    assert weight_profile(code, "all").weights == (2, 3, 5)
-    assert calls == [6]
+    monkeypatch.setattr(anticode, "_optimal_tails", counted)
+    assert weight_profile(code, "all").weights == want
+    assert len(calls) > 1 and len(calls) == len(set(calls))
 
 
 def test_hierarchy_shape_properties():

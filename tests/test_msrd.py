@@ -18,7 +18,6 @@ from sumrank import (
     r_msrd_check,
     r_mu,
     singleton_distance_bound,
-    suffix_masses,
 )
 from sumrank.errors import (
     DimNotAdmissible,
@@ -39,18 +38,13 @@ SHAPES = [
 ]
 
 
-def test_suffix_masses():
-    assert suffix_masses(Shape((3, 2), (1, 2))) == (7, 4, 0)
-    assert suffix_masses(Shape((2, 2), (1, 1))) == (4, 2, 0)
-    assert suffix_masses(Shape((2,), (2,))) == (4, 0)
-
-
 def test_dim_decomposition_inverts():
     for shape in SHAPES:
-        masses = suffix_masses(shape)
-        for dim in range(1, masses[0] + 1):
+        for dim in range(1, shape.ambient_dim + 1):
             j, delta, s = dim_decomposition(shape, dim)
-            assert dim == masses[j] - delta * shape.m[j] - s
+            # T_j: the dimension of the product of blocks j..ell-1
+            mass = sum(m * n for m, n in zip(shape.m[j:], shape.n[j:]))
+            assert dim == mass - delta * shape.m[j] - s
             assert 0 <= s < shape.m[j]
             assert 0 <= delta <= shape.n[j] - 1
     with pytest.raises(DimNotAdmissible):

@@ -26,7 +26,7 @@ gl_group gl_order is_optimal_anticode isometry_count leading_position
 leakage_dim leakage_threshold max_srk_generates meshulam_search msrd_check
 msrd_weight_profile optimal_hamming_subspaces prior_anticode_bound
 product_descriptors r_msrd_check r_mu random_gl random_isometry
-singleton_distance_bound staircase_profile subfield_embedding suffix_masses
+singleton_distance_bound staircase_profile subfield_embedding
 support_product threshold_table trace_pairing wei_duality_check weight_profile
 worst_case_leakage
 """.split()
