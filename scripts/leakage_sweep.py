@@ -3,7 +3,8 @@
 Prints the dual support-weight thresholds, then the worst-case leakage
 as a function of the number of tapped links, and finally spot-checks the
 dual-intersection formula against exhaustive mutual information on a few
-random tap profiles; exits 1 if any spot check disagrees.
+random tap profiles.  Exits 1 if any spot check disagrees, or if the
+worst-case leakage at some mu is not the number of thresholds at most mu.
 """
 
 import argparse
@@ -64,10 +65,15 @@ def main() -> int:
         if code.dim == config.dim:
             break
     print(f"code of dim {code.dim} on {shape.m} x {shape.n} over F_{ctx.q}")
-    print(f"thresholds (links needed for r leaked symbols): {threshold_table(code)}")
-    for mu in range(shape.ncols + 1):
-        print(f"  mu = {mu}: worst-case leakage {worst_case_leakage(code, mu)}")
+    thresholds = threshold_table(code)
+    print(f"thresholds (links needed for r leaked symbols): {thresholds}")
     mismatches = 0
+    for mu in range(shape.ncols + 1):
+        leaked = worst_case_leakage(code, mu)
+        counted = sum(1 for t in thresholds if t <= mu)
+        mismatches += leaked != counted
+        verdict = "" if leaked == counted else f" [MISMATCH: {counted} thresholds <= mu]"
+        print(f"  mu = {mu}: worst-case leakage {leaked}{verdict}")
     for _ in range(config.spot_checks):
         taps = []
         for i in range(shape.ell):

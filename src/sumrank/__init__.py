@@ -18,10 +18,10 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "anticode": (
         "AnticodeDescriptor", "BlockSupport", "anticode_dual", "enumerate_anticodes",
-        "is_optimal_anticode", "max_srk_generates", "optimal_hamming_subspaces",
-        "prior_anticode_bound", "product_descriptors", "staircase_profile",
+        "is_optimal_anticode", "max_srk_generates", "prior_anticode_bound",
+        "product_descriptors", "staircase_profile",
     ),
-    "code": ("ANTICODE_CAP", "DIST_CAP", "LinearCode", "MatrixTuple", "Shape", "trace_pairing"),
+    "code": ("ANTICODE_CAP", "DIST_CAP", "LinearCode", "MatrixTuple", "Shape"),
     "cover": (
         "CoverResult", "CosetWitness", "MeshulamResult", "coset_rank_lower",
         "coset_witness_exact", "covering_number", "leading_position", "meshulam_search",

@@ -48,7 +48,6 @@ __all__ = [
     "max_srk_generates",
     "staircase_profile",
     "prior_anticode_bound",
-    "optimal_hamming_subspaces",
 ]
 
 
@@ -118,13 +117,20 @@ class AnticodeDescriptor:
         tail = [] if self.tail is None else [(len(self.blocks), "tail", self.tail)]
         return [(i, blk.kind, blk.space) for i, blk in enumerate(self.blocks)] + tail
 
-    def _tail_max_weight(self) -> int:
-        return 0 if self.tail is None else _max_hamming_weight(self.tail)
-
     def max_weight(self) -> int:
-        """Maximum sum-rank of the anticode (the support total, plus the
-        largest Hamming weight in the tail)."""
-        return sum(blk.space.dim for blk in self.blocks) + self._tail_max_weight()
+        """Maximum sum-rank of the anticode, read from the classification.
+
+        A block support of dimension d reaches rank d capped by its number
+        of lines (block rows for col, block columns for row); an optimal
+        tail adds its dimension, and any other tail is refused.
+        """
+        if self.tail is not None and not _optimal_tail(self.tail):
+            raise ClassificationNotApplicable("tail is not an optimal anticode")
+        tail = 0 if self.tail is None else self.tail.dim
+        return tail + sum(
+            min(len(self.shape.lines(i, blk.kind)), blk.space.dim)
+            for i, blk in enumerate(self.blocks)
+        )
 
     def materialize(self) -> LinearCode:
         """The anticode as a code in full ambient coordinates.
@@ -424,16 +430,6 @@ def product_descriptors(
     yield from _descriptors(ctx, shape, mu, "product" if allow_row else "support", cap)
 
 
-def optimal_hamming_subspaces(ctx: FieldContext, t: int) -> List[Subspace]:
-    """Subspaces of F_q^t whose dimension equals their maximum weight, by
-    dimension, each dimension in enumerate_subspaces order.  Their number
-    is checked against ANTICODE_CAP before any is built."""
-    total = sum(_tail_counts(ctx.q, t))
-    if total > ANTICODE_CAP:
-        raise EnumerationTooLarge(f"{total} optimal tails exceed cap {ANTICODE_CAP}")
-    return [w for r in range(t + 1) for w in _optimal_tails(ctx, t, r)]
-
-
 def _optimal_tail(tail: Subspace) -> bool:
     """Whether dim T equals the largest Hamming weight of a word of T.
 
@@ -510,12 +506,6 @@ def _tail_counts(q: int, t: int) -> List[int]:
                 out[r + 2 * s] += comb(n - 1, 2 * s) * c
         polys.append(out)
     return polys[t]
-
-
-def _max_hamming_weight(space: Subspace) -> int:
-    """Largest Hamming weight of a vector of space, by a walk of all q^dim;
-    only max_weight, which holds any tail, needs it."""
-    return max(len(v) - v.count(0) for v in space.vectors())
 
 
 def enumerate_anticodes(

@@ -267,7 +267,7 @@ def _cmd_rho(config: RunConfig) -> dict:
 
 
 def _cmd_meshulam(config: RunConfig) -> dict:
-    from .cover import meshulam_search
+    from .cover import _shift, meshulam_search
     data = _load(config.paths[0])
 
     def build(d):
@@ -279,20 +279,12 @@ def _cmd_meshulam(config: RunConfig) -> dict:
     a, mats = _build(config.paths[0], build, data)
     res = meshulam_search(a, mats)
     if config.oracle:
-        total = a
-        for x, mat in zip(res.coeffs, mats):
-            if x:
-                total = total + mat
-        _oracle_check("achieved_rank", res.achieved_rank, total.rank())
+        achieved = _shift(a, res.coeffs, mats).rank()
+        _oracle_check("achieved_rank", res.achieved_rank, achieved)
         if 2 ** len(mats) > (config.cap or 1 << 16):
             raise EnumerationTooLarge("oracle 0/1 search exceeds cap")
-        best = 0
-        for xs in iter_product((0, 1), repeat=len(mats)):
-            cand = a
-            for x, mat in zip(xs, mats):
-                if x:
-                    cand = cand + mat
-            best = max(best, cand.rank())
+        candidates = iter_product((0, 1), repeat=len(mats))
+        best = max(_shift(a, xs, mats).rank() for xs in candidates)
         if not res.rho <= res.achieved_rank <= best:
             raise InvariantViolation(
                 f"oracle mismatch on meshulam: rho {res.rho}, "

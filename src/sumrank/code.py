@@ -29,7 +29,7 @@ from .errors import (
     UnknownChoice,
 )
 from .gf import FieldContext, field_from_dict
-from .matfq import MatrixFq, Subspace, _ListRows, _products, rank_rows, walk_span
+from .matfq import MatrixFq, Subspace, _ListRows, rank_rows, walk_span
 # bench/selftest.py checks that the benchmark's tracer patches this site
 from .matfq import rref  # noqa: F401
 
@@ -37,7 +37,6 @@ __all__ = [
     "Shape",
     "MatrixTuple",
     "LinearCode",
-    "trace_pairing",
     "ANTICODE_CAP",
     "DIST_CAP",
 ]
@@ -248,15 +247,6 @@ class MatrixTuple:
         return cls(shape, [MatrixFq(ctx, b) for b in data["blocks"]])
 
 
-def trace_pairing(d: MatrixTuple, c: MatrixTuple) -> int:
-    """Sum over blocks of tr(D_i C_i^T); equals the flattened dot product."""
-    if d.shape != c.shape:
-        raise ShapeMismatch("tuples from different ambient spaces")
-    if d.ctx != c.ctx:
-        raise ContextMismatch("tuples over different field contexts")
-    return _products(d.ctx, [d.flatten()], [(x,) for x in c.flatten()], 1)[0][0]
-
-
 class LinearCode:
     """A sum-rank code: a Shape plus the Subspace of its flattened coordinates.
 
@@ -321,9 +311,6 @@ class LinearCode:
     @property
     def ambient_dim(self) -> int:
         return self.shape.ambient_dim
-
-    def is_trivial(self) -> bool:
-        return self.dim == 0 or self.dim == self.ambient_dim
 
     def basis_tuples(self) -> List[MatrixTuple]:
         return [MatrixTuple.from_flat(self.shape, self.ctx, r) for r in self.rows]

@@ -189,26 +189,18 @@ class Isometry:
         return cls(shape, ctx, sigma, transpose, left, right)
 
 
-def random_isometry(
-    ctx: FieldContext,
-    shape: Shape,
-    rng: random.Random,
-    allow_permutation: bool = True,
-    allow_transpose: bool = True,
-) -> Isometry:
+def random_isometry(ctx: FieldContext, shape: Shape, rng: random.Random) -> Isometry:
     ell = shape.ell
     sigma = list(range(ell))
-    if allow_permutation:
-        by_dims: dict = {}
-        for i in range(ell):
-            by_dims.setdefault((shape.m[i], shape.n[i]), []).append(i)
-        for idxs in by_dims.values():
-            shuffled = idxs[:]
-            rng.shuffle(shuffled)
-            for pos, val in zip(idxs, shuffled):
-                sigma[pos] = val
-    squares = [allow_transpose and m == n for m, n in zip(shape.m, shape.n)]
-    transpose = tuple(square and rng.random() < 0.5 for square in squares)
+    by_dims: dict = {}
+    for i in range(ell):
+        by_dims.setdefault((shape.m[i], shape.n[i]), []).append(i)
+    for idxs in by_dims.values():
+        shuffled = idxs[:]
+        rng.shuffle(shuffled)
+        for pos, val in zip(idxs, shuffled):
+            sigma[pos] = val
+    transpose = tuple(m == n and rng.random() < 0.5 for m, n in zip(shape.m, shape.n))
     left = tuple(random_gl(ctx, m, rng) for m in shape.m)
     right = tuple(random_gl(ctx, n, rng) for n in shape.n)
     return Isometry(shape, ctx, tuple(sigma), transpose, left, right)

@@ -43,7 +43,6 @@ __all__ = [
     "gaussian_binomial",
     "count_subspaces",
     "enumerate_subspaces",
-    "trace_product",
 ]
 
 SUBSPACE_CAP = 10**6
@@ -488,12 +487,6 @@ class MatrixFq:
 
     def __repr__(self) -> str:
         return f"MatrixFq(q={self.ctx.q}, rows={self.to_lists()})"
-
-
-def trace_product(a: MatrixFq, b: MatrixFq) -> int:
-    """tr(a b^T), which is the entrywise dot product of a and b."""
-    a._check(b)
-    return _products(a.ctx, [a.flatten()], [(x,) for x in b.flatten()], 1)[0][0]
 
 
 class Subspace:

@@ -18,10 +18,10 @@ from sumrank import (
     gaussian_binomial,
     is_optimal_anticode,
     max_srk_generates,
-    optimal_hamming_subspaces,
     prior_anticode_bound,
     product_descriptors,
     staircase_profile,
+    support_product,
 )
 from sumrank.errors import (
     ClassificationNotApplicable,
@@ -77,6 +77,45 @@ def test_descriptor_dim_and_weight():
     assert code.max_srk() == desc.max_weight()
 
 
+def _units(n, d):
+    """The first d unit vectors of F_q^n."""
+    return [tuple(int(j == i) for j in range(n)) for i in range(d)]
+
+
+def test_max_weight_is_the_largest_sum_rank():
+    # every nonzero member of the "all" family, binary tails included
+    shape = Shape((2, 1, 1, 1), (2, 1, 1, 1))
+    tails = 0
+    for mu in range(1, shape.ncols + 1):
+        for desc in enumerate_anticodes(F2, shape, mu, "all"):
+            tails += desc.tail is not None
+            assert desc.max_weight() == desc.materialize().max_srk() == mu
+    assert tails
+    # non-strict shapes: a support of dimension d on fewer than d lines
+    for m, n, dims in (((1,), (3,), (3,)), ((1, 3), (2, 2), (2, 1))):
+        shape = Shape(m, n, strict=False)
+        for ds in iter_product(*(range(d + 1) for d in dims)):
+            if any(ds):
+                spaces = [Subspace(F2, nn, _units(nn, d)) for nn, d in zip(n, ds)]
+                desc = support_product(shape, F2, spaces)
+                assert desc.max_weight() == desc.materialize().max_srk(), ds
+
+
+def test_max_weight_reads_the_tail_classification():
+    # the even-weight code of length 39 has 2^38 words; none is walked
+    shape = Shape((1,) * 39, (1,) * 39)
+    rows = [tuple(int(j in (i, 38)) for j in range(39)) for i in range(38)]
+    start = time.perf_counter()
+    ok, desc = is_optimal_anticode(LinearCode(shape, F2, rows))
+    assert ok and desc.max_weight() == 38
+    assert time.perf_counter() - start < 1.0
+    # the even-weight code of length 4 holds 1111: dim 3, weight 4
+    bad = Subspace(F2, 4, [(1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1)])
+    desc = AnticodeDescriptor(Shape((1,) * 4, (1,) * 4), F2, (), bad)
+    with pytest.raises(ClassificationNotApplicable, match="tail is not an optimal anticode"):
+        desc.max_weight()
+
+
 def test_descriptor_guards():
     shape = Shape((2, 2), (2, 1))
     with pytest.raises(ValueError):
@@ -124,21 +163,24 @@ def test_zero_and_full_are_optimal():
     assert not ok and desc is None
 
 
+def _all_optimal_tails(ctx, t):
+    """Every optimal tail of F_q^t, by dimension."""
+    return [w for r in range(t + 1) for w in _optimal_tails(ctx, t, r)]
+
+
 def test_optimal_hamming_subspace_counts():
-    assert len(optimal_hamming_subspaces(F2, 3)) == 9
-    assert len(optimal_hamming_subspaces(F2, 2)) == 4
-    assert len(optimal_hamming_subspaces(F3, 2)) == 4
-    for sub in optimal_hamming_subspaces(F2, 3):
+    for ctx, t, total in ((F2, 3, 9), (F2, 2, 4), (F3, 2, 4), (F2, 7, 913)):
+        assert sum(_tail_counts(ctx.q, t)) == len(_all_optimal_tails(ctx, t)) == total
+    for sub in _all_optimal_tails(F2, 3):
         if sub.dim:
             assert max(sum(v) for v in sub.vectors()) == sub.dim
-    assert len(optimal_hamming_subspaces(F2, 7)) == 913
 
 
 def test_optimal_tails_match_the_word_walk():
     # the same list, order included, as the filter of every subspace
     for ctx, top in ((F2, 7), (F3, 4), (F4, 4)):
         for t in range(top + 1):
-            assert optimal_hamming_subspaces(ctx, t) == brute_optimal_tails(ctx, t), (ctx.q, t)
+            assert _all_optimal_tails(ctx, t) == brute_optimal_tails(ctx, t), (ctx.q, t)
 
 
 def test_optimal_tail_decides_every_subspace():
@@ -155,13 +197,6 @@ def test_tail_counts_match_the_generated_tails():
         for t in range(10):
             built = [sum(1 for _ in _optimal_tails(ctx, t, r)) for r in range(t + 1)]
             assert _tail_counts(ctx.q, t) == built, (ctx.q, t)
-
-
-def test_long_tails_refuse_by_count_before_building():
-    start = time.perf_counter()
-    with pytest.raises(EnumerationTooLarge, match=r"^\d+ optimal tails exceed cap 1000000$"):
-        optimal_hamming_subspaces(F2, 30)
-    assert time.perf_counter() - start < 1.0
 
 
 def _expected_product_count(ctx, shape, mu):

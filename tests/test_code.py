@@ -12,7 +12,6 @@ from sumrank import (
     Shape,
     Subspace,
     field_from_dict,
-    trace_pairing,
 )
 from sumrank.errors import (
     AmbientMismatch,
@@ -24,7 +23,7 @@ from sumrank.errors import (
     UnknownChoice,
 )
 
-from helpers import F2, F3, F4, brute_rank, random_code, random_shape
+from helpers import F2, F3, F4, _pairing, brute_rank, random_code, random_shape
 
 
 def test_shape_strict_validation():
@@ -102,28 +101,6 @@ def test_srk_is_sum_of_block_ranks():
             assert t.weighted_rank() == expected_w
 
 
-def test_trace_pairing_bilinear_symmetric():
-    rng = random.Random(9)
-    shape = Shape((2, 2), (2, 1))
-    for _ in range(20):
-        f = lambda: MatrixTuple.from_flat(
-            shape, F3, [rng.randrange(3) for _ in range(shape.ambient_dim)]
-        )
-        a, b, c = f(), f(), f()
-        assert trace_pairing(a, b) == trace_pairing(b, a)
-        assert trace_pairing(a + b, c) == F3.add(
-            trace_pairing(a, c), trace_pairing(b, c)
-        )
-
-
-def test_trace_pairing_refuses_different_fields():
-    shape = Shape((2,), (1,))
-    d = MatrixTuple.from_flat(shape, F2, [1, 1])
-    c = MatrixTuple.from_flat(shape, F3, [1, 1])
-    with pytest.raises(ContextMismatch):
-        trace_pairing(d, c)
-
-
 def test_code_canonicalization_and_membership():
     shape = Shape((2,), (2,))
     code = LinearCode(shape, F2, [(1, 1, 0, 0), (0, 0, 1, 1), (1, 1, 1, 1)])
@@ -186,7 +163,7 @@ def test_dual_orthogonality_exhaustive():
             assert dual.dual() == code
             for t in code.basis_tuples():
                 for s in dual.basis_tuples():
-                    assert trace_pairing(t, s) == 0
+                    assert _pairing(ctx, t.flatten(), s.flatten()) == 0
 
 
 def test_intersect_and_add_dimension_formula():
@@ -351,7 +328,6 @@ def test_full_and_zero_codes():
     zero = LinearCode.zero(shape, F3)
     assert full.dim == shape.ambient_dim
     assert zero.dim == 0
-    assert zero.is_trivial
     assert full.dual() == zero
     assert zero.dual() == full
 

@@ -27,8 +27,7 @@ from sumrank.errors import (
     UsageError,
 )
 import sumrank.matfq as matfq
-from sumrank.code import trace_pairing
-from sumrank.matfq import nullspace_rows, rank_rows, reduce_against, rref, trace_product
+from sumrank.matfq import _products, nullspace_rows, rank_rows, reduce_against, rref
 
 from helpers import (
     F2,
@@ -233,13 +232,6 @@ def test_matrix_inverse_guards():
         for scaled in (mat.scale, pair.scale):
             with pytest.raises(ContextMismatch, match=f"{c!r} is not an element of F_{ctx.q}"):
                 scaled(c)
-
-
-def test_trace_product_is_dot():
-    a = MatrixFq(F3, [[1, 2], [0, 1]])
-    b = MatrixFq(F3, [[2, 2], [1, 0]])
-    # 1*2 + 2*2 + 0*1 + 1*0 = 6 = 0 mod 3
-    assert trace_product(a, b) == 0
 
 
 def test_row_and_column_space():
@@ -675,6 +667,12 @@ def test_reduce_against_matches_the_per_entry_reference(ctx):
             )
 
 
+def _kernel_pairing(ctx, x, y):
+    """The trace pairing of x and y, matrices or tuples, as one product:
+    x's flattened row against y's entries, each a one-entry row."""
+    return _products(ctx, [x.flatten()], [(v,) for v in y.flatten()], 1)[0][0]
+
+
 def _entrywise(op, *mats):
     """op applied entry by entry to matrices of one shape, as lists."""
     return [[op(*xs) for xs in zip(*rows)] for rows in zip(*(mat.rows for mat in mats))]
@@ -695,9 +693,9 @@ def test_products_and_pairings_match_brute_sums(ctx):
         ]
         assert (a @ b).to_lists() == want
         c = random_matrix(rng, ctx, m, k)
-        assert trace_product(a, c) == _brute_dot(ctx, a.flatten(), c.flatten())
+        assert _kernel_pairing(ctx, a, c) == _brute_dot(ctx, a.flatten(), c.flatten())
         d = random_matrix(rng, ctx, k, n)
-        assert trace_product(b, d) == _brute_dot(ctx, b.flatten(), d.flatten())
+        assert _kernel_pairing(ctx, b, d) == _brute_dot(ctx, b.flatten(), d.flatten())
         # sums, differences, negations and scalings, against the context entry by entry
         assert (b + d).to_lists() == _entrywise(ctx.add, b, d)
         assert (b - d).to_lists() == _entrywise(ctx.sub, b, d)
@@ -712,7 +710,7 @@ def test_products_and_pairings_match_brute_sums(ctx):
             )
             for _ in range(2)
         )
-        assert trace_pairing(d, c) == _brute_dot(ctx, d.flatten(), c.flatten())
+        assert _kernel_pairing(ctx, d, c) == _brute_dot(ctx, d.flatten(), c.flatten())
         assert (d + c).flatten() == tuple(map(ctx.add, d.flatten(), c.flatten()))
         assert (d - c).flatten() == tuple(map(ctx.sub, d.flatten(), c.flatten()))
 
