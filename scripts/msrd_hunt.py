@@ -3,13 +3,25 @@
 Samples codes of every exactly-decomposable dimension, tallies how many
 attain the distance bound, and prints one full report per dimension the
 first time the bound is hit, together with the closed-form hierarchy.
+Every MSRD code found must have the closed-form weight hierarchy and pass
+the rank-indexed check at every admissible rank; the script exits 1 if
+any does not.
 """
 
 import argparse
 import random
+import sys
 from dataclasses import dataclass
 
-from sumrank import LinearCode, Shape, msrd_check, msrd_weight_profile
+from sumrank import (
+    LinearCode,
+    Shape,
+    admissible_ranks,
+    msrd_check,
+    msrd_weight_profile,
+    r_msrd_check,
+    weight_profile,
+)
 from sumrank.anticode import _anticode_bound_inverse
 from sumrank.gf import FieldContext
 
@@ -50,7 +62,10 @@ def main() -> None:
     rng = random.Random(config.seed)
     print(f"shape {shape.m} x {shape.n} over F_{ctx.q}")
     print(f"exactly decomposable dimensions: {exact_dims(shape)}")
+    total = mismatches = 0
     for dim in exact_dims(shape):
+        closed = msrd_weight_profile(shape, dim)
+        ranks = admissible_ranks(shape, dim)
         hits = 0
         shown = False
         for _ in range(config.tries):
@@ -65,11 +80,20 @@ def main() -> None:
             if not report.is_msrd:
                 continue
             hits += 1
+            weights = weight_profile(code).weights
+            failed = [r for r in ranks if not r_msrd_check(code, r)]
+            if weights != closed or failed:
+                mismatches += 1
+                print(f"dim {dim}: MSRD code with weights {weights}, failing ranks {failed}")
             if not shown:
                 shown = True
                 print(f"\ndim {dim}: first hit {report.to_dict()}")
-                print(f"  closed-form hierarchy: {msrd_weight_profile(shape, dim)}")
+                print(f"  closed-form hierarchy: {closed}")
         print(f"dim {dim}: {hits}/{config.tries} samples attain the bound")
+        total += hits
+    print(f"{total} MSRD codes, {mismatches} off the closed-form hierarchy")
+    if mismatches:
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -18,8 +18,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "anticode": (
         "AnticodeDescriptor", "BlockSupport", "anticode_dual", "enumerate_anticodes",
-        "is_optimal_anticode", "max_srk_generates", "prior_anticode_bound",
-        "product_descriptors", "staircase_profile",
+        "is_optimal_anticode", "max_srk_generates", "product_descriptors",
+        "staircase_profile",
     ),
     "code": ("ANTICODE_CAP", "DIST_CAP", "LinearCode", "MatrixTuple", "Shape"),
     "cover": (

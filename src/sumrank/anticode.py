@@ -47,7 +47,6 @@ __all__ = [
     "anticode_dual",
     "max_srk_generates",
     "staircase_profile",
-    "prior_anticode_bound",
 ]
 
 
@@ -662,9 +661,3 @@ def _anticode_bound_inverse(shape: Shape, dim: int) -> Tuple[int, int]:
     delta, s = divmod(rest, m[j])
     return h + delta, s
 
-
-def prior_anticode_bound(shape: Shape, weight: int) -> int:
-    """max sum m_i u_i over sum u_i = weight, 0 <= u_i <= n_i (greedy fill)."""
-    if weight < 0 or weight > shape.ncols:
-        raise ShapeMismatch("weight out of range")
-    return _anticode_bound(shape, weight)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .code import LinearCode
 from .errors import (
@@ -233,7 +233,6 @@ def coset_witness_exact(
     v: LinearCode,
     t: int,
     cap: int = WITNESS_CAP,
-    attempts: int = WITNESS_ATTEMPTS,
     seed: int = 0,
 ) -> CosetWitness:
     """Some b in v with rank(a + b) >= t + 1 when dim(v) = m t exactly.
@@ -291,10 +290,10 @@ def coset_witness_exact(
 
     rng = random.Random(seed)
     basis = _single_block_matrices(v)
-    for _ in range(attempts):
+    for _ in range(WITNESS_ATTEMPTS):
         cs = [rng.randrange(ctx.q) for _ in basis]
         b, total = _combinations([(0, *cs), (1, *cs)], [a, *basis])
         achieved = total.rank()
         if achieved >= t + 1:
             return CosetWitness(b, achieved, "random")
-    raise SearchExhausted(f"no witness after {attempts} random samples")
+    raise SearchExhausted(f"no witness after {WITNESS_ATTEMPTS} random samples")

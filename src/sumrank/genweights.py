@@ -66,14 +66,23 @@ def gen_weight(
     _check_variant_shape(code.shape, variant)
     if not 1 <= r <= code.dim:
         raise RankOutOfRange(f"r={r} outside 1..{code.dim}")
-    return _least_weight(Meet(code), r, variant, cap)
+    return _weights(Meet(code), variant, cap, r, r)[0]
 
 
-def _least_weight(meet: Meet, r: int, variant: str, cap: int) -> int:
-    """gen_weight of meet.code, through a caller's Meet and its pools."""
+def _weights(meet: Meet, variant: str, cap: int, first: int, last: int) -> List[int]:
+    """[d_first, ..., d_last] of meet.code, through a caller's Meet and its pools.
+
+    Ascending mu, the sweep yields only members that meet the code in more
+    dimensions than the floor, cutting every prefix that cannot; each such
+    meet t sets d_r = mu for the ranks r <= t still open and raises the
+    floor to t.  The walk stops as soon as d_last is set.
+    """
+    weights: List[int] = []
     for mu in range(1, meet.code.shape.ncols + 1):
-        if next(meet.sweep(mu, variant, cap, floor=r - 1), None) is not None:
-            return mu
+        for t, _ in meet.sweep(mu, variant, cap, floor=first - 1 + len(weights)):
+            weights += [mu] * (min(t, last) - first + 1 - len(weights))
+            if t >= last:
+                return weights
     raise InvariantViolation("the full space must meet every rank demand")
 
 
@@ -108,26 +117,10 @@ class WeightProfile:
 def weight_profile(
     code: LinearCode, variant: str = "product", cap: int = ANTICODE_CAP
 ) -> WeightProfile:
-    """All generalized weights in one shared sweep over the family.
-
-    At each mu the sweep yields only members that meet the code in more
-    dimensions than any member before them, cutting every prefix that
-    cannot; each such meet t sets d_r = mu for the ranks r <= t still open.
-    """
+    """All generalized weights d_1..d_k in one shared walk over the family."""
     _check_variant_shape(code.shape, variant)
     kdim = code.dim
-    weights: List[int] = []
-    if kdim:
-        meet = Meet(code)
-        for mu in range(1, code.shape.ncols + 1):
-            for t, _ in meet.sweep(mu, variant, cap, floor=len(weights)):
-                weights += [mu] * (t - len(weights))
-                if t == kdim:
-                    break
-            if len(weights) == kdim:
-                break
-        else:
-            raise InvariantViolation("the full space must meet every rank demand")
+    weights = _weights(Meet(code), variant, cap, 1, kdim) if kdim else []
     return WeightProfile(variant, kdim, code.shape.ncols, tuple(weights))
 
 

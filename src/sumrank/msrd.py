@@ -32,7 +32,7 @@ from .errors import (
     ShapeMismatch,
     TrivialCode,
 )
-from .genweights import _least_weight, weight_profile
+from .genweights import _weights
 from .matfq import Subspace
 
 __all__ = [
@@ -192,7 +192,7 @@ def msrd_check(code: LinearCode, cap: int = ANTICODE_CAP) -> MsrdReport:
     # the distance is d_1 of the product family; its sweep fills the pools
     # that the criteria below read again
     meet = Meet(code)
-    d = _least_weight(meet, 1, "product", cap)
+    (d,) = _weights(meet, "product", cap, 1, 1)
     j, delta, s = dim_decomposition(shape, code.dim)
     bound = singleton_distance_bound(shape, code.dim)
     if d > bound:
@@ -299,14 +299,15 @@ def r_msrd_check(code: LinearCode, r: int, cap: int = ANTICODE_CAP) -> bool:
     if r not in ranks:
         raise RankOutOfRange(f"rank {r} is not tied to a column; valid: {sorted(ranks)}")
     h = ranks[r]
-    prof = weight_profile(code, "product", cap).weights
-    if prof[r - 1] != h:
-        return False
     k = shape.block_of_column(h)
-    if any(prof[t - 1] != h for t in range(r, r + shape.m[k])):
+    # d_r .. d_{r + m_k}: the rank itself, its run and the next rank's step
+    prof = _weights(Meet(code), "product", cap, r, min(r + shape.m[k], code.dim))
+    if prof[0] != h:
+        return False
+    if any(d != h for d in prof[: shape.m[k]]):
         raise InvariantViolation("the run below the next rank must be constant")
     if h < shape.ncols:
         nxt = r + shape.m[k]
-        if ranks.get(nxt) != h + 1 or prof[nxt - 1] != h + 1:
+        if ranks.get(nxt) != h + 1 or prof[nxt - r] != h + 1:
             raise InvariantViolation("a satisfied rank must propagate to the next")
     return True

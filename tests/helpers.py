@@ -8,7 +8,7 @@ avoid the library's theorem-backed code paths: they enumerate.
 import random
 from functools import lru_cache, reduce
 from itertools import combinations, product as iter_product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from sumrank import (
     FieldContext,
@@ -234,7 +234,7 @@ def exhaustive_gen_weight(code: LinearCode, r: int) -> int:
     supports on square blocks) without going through the library's
     composition machinery.
     """
-    from sumrank import Subspace, enumerate_subspaces
+    from sumrank import enumerate_subspaces
 
     shape, ctx = code.shape, code.ctx
     per_block: List[List[Tuple[int, List[Tuple[int, ...]]]]] = []

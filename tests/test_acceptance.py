@@ -31,7 +31,6 @@ from sumrank import (
     weight_profile,
     WiretapScenario,
 )
-from sumrank.gf import FieldContext
 from sumrank.matfq import Subspace
 
 from helpers import (

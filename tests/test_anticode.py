@@ -2,7 +2,7 @@
 
 import random
 import time
-from itertools import combinations, product as iter_product
+from itertools import product as iter_product
 
 import pytest
 
@@ -18,8 +18,8 @@ from sumrank import (
     gaussian_binomial,
     is_optimal_anticode,
     max_srk_generates,
-    prior_anticode_bound,
     product_descriptors,
+    r_mu,
     staircase_profile,
     support_product,
 )
@@ -478,18 +478,12 @@ def test_staircase_matches_materialized_profile():
         assert profile.weights == staircase_profile(shape, u)
 
 
-def test_prior_anticode_bound_greedy():
-    assert prior_anticode_bound(SECT_SHAPE, 0) == 0
-    assert prior_anticode_bound(SECT_SHAPE, 1) == 3
-    assert prior_anticode_bound(SECT_SHAPE, 2) == 5
-    assert prior_anticode_bound(SECT_SHAPE, 3) == 7
-    with pytest.raises(ShapeMismatch):
-        prior_anticode_bound(SECT_SHAPE, 4)
+def test_r_mu_bounds_every_optimal_anticode():
     # every optimal anticode's dimension meets the greedy bound at its weight
     shape = Shape((2, 1), (2, 1))
     for mu in range(shape.ncols + 1):
         for desc in enumerate_anticodes(F2, shape, mu):
-            assert desc.dim() <= prior_anticode_bound(shape, mu)
+            assert desc.dim() <= r_mu(shape, mu)
 
 
 def test_descriptor_serialization_round_trip():

@@ -7,7 +7,6 @@ import pytest
 from sumrank import LinearCode, Shape
 from sumrank.cli import RunConfig, main, parse_args
 from sumrank.errors import UsageError
-from sumrank.gf import FieldContext
 from sumrank.isom import Isometry
 
 from helpers import F2
@@ -238,6 +237,25 @@ def test_rho_and_meshulam(tmp_path, capsys):
     assert report["achieved_rank"] >= 2
     assert len(report["coeffs"]) == 3
     assert set(report["coeffs"]) <= {0, 1}
+
+
+def test_meshulam_oracle_checks_the_achieved_sum(tmp_path, capsys):
+    # the search picks (0, 0, 1) and reaches rank 3, where the complemented
+    # choice (1, 1, 0) reaches only 2, so an oracle that sums the wrong
+    # matrices disagrees with the reported rank
+    payload = {
+        "field": {"p": 2, "e": 1},
+        "a": [[0, 0, 0], [0, 1, 0], [0, 0, 0]],
+        "mats": [
+            [[0, 0, 0], [0, 1, 1], [1, 1, 1]],
+            [[0, 1, 0], [0, 1, 0], [1, 1, 0]],
+            [[1, 1, 1], [1, 1, 0], [1, 1, 0]],
+        ],
+    }
+    path = _write(tmp_path, "mesh.json", payload)
+    status, out, err = _run(["meshulam", path, "--oracle"], capsys)
+    assert status == 0 and err == ""
+    assert json.loads(out) == {"coeffs": [0, 0, 1], "achieved_rank": 3, "rho": 2}
 
 
 def test_equiv_positive_and_negative(tmp_path, capsys):

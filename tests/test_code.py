@@ -5,9 +5,7 @@ import random
 import pytest
 
 from sumrank import (
-    FieldContext,
     LinearCode,
-    MatrixFq,
     MatrixTuple,
     Shape,
     Subspace,

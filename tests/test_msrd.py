@@ -14,7 +14,6 @@ from sumrank import (
     distance_decomposition,
     msrd_check,
     msrd_weight_profile,
-    prior_anticode_bound,
     r_msrd_check,
     r_mu,
     singleton_distance_bound,
@@ -69,6 +68,9 @@ def test_r_mu_prefix_fill():
     assert r_mu(shape, 1) == 3
     assert r_mu(shape, 2) == 5
     assert r_mu(shape, 3) == 7
+    for mu in (-1, 4):
+        with pytest.raises(DimNotAdmissible):
+            r_mu(shape, mu)
 
 
 def test_anticode_dim_extremes():
@@ -111,8 +113,6 @@ def test_anticode_bound_refuses_non_strict_shapes():
     loose = Shape((1, 3), (1, 1), strict=False)
     with pytest.raises(ShapeMismatch):
         r_mu(loose, 1)
-    with pytest.raises(ShapeMismatch):
-        prior_anticode_bound(loose, 1)
 
 
 def test_singleton_bound_refuses_dimensions_below_one():
@@ -140,7 +140,7 @@ def test_closed_forms_match_brute_force_on_small_shapes():
                 for u in iter_product(*(range(n + 1) for n in shape.n))
                 if sum(u) == mu
             )
-            assert r_mu(shape, mu) == prior_anticode_bound(shape, mu) == brute[mu]
+            assert r_mu(shape, mu) == brute[mu]
             assert anticode_dim_extremes(shape, mu) == (lightest, brute[mu])
         for dim in range(1, ambient + 1):
             h = max(x for x in range(ncols + 1) if brute[x] <= ambient - dim)

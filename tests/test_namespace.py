@@ -24,7 +24,7 @@ empirical_mi enumerate_anticodes enumerate_subspaces equivalent_codes
 extension_context field_from_dict gamma_expand gaussian_binomial gen_weight
 gl_group gl_order is_optimal_anticode isometry_count leading_position
 leakage_dim leakage_threshold max_srk_generates meshulam_search msrd_check
-msrd_weight_profile prior_anticode_bound product_descriptors r_msrd_check
+msrd_weight_profile product_descriptors r_msrd_check
 r_mu random_gl random_isometry singleton_distance_bound staircase_profile
 subfield_embedding support_product threshold_table wei_duality_check
 weight_profile worst_case_leakage

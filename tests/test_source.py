@@ -100,3 +100,26 @@ def test_no_entrywise_product_path():
                 continue
             found += [f"{path.name}:{node.lineno} {name}" for name in names & banned]
     assert not found, f"entrywise product path: {found}"
+
+
+def test_no_unread_imports_in_the_package():
+    # a name imported and never read is left behind by a deleted caller; the
+    # bench-only imports that bench/selftest.py requires are marked noqa: F401
+    found = []
+    for path in sorted(Path(sumrank.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source, filename=str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in read:
+                    found.append(f"{path.name}:{node.lineno} {name}")
+    assert not found, f"imported and never read: {found}"

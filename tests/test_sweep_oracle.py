@@ -14,16 +14,20 @@ import re
 import pytest
 
 from sumrank import (
+    ANTICODE_CAP,
     LinearCode,
     Shape,
+    admissible_ranks,
     gen_weight,
     msrd_check,
+    r_msrd_check,
     singleton_distance_bound,
     threshold_table,
     weight_profile,
     worst_case_leakage,
 )
-from sumrank.anticode import Meet
+from sumrank import genweights
+from sumrank.anticode import Meet, _anticode_bound_inverse
 from sumrank.errors import EnumerationTooLarge
 
 from helpers import (
@@ -159,6 +163,46 @@ def test_msrd_report_matches_the_flat_sweep(variant, ctx, shape):
     for code in codes:
         assert msrd_check(code).to_dict() == flat_msrd_report(code), code.dim
     assert any(msrd_check(c).is_msrd for c in codes)
+
+
+@pytest.mark.parametrize("variant,ctx,shape", CASES, ids=IDS)
+def test_weight_ranges_match_the_flat_sweep(variant, ctx, shape):
+    # the one rank-range walk behind gen_weight, weight_profile, msrd_check
+    # and r_msrd_check: every range [first, last] of every code
+    for code in _codes(ctx, shape):
+        flat = list(flat_weights(code, variant))
+        meet = Meet(code)
+        for first in range(1, code.dim + 1):
+            for last in range(first, code.dim + 1):
+                got = genweights._weights(meet, variant, ANTICODE_CAP, first, last)
+                assert got == flat[first - 1 : last], (code.dim, first, last)
+
+
+@pytest.mark.parametrize(
+    "ctx,shape",
+    [(c, s) for _, c, s in CASES if s.strict],
+    ids=[f"q{c.q}-{s.m}x{s.n}" for _, c, s in CASES if s.strict],
+)
+def test_rank_msrd_check_matches_the_flat_weights(ctx, shape):
+    # r_msrd_check walks only the ranks r .. r + m_k; its answer at every
+    # admissible rank must be the flat profile's d_r against the closed form
+    rng = random.Random(shape.ambient_dim * 17 + ctx.q)
+    hits = 0
+    for k in range(1, shape.ambient_dim + 1):
+        if _anticode_bound_inverse(shape, k)[1]:
+            continue
+        ranks = admissible_ranks(shape, k)
+        codes = [c for c in (random_code(rng, ctx, shape, k) for _ in range(3)) if c.dim == k]
+        msrd = _msrd_code(rng, ctx, shape, k)
+        if msrd is not None:
+            codes.append(msrd)
+        for code in codes:
+            flat = flat_weights(code)
+            for r, h in ranks.items():
+                want = flat[r - 1] == h
+                assert r_msrd_check(code, r) == want, (k, r)
+                hits += want
+    assert hits
 
 
 # ---------------------------------------------------------------- refusals
