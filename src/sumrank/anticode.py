@@ -46,6 +46,7 @@ __all__ = [
     "is_optimal_anticode",
     "anticode_dual",
     "max_srk_generates",
+    "product_descriptors",
     "staircase_profile",
 ]
 
@@ -109,7 +110,8 @@ class AnticodeDescriptor:
                     raise AmbientMismatch(f"block {i}: row support ambient must be {mm}")
 
     def dim(self) -> int:
-        return sum(len(self.shape.lines(i, kind)) * sp.dim for i, kind, sp in self._factors())
+        # a zero factor adds nothing, so it builds no lines
+        return sum(len(self.shape.lines(i, k)) * sp.dim for i, k, sp in self._factors() if sp.dim)
 
     def _factors(self) -> List[Tuple[int, str, Subspace]]:
         """(block index, kind, space) of each block support, then of the tail."""
@@ -129,6 +131,7 @@ class AnticodeDescriptor:
         return tail + sum(
             min(len(self.shape.lines(i, blk.kind)), blk.space.dim)
             for i, blk in enumerate(self.blocks)
+            if blk.space.dim
         )
 
     def materialize(self) -> LinearCode:
@@ -142,7 +145,7 @@ class AnticodeDescriptor:
         shape, ambient = self.shape, self.shape.ambient_dim
         rows: List[Tuple[int, Tuple[int, ...]]] = []
         for i, kind, space in self._factors():
-            for line in shape.lines(i, kind):
+            for line in shape.lines(i, kind) if space.dim else ():
                 for l, p in zip(space.basis, space.pivots):
                     vec = [0] * ambient
                     vec[line.start : line.stop : line.step] = l
@@ -547,6 +550,9 @@ def is_optimal_anticode(code: LinearCode) -> Tuple[bool, Optional[AnticodeDescri
     blocks = []
     for i in range(covered):
         proj_dim = code._projection_dim(i)
+        if not proj_dim:  # the zero col support, read without building the block's lines
+            blocks.append(BlockSupport("col", Subspace.zero(ctx, shape.n[i])))
+            continue
         # the projection lies in the support space on the span of its block
         # rows (col) or block columns (row), and is it when the dimensions agree
         for kind in ("col", "row") if shape.m[i] == shape.n[i] else ("col",):

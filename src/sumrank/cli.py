@@ -68,7 +68,12 @@ class RunConfig:
 # ---------------------------------------------------------------- file input
 
 
-def _load(path: str) -> dict:
+def _read(path: str, build: Callable):
+    """Load the JSON object at path and run build on it.
+
+    An unreadable file is a UsageError; text that is not a JSON object, or
+    a payload that crashes build, is a ParseError.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -81,11 +86,6 @@ def _load(path: str) -> dict:
         raise ParseError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise ParseError(f"{path}: expected a JSON object at top level")
-    return data
-
-
-def _build(path: str, build: Callable, data):
-    """Run a constructor, turning malformed-payload crashes into ParseError."""
     try:
         return build(data)
     except SumrankError:
@@ -94,23 +94,10 @@ def _build(path: str, build: Callable, data):
         raise ParseError(f"{path}: malformed payload ({exc})") from None
 
 
-def _read_code(path: str) -> LinearCode:
-    return _build(path, LinearCode.from_dict, _load(path))
-
-
-def _read_tuple(path: str) -> MatrixTuple:
-    return _build(path, MatrixTuple.from_dict, _load(path))
-
-
-def _read_matrix_list(path: str):
-    """Matrix-list payload: {"field": {...}, "mats": [[[...]], ...]}."""
-    data = _load(path)
-
-    def build(d):
-        ctx = field_from_dict(d["field"])
-        return ctx, [MatrixFq(ctx, rows) for rows in d["mats"]]
-
-    return _build(path, build, data)
+def _matrices(data: dict):
+    """The field and matrices of a payload {"field": {...}, "mats": [[[...]], ...]}."""
+    ctx = field_from_dict(data["field"])
+    return ctx, [MatrixFq(ctx, rows) for rows in data["mats"]]
 
 
 def _oracle_check(name: str, fast, brute) -> None:
@@ -124,7 +111,7 @@ def _oracle_check(name: str, fast, brute) -> None:
 
 
 def _cmd_srk(config: RunConfig) -> dict:
-    t = _read_tuple(config.paths[0])
+    t = _read(config.paths[0], MatrixTuple.from_dict)
     value = t.srk()
     if config.oracle:
         # column rank equals row rank; compute it through the other side
@@ -134,7 +121,7 @@ def _cmd_srk(config: RunConfig) -> dict:
 
 
 def _cmd_dist(config: RunConfig) -> dict:
-    code = _read_code(config.paths[0])
+    code = _read(config.paths[0], LinearCode.from_dict)
     method = "anticode" if code.shape.strict else "enumerate"
     value = code.min_distance(method=method, **config.caps)
     if config.oracle and method == "anticode":
@@ -152,7 +139,7 @@ def _check_dual_size(code: LinearCode, cap: Optional[int]) -> None:
 
 
 def _cmd_dual(config: RunConfig) -> dict:
-    code = _read_code(config.paths[0])
+    code = _read(config.paths[0], LinearCode.from_dict)
     _check_dual_size(code, config.cap)
     dual = code.dual()
     if config.oracle:
@@ -186,7 +173,7 @@ def _flat_weights(code: LinearCode, variant: str, caps: dict) -> list:
 
 def _cmd_gweights(config: RunConfig) -> dict:
     from .genweights import gen_weight, weight_profile
-    code = _read_code(config.paths[0])
+    code = _read(config.paths[0], LinearCode.from_dict)
     if config.rank is None:
         prof = weight_profile(code, config.variant, **config.caps)
         if config.oracle:
@@ -203,7 +190,7 @@ def _cmd_gweights(config: RunConfig) -> dict:
 
 def _cmd_msrd(config: RunConfig) -> dict:
     from .msrd import msrd_check
-    code = _read_code(config.paths[0])
+    code = _read(config.paths[0], LinearCode.from_dict)
     report = msrd_check(code, **config.caps)
     if config.oracle:
         brute_d = code.min_distance(method="enumerate", **config.caps)
@@ -221,7 +208,7 @@ def _cmd_msrd(config: RunConfig) -> dict:
 
 def _cmd_anticode(config: RunConfig) -> dict:
     from .anticode import is_optimal_anticode
-    code = _read_code(config.paths[0])
+    code = _read(config.paths[0], LinearCode.from_dict)
     optimal, desc = is_optimal_anticode(code)
     if config.oracle:
         top = code.weighted_max(**config.caps) if code.dim else 0
@@ -254,7 +241,7 @@ def _brute_cover_size(points: Sequence[Tuple[int, int]]) -> int:
 
 def _cmd_rho(config: RunConfig) -> dict:
     from .cover import covering_number, leading_position
-    _, mats = _read_matrix_list(config.paths[0])
+    _, mats = _read(config.paths[0], _matrices)
     res = covering_number(mats)
     if config.oracle:
         brute = _brute_cover_size([leading_position(m) for m in mats])
@@ -268,15 +255,12 @@ def _cmd_rho(config: RunConfig) -> dict:
 
 def _cmd_meshulam(config: RunConfig) -> dict:
     from .cover import _shift, meshulam_search
-    data = _load(config.paths[0])
 
     def build(d):
-        ctx = field_from_dict(d["field"])
-        a = MatrixFq(ctx, d["a"])
-        mats = [MatrixFq(ctx, rows) for rows in d["mats"]]
-        return a, mats
+        ctx, mats = _matrices(d)
+        return MatrixFq(ctx, d["a"]), mats
 
-    a, mats = _build(config.paths[0], build, data)
+    a, mats = _read(config.paths[0], build)
     res = meshulam_search(a, mats)
     if config.oracle:
         achieved = _shift(a, res.coeffs, mats).rank()
@@ -299,8 +283,8 @@ def _cmd_meshulam(config: RunConfig) -> dict:
 
 def _cmd_equiv(config: RunConfig) -> dict:
     from .isom import equivalent_codes
-    first = _read_code(config.paths[0])
-    second = _read_code(config.paths[1])
+    first = _read(config.paths[0], LinearCode.from_dict)
+    second = _read(config.paths[1], LinearCode.from_dict)
     witness = equivalent_codes(first, second, **config.caps)
     if config.oracle and witness is not None:
         if witness.apply_code(first) != second:
@@ -311,24 +295,16 @@ def _cmd_equiv(config: RunConfig) -> dict:
     }
 
 
-def _read_taps(path: str, code: LinearCode):
-    data = _load(path)
-
-    def build(d):
-        if "field" in d and field_from_dict(d["field"]) != code.ctx:
-            raise UsageError(f"{path}: tap field differs from the code's field")
-        out = []
-        for entry in d["taps"]:
-            out.append(None if entry is None else MatrixFq(code.ctx, entry))
-        return tuple(out)
-
-    return _build(path, build, data)
-
-
 def _cmd_leak(config: RunConfig) -> dict:
     from .wiretap import WiretapScenario, empirical_mi, leakage_dim, threshold_table
-    code = _read_code(config.paths[0])
-    taps = _read_taps(config.paths[1], code)
+    code = _read(config.paths[0], LinearCode.from_dict)
+
+    def taps_of(d):
+        if "field" in d and field_from_dict(d["field"]) != code.ctx:
+            raise UsageError(f"{config.paths[1]}: tap field differs from the code's field")
+        return tuple(None if entry is None else MatrixFq(code.ctx, entry) for entry in d["taps"])
+
+    taps = _read(config.paths[1], taps_of)
     _check_dual_size(code, config.cap)
     leak = leakage_dim(code, taps)
     thresholds = threshold_table(code, **config.caps)
@@ -341,7 +317,6 @@ def _cmd_leak(config: RunConfig) -> dict:
 
 def _cmd_expand(config: RunConfig) -> dict:
     from .genweights import GammaBasis, gamma_expand
-    data = _load(config.paths[0])
 
     def build(d):
         base = field_from_dict(d["field"])
@@ -354,7 +329,7 @@ def _cmd_expand(config: RunConfig) -> dict:
         vectors = d["vectors"]
         return gamma, vectors, gamma_expand(gamma, vectors, d.get("subfield_degree"))
 
-    gamma, vectors, code = _build(config.paths[0], build, data)
+    gamma, vectors, code = _read(config.paths[0], build)
     if config.oracle:
         _verify_expansion(gamma, vectors)
     return code.to_dict()
@@ -380,18 +355,19 @@ def _verify_expansion(gamma: GammaBasis, vectors) -> None:
                     )
 
 
-_DISPATCH: Dict[str, Callable[[RunConfig], dict]] = {
-    "srk": _cmd_srk,
-    "dist": _cmd_dist,
-    "dual": _cmd_dual,
-    "gweights": _cmd_gweights,
-    "msrd": _cmd_msrd,
-    "anticode": _cmd_anticode,
-    "rho": _cmd_rho,
-    "meshulam": _cmd_meshulam,
-    "equiv": _cmd_equiv,
-    "leak": _cmd_leak,
-    "expand": _cmd_expand,
+# Every subcommand, in --help order: (handler, help, number of paths, path metavar).
+_COMMANDS: Dict[str, Tuple[Callable[[RunConfig], dict], str, int, str]] = {
+    "srk": (_cmd_srk, "sum-rank weight of one matrix tuple", 1, "tuple.json"),
+    "dist": (_cmd_dist, "minimum sum-rank distance of a code", 1, "code.json"),
+    "dual": (_cmd_dual, "trace dual of a code, emitted as code JSON", 1, "code.json"),
+    "gweights": (_cmd_gweights, "generalized sum-rank weights", 1, "code.json"),
+    "msrd": (_cmd_msrd, "maximum sum-rank distance report", 1, "code.json"),
+    "anticode": (_cmd_anticode, "optimal-anticode test and classification", 1, "code.json"),
+    "rho": (_cmd_rho, "covering number of a leading-position pattern", 1, "mats.json"),
+    "meshulam": (_cmd_meshulam, "0/1 combination reaching the covering number", 1, "mats.json"),
+    "equiv": (_cmd_equiv, "isometry search between two codes", 2, "code.json"),
+    "leak": (_cmd_leak, "wiretap leakage and thresholds", 2, "file.json"),
+    "expand": (_cmd_expand, "base-field expansion of a subfield-linear code", 1, "gamma.json"),
 }
 
 
@@ -482,29 +458,17 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="sumrank", description="sum-rank metric code toolkit")
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
-    def add(name, help_text, npaths=1, metavar="code.json"):
+    for name, (handler, help_text, npaths, metavar) in _COMMANDS.items():
         p = sub.add_parser(name, parents=[common], help=help_text)
         p.add_argument("paths", nargs=npaths, metavar=metavar)
-        return p
-
-    add("srk", "sum-rank weight of one matrix tuple", metavar="tuple.json")
-    add("dist", "minimum sum-rank distance of a code")
-    add("dual", "trace dual of a code, emitted as code JSON")
-    p = add("gweights", "generalized sum-rank weights")
-    p.add_argument(
-        "--variant",
-        choices=("product", "all", "supp", "support"),
-        default="product",
-        help="anticode family (supp = column-support products)",
-    )
-    p.add_argument("--r", dest="rank", default="all", metavar="all|k")
-    add("msrd", "maximum sum-rank distance report")
-    add("anticode", "optimal-anticode test and classification")
-    add("rho", "covering number of a leading-position pattern", metavar="mats.json")
-    add("meshulam", "0/1 combination reaching the covering number", metavar="mats.json")
-    add("equiv", "isometry search between two codes", npaths=2)
-    add("leak", "wiretap leakage and thresholds", npaths=2, metavar="file.json")
-    add("expand", "base-field expansion of a subfield-linear code", metavar="gamma.json")
+        if handler is _cmd_gweights:
+            p.add_argument(
+                "--variant",
+                choices=("product", "all", "supp", "support"),
+                default="product",
+                help="anticode family (supp = column-support products)",
+            )
+            p.add_argument("--r", dest="rank", default="all", metavar="all|k")
     return parser
 
 
@@ -536,7 +500,7 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
 def run(config: RunConfig) -> Tuple[int, dict]:
     """Execute one invocation; exceptions map onto the exit-code contract."""
     try:
-        return 0, _DISPATCH[config.subcommand](config)
+        return 0, _COMMANDS[config.subcommand][0](config)
     except UsageError as exc:
         return 1, {"error": str(exc)}
     except InvariantViolation as exc:

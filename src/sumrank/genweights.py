@@ -222,11 +222,6 @@ def _monomial_reprs(degree: int, p: int) -> Tuple[int, ...]:
     return tuple(p**j for j in range(degree))
 
 
-@lru_cache(maxsize=None)
-def _prime_context(p: int) -> FieldContext:
-    return FieldContext(p, 1)
-
-
 class GammaBasis:
     """Per-block bases of the extension fields over the base field.
 
@@ -236,7 +231,7 @@ class GammaBasis:
     transposed, so that the solve is one product of the scalar's digits.
     """
 
-    __slots__ = ("base", "shape", "exts", "bases", "_solvers")
+    __slots__ = ("base", "shape", "exts", "bases", "_prime", "_solvers")
 
     def __init__(
         self, base: FieldContext, shape: Shape, bases: Sequence[Sequence[int]]
@@ -255,6 +250,7 @@ class GammaBasis:
                 raise GammaNotBasis(f"block {i}: need {shape.m[i]} basis elements")
             if any(type(g) is not int or not 0 <= g < self.exts[i].q for g in gams):
                 raise GammaNotBasis(f"block {i}: element outside the extension field")
+        self._prime = FieldContext(base.p, 1)  # the field of every solve
         self._solvers = tuple(self._build_solver(i) for i in range(shape.ell))
 
     @classmethod
@@ -275,7 +271,7 @@ class GammaBasis:
             for j in range(e):
                 beta = embed[_undigits([0] * j + [1], p)] if j else 1
                 cols.append(_digits(big.mul(beta, gam), p, em))
-        mat = MatrixFq(_prime_context(p), cols)  # the transpose of the system's matrix
+        mat = MatrixFq(self._prime, cols)  # the transpose of the system's matrix
         if not mat.is_invertible():
             raise GammaNotBasis(f"block {i}: elements are dependent over the base field")
         return mat.inverse().rows
@@ -283,7 +279,7 @@ class GammaBasis:
     def coordinates(self, i: int, w: int) -> Tuple[int, ...]:
         """Base-field coordinates of extension scalar w in basis i."""
         p, e, m = self.base.p, self.base.e, self.shape.m[i]
-        (t,) = _products(_prime_context(p), [_digits(w, p, e * m)], self._solvers[i], e * m)
+        (t,) = _products(self._prime, [_digits(w, p, e * m)], self._solvers[i], e * m)
         return tuple(_undigits(t[k * e : (k + 1) * e], p) for k in range(m))
 
     def _check_vector(self, v: Sequence[Sequence[int]]) -> None:

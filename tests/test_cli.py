@@ -1,6 +1,11 @@
 """CLI contract: JSON payloads in, deterministic reports out, exit codes 0/1/2."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +15,8 @@ from sumrank.errors import UsageError
 from sumrank.isom import Isometry
 
 from helpers import F2
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 SRK_TUPLE = {
     "field": {"p": 3, "e": 1},
@@ -352,14 +359,40 @@ def test_usage_failures_exit_one(tmp_path, capsys):
     assert status == 1
 
 
+def _limited(argv, limit=1 << 30):
+    """Run sumrank in a new process with its address space limited to limit bytes."""
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-m", "sumrank.cli", *argv],
+        capture_output=True, text=True, env=env, preexec_fn=cap_memory, timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 @pytest.mark.parametrize("field", [{"p": 2, "e": 1}, {"p": 3, "e": 1}, {"p": 2, "e": 2}])
-def test_gweights_oracle_on_a_vast_zero_code(tmp_path, capsys, field):
-    # Meet used to pack a column for each of the 7e10 ambient coordinates
+def test_gweights_oracle_on_a_vast_zero_code(tmp_path, field):
+    # Meet used to pack a column for each of the 7e10 ambient coordinates, and
+    # the classification built one range per block row, 2.8e7 of them; each
+    # run gets 1 GB, so such a regression fails here instead of exhausting memory
     payload = {"field": field, "shape": {"m": [27833789, 2434], "n": [2517, 1]}, "basis": []}
     path = _write(tmp_path, "zero.json", payload)
-    status, out, _ = _run(["gweights", path, "--oracle"], capsys)
-    assert status == 0
+    status, out, err = _limited(["gweights", path, "--oracle"])
+    assert status == 0, err
     assert json.loads(out) == {"variant": "product", "dim": 0, "weights": []}
+    # the zero code is the product of zero col supports
+    zero = {"blocks": [{"kind": "col", "L": []}, {"kind": "col", "L": []}]}
+    for flags in ([], ["--oracle"]):
+        status, out, err = _limited(["anticode", path, *flags])
+        assert status == 0, err
+        assert json.loads(out) == {"is_optimal": True, "dim": 0, "descriptor": zero}
+    for argv in (["dist", path], ["msrd", path], ["dual", path], ["equiv", path, path]):
+        status, out, err = _limited(argv)
+        assert status in (0, 1) and "Traceback" not in err, (argv, err)
+        assert status == 0 or out == ""
 
 
 @pytest.mark.parametrize("blocks", [[[1.5, 0], [3, 1]], [[True, 0], [-1, 1]], [[1, 0], [2, 1]]])
@@ -411,6 +444,25 @@ def test_oracle_mismatch_exits_two(tmp_path, capsys, monkeypatch):
     status, _, err = _run(["rho", path, "--oracle"], capsys)
     assert status == 2
     assert err.startswith("invariant_violation:")
+
+
+SUBCOMMANDS = ["srk", "dist", "dual", "gweights", "msrd", "anticode", "rho", "meshulam", "equiv",
+               "leak", "expand"]
+
+
+def test_parser_lists_and_reads_every_subcommand(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "{" + ",".join(SUBCOMMANDS) + "}" in capsys.readouterr().out
+    missing = str(tmp_path / "missing.json")
+    for name in SUBCOMMANDS:
+        paths = [missing] * (2 if name in ("equiv", "leak") else 1)
+        status, out, err = _run([name, *paths], capsys)
+        assert (status, out) == (1, "") and f"no such file: {missing}" in err, name
+    for name in ("equiv", "leak"):
+        status, out, err = _run([name, missing], capsys)
+        assert (status, out) == (1, "") and "the following arguments are required" in err
 
 
 def test_run_config_validation(capsys):

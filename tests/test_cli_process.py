@@ -8,16 +8,14 @@ subcommand runs in a new interpreter, as ``python -m sumrank.cli``.
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 from sumrank import LinearCode, Shape
-from test_cli import COVER_MATS, FULL_2X2, IDENTITY_CODE, SRK_TUPLE, _run, _write
+from test_cli import COVER_MATS, FULL_2X2, IDENTITY_CODE, SRC, SRK_TUPLE, _run, _write
 
 from helpers import F2
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
 # the modules only some subcommands use
 LAZY = ("anticode", "genweights", "msrd", "isom", "cover", "wiretap")
 

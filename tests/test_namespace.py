@@ -86,3 +86,10 @@ def test_fresh_import_is_lazy_and_submodules_resolve():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["['sumrank']", "6 MatrixFq"]
+
+
+def test_package_exports_are_in_their_modules_all():
+    # the package namespace and each module's own public list name the same API
+    for module, names in sumrank._EXPORTS.items():
+        missing = set(names) - set(importlib.import_module(f"sumrank.{module}").__all__)
+        assert not missing, (module, sorted(missing))
