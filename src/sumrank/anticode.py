@@ -11,7 +11,6 @@ counted from its RREF (_optimal_tail), never by walking its words.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, combinations, groupby, product as iter_product
 from math import comb, prod
 from operator import itemgetter
@@ -29,6 +28,7 @@ from .errors import (
     ShapeMismatch,
     TrivialCode,
     UnknownChoice,
+    _record,
 )
 from .gf import FieldContext
 from .matfq import (
@@ -51,7 +51,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@_record
 class BlockSupport:
     """One block factor: matrices whose rows (col) or columns (row) lie in L.
 
@@ -68,7 +68,7 @@ class BlockSupport:
             raise UnknownChoice(f"unknown support kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
+@_record
 class AnticodeDescriptor:
     """Product-with-optional-tail presentation of an anticode.
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from itertools import combinations, product as iter_product
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -25,6 +24,7 @@ from .errors import (
     ParseError,
     SumrankError,
     UsageError,
+    _record,
 )
 from .gf import field_from_dict
 from .matfq import MatrixFq, _products
@@ -32,15 +32,13 @@ from .matfq import MatrixFq, _products
 if TYPE_CHECKING:
     from .genweights import GammaBasis
 
-# Each handler imports the modules only it uses, so a process loads just
-# what its subcommand runs.
+# Each handler imports the modules only it uses, once its payloads are read
+# (expand's reader needs one), so a process loads just what it runs.
 
 __all__ = ["RunConfig", "parse_args", "run", "main"]
 
-_DUAL_ENTRY_CAP = 10**6  # basis entries of a dual, not family members
 
-
-@dataclass(frozen=True)
+@_record
 class RunConfig:
     """One fully resolved invocation."""
 
@@ -130,17 +128,9 @@ def _cmd_dist(config: RunConfig) -> dict:
     return {"distance": value, "method": method}
 
 
-def _check_dual_size(code: LinearCode, cap: Optional[int]) -> None:
-    # a small code in a vast declared space has a dual too large to write out
-    cap = cap or _DUAL_ENTRY_CAP
-    entries = code.ambient_dim * (code.ambient_dim - code.dim)
-    if entries > cap:
-        raise EnumerationTooLarge(f"dual basis of {entries} entries exceeds cap {cap}")
-
-
 def _cmd_dual(config: RunConfig) -> dict:
     code = _read(config.paths[0], LinearCode.from_dict)
-    _check_dual_size(code, config.cap)
+    code.check_dual_size(**config.caps)
     dual = code.dual()
     if config.oracle:
         if code.dim:  # entry (i, j) is the trace pairing of dual row i with code row j
@@ -172,8 +162,8 @@ def _flat_weights(code: LinearCode, variant: str, caps: dict) -> list:
 
 
 def _cmd_gweights(config: RunConfig) -> dict:
-    from .genweights import gen_weight, weight_profile
     code = _read(config.paths[0], LinearCode.from_dict)
+    from .genweights import gen_weight, weight_profile
     if config.rank is None:
         prof = weight_profile(code, config.variant, **config.caps)
         if config.oracle:
@@ -189,8 +179,8 @@ def _cmd_gweights(config: RunConfig) -> dict:
 
 
 def _cmd_msrd(config: RunConfig) -> dict:
-    from .msrd import msrd_check
     code = _read(config.paths[0], LinearCode.from_dict)
+    from .msrd import msrd_check
     report = msrd_check(code, **config.caps)
     if config.oracle:
         brute_d = code.min_distance(method="enumerate", **config.caps)
@@ -207,8 +197,8 @@ def _cmd_msrd(config: RunConfig) -> dict:
 
 
 def _cmd_anticode(config: RunConfig) -> dict:
-    from .anticode import is_optimal_anticode
     code = _read(config.paths[0], LinearCode.from_dict)
+    from .anticode import is_optimal_anticode
     optimal, desc = is_optimal_anticode(code)
     if config.oracle:
         top = code.weighted_max(**config.caps) if code.dim else 0
@@ -240,8 +230,8 @@ def _brute_cover_size(points: Sequence[Tuple[int, int]]) -> int:
 
 
 def _cmd_rho(config: RunConfig) -> dict:
-    from .cover import covering_number, leading_position
     _, mats = _read(config.paths[0], _matrices)
+    from .cover import covering_number, leading_position
     res = covering_number(mats)
     if config.oracle:
         brute = _brute_cover_size([leading_position(m) for m in mats])
@@ -254,13 +244,12 @@ def _cmd_rho(config: RunConfig) -> dict:
 
 
 def _cmd_meshulam(config: RunConfig) -> dict:
-    from .cover import _shift, meshulam_search
-
     def build(d):
         ctx, mats = _matrices(d)
         return MatrixFq(ctx, d["a"]), mats
 
     a, mats = _read(config.paths[0], build)
+    from .cover import _shift, meshulam_search
     res = meshulam_search(a, mats)
     if config.oracle:
         achieved = _shift(a, res.coeffs, mats).rank()
@@ -282,9 +271,9 @@ def _cmd_meshulam(config: RunConfig) -> dict:
 
 
 def _cmd_equiv(config: RunConfig) -> dict:
-    from .isom import equivalent_codes
     first = _read(config.paths[0], LinearCode.from_dict)
     second = _read(config.paths[1], LinearCode.from_dict)
+    from .isom import equivalent_codes
     witness = equivalent_codes(first, second, **config.caps)
     if config.oracle and witness is not None:
         if witness.apply_code(first) != second:
@@ -296,7 +285,6 @@ def _cmd_equiv(config: RunConfig) -> dict:
 
 
 def _cmd_leak(config: RunConfig) -> dict:
-    from .wiretap import WiretapScenario, empirical_mi, leakage_dim, threshold_table
     code = _read(config.paths[0], LinearCode.from_dict)
 
     def taps_of(d):
@@ -305,7 +293,8 @@ def _cmd_leak(config: RunConfig) -> dict:
         return tuple(None if entry is None else MatrixFq(code.ctx, entry) for entry in d["taps"])
 
     taps = _read(config.paths[1], taps_of)
-    _check_dual_size(code, config.cap)
+    code.check_dual_size(**config.caps)
+    from .wiretap import WiretapScenario, empirical_mi, leakage_dim, threshold_table
     leak = leakage_dim(code, taps)
     thresholds = threshold_table(code, **config.caps)
     if config.oracle:

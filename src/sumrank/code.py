@@ -13,7 +13,6 @@ at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import islice
 from operator import mul, or_
@@ -27,6 +26,7 @@ from .errors import (
     ShapeMismatch,
     TrivialCode,
     UnknownChoice,
+    _record,
 )
 from .gf import FieldContext, field_from_dict
 from .matfq import MatrixFq, Subspace, _ListRows, rank_rows, walk_span
@@ -49,7 +49,7 @@ ANTICODE_CAP = 10**6
 _LANE_BITS = 16
 
 
-@dataclass(frozen=True)
+@_record
 class Shape:
     """Block dimensions of the ambient product space.
 
@@ -332,6 +332,12 @@ class LinearCode:
         the dual is the orthogonal subspace.
         """
         return LinearCode.from_subspace(self.shape, self._space.orthogonal())
+
+    def check_dual_size(self, cap: int = ANTICODE_CAP) -> None:
+        """Refuse a dual whose basis would pass cap entries, before building it."""
+        entries = self.ambient_dim * (self.ambient_dim - self.dim)
+        if entries > cap:
+            raise EnumerationTooLarge(f"dual basis of {entries} entries exceeds cap {cap}")
 
     def intersect(self, other: "LinearCode") -> "LinearCode":
         self._check(other)

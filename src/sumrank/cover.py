@@ -8,7 +8,6 @@ the package indexes from 0.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .code import LinearCode
@@ -22,6 +21,7 @@ from .errors import (
     SearchExhausted,
     ShapeMismatch,
     ZeroMatrix,
+    _record,
 )
 from .matfq import MatrixFq, _products, reduce_against
 
@@ -49,7 +49,7 @@ def leading_position(mat: MatrixFq) -> Tuple[int, int]:
     raise ZeroMatrix("the zero matrix has no nonzero position")
 
 
-@dataclass(frozen=True)
+@_record
 class CoverResult:
     """Minimum line cover size of a pivot pattern with a matched witness set.
 
@@ -111,7 +111,7 @@ def covering_number(mats: Sequence[MatrixFq]) -> CoverResult:
     return CoverResult(len(pivots), pivots, witnesses)
 
 
-@dataclass(frozen=True)
+@_record
 class MeshulamResult:
     coeffs: Tuple[int, ...]
     achieved_rank: int
@@ -177,7 +177,7 @@ def meshulam_search(a: MatrixFq, mats: Sequence[MatrixFq]) -> MeshulamResult:
     return MeshulamResult(tuple(coeffs), achieved, r)
 
 
-@dataclass(frozen=True)
+@_record
 class CosetWitness:
     matrix: MatrixFq
     achieved_rank: int

@@ -12,7 +12,6 @@ together with every member below it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
@@ -31,6 +30,7 @@ from .errors import (
     ShapeMismatch,
     UnequalRowDims,
     UnknownChoice,
+    _record,
 )
 from .gf import FieldContext, _digits, _undigits
 from .matfq import MatrixFq, _products
@@ -86,7 +86,7 @@ def _weights(meet: Meet, variant: str, cap: int, first: int, last: int) -> List[
     raise InvariantViolation("the full space must meet every rank demand")
 
 
-@dataclass(frozen=True)
+@_record
 class WeightProfile:
     """All d_r of one code under one anticode family, 1-indexed."""
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import permutations, product as iter_product
 from math import factorial
 from operator import xor
@@ -28,6 +27,7 @@ from .errors import (
     IllegalTranspose,
     ShapeMismatch,
     SingularFactor,
+    _record,
 )
 from .gf import FieldContext
 from .matfq import MatrixFq, Subspace, _back_substitute, _row_kernel, vec_scale
@@ -87,7 +87,7 @@ def random_gl(ctx: FieldContext, n: int, rng: random.Random) -> MatrixFq:
             return mat
 
 
-@dataclass(frozen=True)
+@_record
 class Isometry:
     """Weight-preserving map: block j of the image is M_j op(X_sigma[j]) N_j.
 

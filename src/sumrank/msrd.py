@@ -12,7 +12,6 @@ characterization, cross-asserting every equivalence the theory promises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from .anticode import (
@@ -31,6 +30,7 @@ from .errors import (
     RankOutOfRange,
     ShapeMismatch,
     TrivialCode,
+    _record,
 )
 from .genweights import _weights
 from .matfq import Subspace
@@ -133,7 +133,7 @@ def _column_window_descriptor(
     return AnticodeDescriptor(shape, ctx, tuple(blocks))
 
 
-@dataclass(frozen=True)
+@_record
 class MsrdReport:
     """msrd_check output: the decomposition, the verdicts, the criteria."""
 
@@ -187,6 +187,8 @@ def msrd_check(code: LinearCode, cap: int = ANTICODE_CAP) -> MsrdReport:
         raise ShapeMismatch("MSRD theory lives in strict shapes")
     if code.dim == 0:
         raise TrivialCode("the zero code has no distance")
+    # c3 reads the dual: refuse one too large to build before any sweep
+    code.check_dual_size()
     n = shape.ncols
     ambient = shape.ambient_dim
     # the distance is d_1 of the product family; its sweep fills the pools

@@ -11,7 +11,6 @@ reproduces it exactly.  Strictness of the shape is never assumed here.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -25,6 +24,7 @@ from .errors import (
     EnumerationTooLarge,
     InvariantViolation,
     ShapeMismatch,
+    _record,
 )
 from .genweights import gen_weight, weight_profile
 from .matfq import MatrixFq, Subspace, _products, _row_kernel, rank_rows
@@ -104,7 +104,7 @@ def worst_case_leakage(code: LinearCode, mu: int, cap: int = ANTICODE_CAP) -> in
     return max((t for t, _ in sweep), default=0)
 
 
-@dataclass
+@_record(frozen=False)
 class WiretapScenario:
     """A code, a complementary message space, and per-block tap matrices."""
 

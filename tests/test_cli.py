@@ -395,6 +395,27 @@ def test_gweights_oracle_on_a_vast_zero_code(tmp_path, field):
         assert status == 0 or out == ""
 
 
+def test_msrd_refuses_a_vast_dual_before_sweeping(tmp_path):
+    # a dim-1 F_2 code of (10^5, 1)x(1, 1) whose large block is zero: msrd swept
+    # for many seconds and then raised MemoryError building its 10^10-entry dual
+    shape = {"m": [10**5, 1], "n": [1, 1]}
+    payload = {"field": {"p": 2, "e": 1}, "shape": shape, "basis": [[[[0]] * 10**5, [[1]]]]}
+    status, out, err = _limited(["msrd", _write(tmp_path, "vast.json", payload)])
+    assert (status, out) == (1, "")
+    assert err == "error: dual basis of 10000100000 entries exceeds cap 1000000\n"
+
+
+@pytest.mark.parametrize("sub", ["dual", "leak"])
+def test_dual_guard_refuses_above_the_cap(tmp_path, capsys, sub):
+    # the identity code has ambient 4 and dim 1: a dual basis of 4 * 3 entries
+    argv = [sub, _write(tmp_path, "c.json", IDENTITY_CODE)]
+    if sub == "leak":
+        argv.append(_write(tmp_path, "t.json", {"taps": [[[1], [0]]]}))
+    assert _run(argv + ["--cap", "12"], capsys)[0] == 0
+    status, out, err = _run(argv + ["--cap", "11"], capsys)
+    assert (status, out, err) == (1, "", "error: dual basis of 12 entries exceeds cap 11\n")
+
+
 @pytest.mark.parametrize("blocks", [[[1.5, 0], [3, 1]], [[True, 0], [-1, 1]], [[1, 0], [2, 1]]])
 def test_entries_outside_the_field_exit_one(tmp_path, capsys, blocks):
     # these tuples used to be reduced mod 2 and answer srk 2 with exit 0

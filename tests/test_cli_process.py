@@ -67,9 +67,9 @@ def _argv(tmp_path, argv, payloads):
     return [a.format(*paths) for a in argv]
 
 
-def _loaded(code, *args):
-    """Names of the sumrank modules loaded after running code in a new process."""
-    report = "print(*(m for m in sys.modules if m.split('.')[0] == 'sumrank'), file=sys.stderr)"
+def _loaded(code, *args, roots=("sumrank",)):
+    """Names of the modules under roots loaded after running code in a new process."""
+    report = f"print(*(m for m in sys.modules if m.split('.')[0] in {roots!r}), file=sys.stderr)"
     proc = _python("-c", f"import sys\n{code}\n{report}", *args)
     assert proc.returncode == 0, proc.stderr.decode()
     return set(proc.stderr.decode().split())
@@ -103,3 +103,27 @@ def test_light_subcommands_skip_the_sweep_modules(tmp_path, sub):
     argv = _argv(tmp_path, [sub, "{0}"], [SRK_TUPLE if sub == "srk" else IDENTITY_CODE])
     loaded = _loaded("from sumrank.cli import main\nmain(sys.argv[1:])", *argv)
     assert not loaded & {f"sumrank.{name}" for name in LAZY}
+
+
+# run the CLI with its messages sent to stdout, so stderr holds only the modules
+_MAIN = (
+    "from sumrank.cli import main\n"
+    "sys.stderr = sys.stdout\nmain(sys.argv[1:])\nsys.stderr = sys.__stderr__"
+)
+
+
+@pytest.mark.parametrize("argv,payloads", CASES, ids=[" ".join(c[0]) for c in CASES])
+def test_no_subcommand_loads_dataclasses_or_inspect(tmp_path, argv, payloads):
+    # each costs a CLI process milliseconds of import
+    argv = _argv(tmp_path, argv, payloads)
+    assert _loaded(_MAIN, *argv, roots=("dataclasses", "inspect")) == set()
+
+
+@pytest.mark.parametrize("sub", ["gweights", "msrd", "equiv"])
+def test_a_malformed_payload_loads_no_sweep_module(tmp_path, sub):
+    # the handler reads its payloads before it imports its library module
+    (tmp_path / "bad.json").write_text("{not json", encoding="utf-8")
+    bad = str(tmp_path / "bad.json")
+    argv = [sub, bad, bad][: 3 if sub == "equiv" else 2]
+    loaded = _loaded(_MAIN, *argv)
+    assert "sumrank.cli" in loaded and not loaded & {f"sumrank.{name}" for name in LAZY}

@@ -20,6 +20,7 @@ from sumrank import (
 )
 from sumrank.errors import (
     DimNotAdmissible,
+    EnumerationTooLarge,
     RankOutOfRange,
     ShapeMismatch,
     TrivialCode,
@@ -262,6 +263,11 @@ def test_msrd_check_guards():
     code = LinearCode(loose, F2, [(1, 0, 0, 0, 0)])
     with pytest.raises(ShapeMismatch):
         msrd_check(code)
+    # a dual of more than the default cap of entries is refused before any
+    # sweep: here 1002 * 1001 of them, just above it
+    wide = LinearCode(Shape((1001, 1), (1, 1)), F2, [(0,) * 1001 + (1,)])
+    with pytest.raises(EnumerationTooLarge, match="dual basis of 1003002 entries exceeds cap"):
+        msrd_check(wide)
 
 
 def test_msrd_check_random_battery():

@@ -123,3 +123,20 @@ def test_no_unread_imports_in_the_package():
                 if name not in read:
                     found.append(f"{path.name}:{node.lineno} {name}")
     assert not found, f"imported and never read: {found}"
+
+
+def test_no_module_imports_dataclasses():
+    # dataclasses loads inspect and ast, milliseconds in every CLI process;
+    # the records use errors._record instead
+    found = []
+    for path in sorted(Path(sumrank.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for m in modules if m == "dataclasses"]
+    assert not found, f"dataclasses imported: {found}"
