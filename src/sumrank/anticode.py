@@ -11,9 +11,8 @@ counted from its RREF (_optimal_tail), never by walking its words.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, combinations, groupby, product as iter_product
-from math import comb, prod
-from operator import itemgetter
+from itertools import chain, combinations, product as iter_product
+from math import comb
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .code import ANTICODE_CAP, DIST_CAP, LinearCode, Shape
@@ -197,23 +196,24 @@ class Meet:
     depth-first, one block per level and a binary tail as the last, and
     never builds a descriptor: a child extends its parent's echelon of G·H
     with its own block's columns only, so the rank of a prefix bounds every
-    meet below it and lets a caller's floor cut whole subtrees.  The
-    reduced columns are kept per support for dim and per (block, weight,
-    kind) pool for sweep, and the binary tails per dimension, so make one
-    Meet per sweep and drop it after.
+    meet below it and lets a caller's floor cut whole subtrees.  The block
+    weights, counts and binary tails of each weight and the check bases of
+    each pool do not depend on the code: every Meet of a process shares
+    them per field and shape (_TABLE).  A Meet keeps its reduced columns,
+    per support for dim and per (block, weight, kind) pool for sweep, so
+    make one Meet per code and drop it after.
 
     G's columns are packed once by the field's row kernel (matfq), which
     combines them into each column G·h and runs every echelon.  The zero
     code packs nothing, so its echelons are empty at any ambient size.
     """
 
-    __slots__ = ("code", "_columns", "_pools", "_tails", "_kernel", "_packed")
+    __slots__ = ("code", "_columns", "_pools", "_kernel", "_packed")
 
     def __init__(self, code: LinearCode):
         self.code = code
         self._columns: dict = {}
         self._pools: dict = {}
-        self._tails: dict = {}
         self._kernel = kernel = _row_kernel(code.ctx, code.dim)
         self._packed = [kernel.pack(col) for col in zip(*code.rows)]  # none on the zero code
 
@@ -225,7 +225,10 @@ class Meet:
             raise ContextMismatch("anticode and code over different field contexts")
         checks: List[List[int]] = []
         for i, kind, space in desc._factors():
-            checks += self._support(i, kind, space)[1]
+            key = (i, kind, space)
+            if key not in self._columns:
+                self._columns[key] = self._reduced(i, kind, [space.orthogonal().basis])[0]
+            checks += self._columns[key][1]
         return code.dim - len(self._kernel.echelon(checks, code.dim))
 
     def sweep(
@@ -249,19 +252,15 @@ class Meet:
         is checked against cap where product_descriptors and
         enumerate_anticodes check it, with the same count and message.
         """
-        code = self.code
-        shape, ctx, kdim = code.shape, code.ctx, code.dim
+        shape, kdim = self.code.shape, self.code.dim
         kinds = ("col",) if variant == "support" else ("col", "row")
         extend = self._kernel.echelon
 
-        def descend(i, comps, basis, tail):
+        def descend(i, tree, basis, prefix):
             nonlocal floor
-            for u, group in groupby(comps, itemgetter(i)):
-                group = list(group)
-                if tail is not None and i + 1 == len(group[0]):
-                    pools = [[self._support(i, "tail", tail)]]
-                else:
-                    pools = [self._pool(i, u, kind, cap) for kind in kinds]
+            for u, sub in tree:
+                weights = prefix + (u,)
+                pools = [self._pool(i, u, kind, cap) for kind in (kinds if sub else ends)]
                 for pairs, rows in chain.from_iterable(pools):
                     if floor is not None and kdim - len(basis) <= floor:
                         return
@@ -269,79 +268,89 @@ class Meet:
                     t = kdim - len(echelon)
                     if floor is not None and t <= floor:
                         continue
-                    if i + 1 < len(group[0]):
-                        yield from descend(i + 1, group, echelon, tail)
+                    if sub:
+                        yield from descend(i + 1, sub, echelon, weights)
                         continue
                     if floor is not None:
                         floor = t
-                    yield t, group[0]
+                    yield t, weights
 
-        k = shape.scalar_suffix_start()
-        for tail, comps in _family(ctx, shape, mu, variant, cap, self._hamming):
-            mults = shape.m
-            if tail is not None:
-                comps, mults = [c + (tail.dim,) for c in comps], shape.m[:k] + (1,)
-            if size is not None:
-                comps = [c for c in comps if sum(m * x for m, x in zip(mults, c)) == size]
-            yield from descend(0, comps, [], tail)
-
-    def _hamming(self, ctx: FieldContext, t: int, r: int) -> List[Subspace]:
-        """The dim-r optimal tails of the code's tail, built on first use."""
-        tails = self._tails.get(r)
-        if tails is None:
-            tails = self._tails[r] = list(_optimal_tails(ctx, t, r))
-        return tails
+        try:
+            for tail, tree, levels in _parts(self.code.ctx, shape, variant, mu, cap, _TABLE):
+                ends = ("tail",) if tail else kinds
+                if size is not None:  # only the weights of members of that dimension
+                    mults = shape.m[: len(levels) - 1] + (1,) if tail else shape.m
+                    tree = _tree(levels, mu, lambda i, u: 1, mults, size)[1]
+                yield from descend(0, tree, [], ())
+        finally:
+            del descend  # it refers to itself: drop the cycle so the walk's state is freed now
 
     def _pool(self, i: int, u: int, kind: str, cap: int) -> list:
         """(echelon, its rows) of the columns G·h for each weight-u support
-        of one kind on block i."""
+        of one kind on block i, or each dim-u tail from block i on."""
         pool = self._pools.get((i, u, kind))
         if pool is None:
-            shape = self.code.shape
+            shape, ctx = self.code.shape, self.code.ctx
             amb = shape.n[i] if kind == "col" else shape.m[i]
-            spaces = []
-            if kind == "col" or _has_rows(shape, i, u):
-                # a support L and its check space L^⊥ determine each other
-                spaces = enumerate_subspaces(self.code.ctx, amb, amb - u, cap)
-            pool = self._pools[i, u, kind] = [self._reduced(i, kind, h.basis) for h in spaces]
+            bases = ()
+            if kind == "tail":
+                bases = _tail_checks(ctx, shape.ell - i, u)
+            elif kind == "col" or _has_rows(shape, i, u):  # L and its checks L^⊥ match
+                bases = _check_bases(ctx, amb, amb - u, cap)
+            pool = self._pools[i, u, kind] = self._reduced(i, kind, bases)
         return pool
 
-    def _support(self, i: int, kind: str, space: Subspace):
-        """(echelon, its rows) of the columns G·h for the checks h of one
-        block support or tail."""
-        key = (i, kind, space)
-        if key not in self._columns:
-            self._columns[key] = self._reduced(i, kind, space.orthogonal().basis)
-        return self._columns[key]
-
-    def _reduced(self, i: int, kind: str, checks):
-        """The echelon of the columns G·h of one factor's checks h, and its rows.
+    def _reduced(self, i: int, kind: str, bases) -> list:
+        """(echelon, its rows) of the columns G·h for each check basis h in bases.
 
         A check of a block support applies along every block row (col) or
         block column (row); a check of a tail starting at block i applies
         along the trailing coordinates.
         """
-        code, kernel = self.code, self._kernel
-        if not code.dim:
-            return [], []
-        packed, combine, cols = self._packed, kernel.combine, []
-        for line in code.shape.lines(i, kind):
-            vecs = packed[line.start : line.stop : line.step]
-            cols += [combine(chk, vecs) for chk in checks]
-        pairs = kernel.echelon(cols, code.dim)
-        return pairs, [row for _, row in pairs]
+        code, kernel, kdim = self.code, self._kernel, self.code.dim
+        if not kdim:
+            return [([], []) for _ in bases]
+        combine, packed, out = kernel.combine, self._packed, []
+        lines = [packed[ln.start : ln.stop : ln.step] for ln in code.shape.lines(i, kind)]
+        for checks in bases:
+            pairs = kernel.echelon([combine(chk, vecs) for vecs in lines for chk in checks], kdim)
+            out.append((pairs, [row for _, row in pairs]))
+        return out
 
 
-def _compositions(bounds: Sequence[int], total: int) -> Iterator[Tuple[int, ...]]:
-    """All tuples 0 <= u_i <= bounds[i] with sum u_i = total, lex ascending."""
-    if total < 0 or total > sum(bounds):
-        return
-    if not bounds:
-        yield ()
-        return
-    for u in range(min(bounds[0], total) + 1):
-        for rest in _compositions(bounds[1:], total - u):
-            yield (u,) + rest
+def _tree(levels, total: int, options, mults=None, size: int = 0) -> Tuple[int, tuple]:
+    """(member count, prefix tree) of the weights u with u_i in levels[i]
+    (ascending), sum u_i = total and, given mults, sum mults[i] * u_i = size.
+    The tree is ((u_0, subtree), ...), None under the last level, with one
+    shared subtree per (level, rest of total and of size).  A weight counts
+    prod options(i, u_i) members; one counting none is left out."""
+    memo: dict = {}
+    mults = mults or [0] * len(levels)
+
+    def build(i, rest, dim):
+        if (i, rest, dim) not in memo:
+            count, node = 0, []
+            for u in levels[i]:
+                left = dim - mults[i] * u
+                if u > rest or left < 0:
+                    break
+                c, sub = build(i + 1, rest - u, left) if i + 1 < len(levels) else (
+                    u == rest and not left, None)
+                c = c and c * options(i, u)
+                if c:
+                    count += c
+                    node.append((u, sub))
+            memo[i, rest, dim] = count, tuple(node)
+        return memo[i, rest, dim]
+
+    out = build(0, total, size)
+    del build  # it refers to itself: drop the cycle
+    return out
+
+
+def _leaves(tree) -> List[Tuple[int, ...]]:
+    """The weights a prefix tree holds, lex ascending."""
+    return [(u, *rest) for u, sub in tree for rest in (_leaves(sub) if sub else [()])]
 
 
 def _has_rows(shape: Shape, i: int, u: int) -> bool:
@@ -349,61 +358,88 @@ def _has_rows(shape: Shape, i: int, u: int) -> bool:
     return shape.m[i] == shape.n[i] and 0 < u < shape.n[i]
 
 
-def _family_size(shape: Shape, q: int, comps, allow_row: bool) -> int:
-    def options(i, u):
+# The code-independent half of every sweep, kept per process as isom._GL_CACHE
+# keeps the GL groups: each weight's family (_parts), each pool's subspace bases
+# and the binary tails' checks.  Entries are tuples that never change; a guard
+# reads the caller's cap on every call, and what it refuses is not stored.
+_TABLE: dict = {}
+
+
+def _parts(ctx: FieldContext, shape: Shape, variant: str, mu: int, cap: int, table: dict):
+    """(whether tails end it, prefix tree, levels) of each part of the weight-mu
+    family, kept in table: the products, then for variant "all" over F_2 the
+    head blocks of each tail dimension r, with r as the last level.  A part's
+    count is checked against cap when a walk reaches it, before any tail is
+    built.  Sweeps keep the parts in _TABLE; the flat path keeps its own."""
+    if variant not in ("product", "all", "support"):
+        raise UnknownChoice(f"unknown variant {variant!r}")
+    if type(mu) is not int:  # 2.0 == 2 and True == 1 would read another weight
+        raise DimNotAdmissible(f"weight {mu!r} is not an int")
+    key, q, allow_row = (ctx, shape, variant, mu), ctx.q, variant != "support"
+
+    def options(i, u):  # the weight-u supports of block i
         rows = gaussian_binomial(shape.m[i], u, q) if allow_row and _has_rows(shape, i, u) else 0
         return gaussian_binomial(shape.n[i], u, q) + rows
 
-    return sum(prod(options(i, u) for i, u in enumerate(comp)) for comp in comps)
+    entry = table.get(key)
+    if entry is None:
+        levels = tuple(range(n + 1) for n in shape.n)
+        entry = (*_tree(levels, mu, options), levels)
+    if entry[0] > cap:
+        raise EnumerationTooLarge(f"{entry[0]} anticodes at weight {mu} exceed cap {cap}")
+    table[key] = entry
+    yield False, entry[1], entry[2]
+    tails = entry[3:]
+    if not tails:  # the walk reaches the tails: count them and build their trees now
+        tails, k = (0, ()), shape.scalar_suffix_start()
+        t = shape.ell - k
+        if variant == "all" and q == 2 and t:
+            counts, parts = _tail_counts(q, t), []
+            for r in range(min(mu, t) + 1):
+                levels = tuple(range(n + 1) for n in shape.n[:k]) + ((r,),)
+                count, tree = _tree(
+                    levels, mu, lambda i, u: options(i, u) if i < k else counts[u] - comb(t, u)
+                )
+                parts += [(count, (True, tree, levels))] if tree else []
+            tails = (sum(c for c, _ in parts), tuple(part for _, part in parts))
+    if tails[0] > cap:
+        raise EnumerationTooLarge(f"{tails[0]} tail anticodes at weight {mu} exceed cap {cap}")
+    table[key] = entry[:3] + tails
+    yield from tails[1]
 
 
-def _family(
-    ctx: FieldContext, shape: Shape, mu: int, variant: str, cap: int, hamming
-) -> Iterator[Tuple[Optional[Subspace], List[Tuple[int, ...]]]]:
-    """(tail, block weights) of each part of the weight-mu family, in order.
+def _check_bases(ctx: FieldContext, n: int, d: int, cap: int) -> tuple:
+    """The RREF bases of the dim-d subspaces of F_q^n, as enumerate_subspaces gives them."""
+    bases = _TABLE.get((ctx, n, d))
+    if bases is None:
+        bases = _TABLE[ctx, n, d] = tuple(h.basis for h in enumerate_subspaces(ctx, n, d, cap))
+    elif len(bases) > cap:
+        raise EnumerationTooLarge(f"{len(bases)} subspaces exceed cap {cap}")
+    return bases
 
-    First the products (tail None); then, for variant "all" over F_2, each
-    binary tail with the weights of the head blocks before it.  The dim-r
-    coordinate spaces, comb(t, r) of them, duplicate plain products, so only
-    the genuinely non-product tails (some basis row of weight >= 2) come.
-    Each part's count is checked against cap when the walk first reaches it,
-    the tails' from _tail_counts before any is built.  hamming(ctx, t, r)
-    gives the dim-r tails: _optimal_tails or a caller's store of them.
-    """
-    if variant not in ("product", "all", "support"):
-        raise UnknownChoice(f"unknown variant {variant!r}")
-    comps = list(_compositions(shape.n, mu)) if 0 <= mu <= shape.ncols else []
-    total = _family_size(shape, ctx.q, comps, variant != "support")
-    if total > cap:
-        raise EnumerationTooLarge(f"{total} anticodes at weight {mu} exceed cap {cap}")
-    yield None, comps
-    k = shape.scalar_suffix_start()
-    if variant != "all" or ctx.q != 2 or k == shape.ell:
-        return
-    t = shape.ell - k
-    heads = [list(_compositions(shape.n[:k], mu - r)) for r in range(min(mu, t) + 1)]
-    counts = _tail_counts(ctx.q, t)
-    total = sum(
-        (counts[r] - comb(t, r)) * _family_size(shape, ctx.q, comps, True)
-        for r, comps in enumerate(heads)
-    )
-    if total > cap:
-        raise EnumerationTooLarge(f"{total} tail anticodes at weight {mu} exceed cap {cap}")
-    for r, comps in enumerate(heads):
-        if comps:
-            for w in hamming(ctx, t, r):
-                if any(sum(1 for x in row if x) > 1 for row in w.basis):
-                    yield w, comps
+
+def _tail_checks(ctx: FieldContext, t: int, r: int) -> tuple:
+    """The check bases of the non-product dim-r tails of F_q^t, from _TABLE."""
+    key = (ctx, "tails", t, r)
+    if key not in _TABLE:  # a tail whose rows are all unit vectors repeats a product
+        tails = [w for w in _optimal_tails(ctx, t, r) if max(map(sum, w.basis), default=0) > 1]
+        _TABLE[key] = tuple(w.orthogonal().basis for w in tails)
+    return _TABLE[key]
 
 
 def _descriptors(
     ctx: FieldContext, shape: Shape, mu: int, variant: str, cap: int
 ) -> Iterator[AnticodeDescriptor]:
-    """Every member of _family, block supports multiplied out in order;
-    the supports of each (block, weight) are built once per call."""
+    """Every member of the weight-mu family, block supports multiplied out
+    in order; the supports of each (block, weight) are built once per call."""
     pools: dict = {}
-    for tail, comps in _family(ctx, shape, mu, variant, cap, _optimal_tails):
-        for comp in comps:
+    for tail, tree, _ in _parts(ctx, shape, variant, mu, cap, {}):
+        comps, tails = _leaves(tree), [None]
+        if tail:  # each comp ends in the dimension r of the binary tails, as in _tail_checks
+            tails = _optimal_tails(ctx, shape.ell - shape.scalar_suffix_start(), comps[0][-1])
+            tails = [w for w in tails if max(map(sum, w.basis), default=0) > 1]
+            comps = [c[:-1] for c in comps]
+        for w, comp in iter_product(tails, comps):
             for i, u in enumerate(comp):
                 if (i, u) not in pools:
                     subs = enumerate_subspaces(ctx, shape.n[i], u, cap)
@@ -412,7 +448,7 @@ def _descriptors(
                         subs = enumerate_subspaces(ctx, shape.m[i], u, cap)
                         pools[i, u] += [BlockSupport("row", sub) for sub in subs]
             for combo in iter_product(*(pools[i, u] for i, u in enumerate(comp))):
-                yield AnticodeDescriptor(shape, ctx, combo, tail)
+                yield AnticodeDescriptor(shape, ctx, combo, w)
 
 
 def product_descriptors(

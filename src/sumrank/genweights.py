@@ -64,8 +64,8 @@ def gen_weight(
     The sweep cuts every prefix whose rank leaves the code fewer than r
     dimensions, and stops at the first member it reaches."""
     _check_variant_shape(code.shape, variant)
-    if not 1 <= r <= code.dim:
-        raise RankOutOfRange(f"r={r} outside 1..{code.dim}")
+    if type(r) is not int or not 1 <= r <= code.dim:  # True == 1 would read d_1
+        raise RankOutOfRange(f"r={r!r} outside 1..{code.dim}")
     return _weights(Meet(code), variant, cap, r, r)[0]
 
 

@@ -298,8 +298,8 @@ def r_msrd_check(code: LinearCode, r: int, cap: int = ANTICODE_CAP) -> bool:
     if code.dim == 0:
         raise TrivialCode("the zero code has no weights")
     ranks = admissible_ranks(shape, code.dim)
-    if r not in ranks:
-        raise RankOutOfRange(f"rank {r} is not tied to a column; valid: {sorted(ranks)}")
+    if type(r) is not int or r not in ranks:  # True == 1 would pass as a rank
+        raise RankOutOfRange(f"rank {r!r} is not tied to a column; valid: {sorted(ranks)}")
     h = ranks[r]
     k = shape.block_of_column(h)
     # d_r .. d_{r + m_k}: the rank itself, its run and the next rank's step

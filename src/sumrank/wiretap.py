@@ -11,8 +11,7 @@ reproduces it exactly.  Strictness of the shape is never assumed here.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .anticode import AnticodeDescriptor, BlockSupport, Meet
 # bench/selftest.py checks that the benchmark's tracer patches this site
@@ -28,6 +27,9 @@ from .errors import (
 )
 from .genweights import gen_weight, weight_profile
 from .matfq import MatrixFq, Subspace, _products, _row_kernel, rank_rows
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "canonical_complement",
@@ -97,8 +99,8 @@ def leakage_dim(code: LinearCode, taps: Sequence[Optional[MatrixFq]]) -> int:
 
 def worst_case_leakage(code: LinearCode, mu: int, cap: int = ANTICODE_CAP) -> int:
     """Max leakage over all tap profiles with mu links total."""
-    if not 0 <= mu <= code.shape.ncols:
-        raise ShapeMismatch(f"links {mu} outside 0..{code.shape.ncols}")
+    if type(mu) is not int or not 0 <= mu <= code.shape.ncols:
+        raise ShapeMismatch(f"links {mu!r} outside 0..{code.shape.ncols}")
     # each member the sweep yields beats every earlier one
     sweep = Meet(code.dual()).sweep(mu, "support", cap, floor=0)
     return max((t for t, _ in sweep), default=0)
@@ -164,6 +166,8 @@ def _exact_log_q(value: Fraction, q: int) -> int:
 
 def _entropy_q(counts: Dict, total: int, q: int) -> Fraction:
     """Base-q entropy of a count table, exact."""
+    from fractions import Fraction  # loads decimal's C module: only exact MI pays for it
+
     acc = Fraction(0)
     for c in counts.values():
         p = Fraction(c, total)

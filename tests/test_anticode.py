@@ -25,13 +25,14 @@ from sumrank import (
 )
 from sumrank.errors import (
     ClassificationNotApplicable,
+    DimNotAdmissible,
     EnumerationTooLarge,
     IllegalTranspose,
     ShapeMismatch,
     TrivialCode,
 )
 
-from sumrank.anticode import _optimal_tail, _optimal_tails, _tail_counts
+from sumrank.anticode import Meet, _optimal_tail, _optimal_tails, _tail_counts
 
 from helpers import F2, F3, F4, brute_optimal_tails, max_hamming_weight
 
@@ -317,6 +318,20 @@ def test_enumerate_rejects_nonstrict_and_bad_variant():
         list(enumerate_anticodes(F2, Shape((1,), (1,)), 1, variant="weird"))
     with pytest.raises(EnumerationTooLarge):
         list(enumerate_anticodes(F2, Shape((2, 2), (2, 2)), 2, cap=3))
+
+
+def test_weights_must_be_ints():
+    # 2.0 == 2 and True == 1: either would read another weight's family
+    shape = Shape((2, 2), (2, 1))
+    code = LinearCode(shape, F2, [(1, 0, 0, 1, 1, 0)])
+    list(Meet(code).sweep(1, "product"))  # a warm table: the refusal comes before any lookup
+    for mu in (1.5, 2.0, True):
+        with pytest.raises(DimNotAdmissible):
+            list(enumerate_anticodes(F2, shape, mu))
+        with pytest.raises(DimNotAdmissible):
+            list(product_descriptors(F2, shape, mu, allow_row=False))
+        with pytest.raises(DimNotAdmissible):
+            list(Meet(code).sweep(mu, "product"))
 
 
 def test_classification_round_trip():

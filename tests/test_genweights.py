@@ -161,20 +161,40 @@ def test_scalar_blocks_reduce_to_hamming_weights():
 
 def test_a_sweep_builds_the_binary_tails_once(monkeypatch):
     # a head block of two columns: each tail dimension r serves the weights
-    # r, r + 1 and r + 2, and is built once per Meet
+    # r, r + 1 and r + 2, and its tails are built once per field and shape;
+    # far's walk reaches every tail dimension near's does, so near builds none
     shape = Shape((2,) + (1,) * 5, (2,) + (1,) * 5)
-    code = random_code(random.Random(5), F2, shape, 5)
-    want = flat_weights(code, "all")
-    calls = []
-    build = anticode._optimal_tails
+    rng = random.Random(5)
+    near, far = (random_code(rng, F2, shape, 5) for _ in range(2))
+    wants = {code: flat_weights(code, "all") for code in (near, far)}
+    calls, reads = [], []
+    build, read = anticode._optimal_tails, anticode._tail_checks
 
     def counted(ctx, t, r):
         calls.append((t, r))
         return build(ctx, t, r)
 
+    def counted_read(ctx, t, r):
+        reads.append((t, r))
+        return read(ctx, t, r)
+
+    monkeypatch.setattr(anticode, "_TABLE", {})
     monkeypatch.setattr(anticode, "_optimal_tails", counted)
-    assert weight_profile(code, "all").weights == want
+    monkeypatch.setattr(anticode, "_tail_checks", counted_read)
+    assert weight_profile(far, "all").weights == wants[far]
     assert len(calls) > 1 and len(calls) == len(set(calls))
+    del calls[:], reads[:]
+    assert weight_profile(near, "all").weights == wants[near]
+    assert reads and not calls
+
+
+def test_ranks_must_be_ints():
+    # 2.0 == 2 and True == 1: either would read another rank's answer
+    code = random_code(random.Random(3), F2, Shape((3, 3), (3, 2)), 5)
+    weight_profile(code)  # a warm table: the refusal comes before any lookup
+    for r in (1.5, 2.0, True):
+        with pytest.raises(RankOutOfRange):
+            gen_weight(code, r)
 
 
 def test_hierarchy_shape_properties():

@@ -1,0 +1,60 @@
+"""Known answers from the Hamming specialization.
+
+On 1x1 blocks the product and support families are the coordinate spaces,
+so d_r is the generalized Hamming weight of Wei ("Generalized Hamming
+weights for linear codes", IEEE T-IT 37(5), 1991), and MSRD is MDS.
+"""
+
+from itertools import product as iter_product
+
+import pytest
+
+from sumrank import (
+    FieldContext,
+    LinearCode,
+    Shape,
+    msrd_check,
+    msrd_weight_profile,
+    wei_duality_check,
+    weight_profile,
+)
+
+from helpers import F2
+
+
+def _scalars(length):
+    return Shape((1,) * length, (1,) * length)
+
+
+def _simplex(k):
+    """The binary simplex code [2^k - 1, k]: every nonzero column of F_2^k."""
+    cols = [c for c in iter_product((0, 1), repeat=k) if any(c)]
+    return LinearCode(_scalars(len(cols)), F2, [tuple(c[i] for c in cols) for i in range(k)])
+
+
+@pytest.mark.parametrize("k,want", [(3, (4, 6, 7)), (4, (8, 12, 14, 15))])
+def test_simplex_codes_have_wei_weights(k, want):
+    # Wei: d_r = 2^k - 2^(k - r)
+    code = _simplex(k)
+    assert want == tuple(2**k - 2 ** (k - r) for r in range(1, k + 1))
+    for variant in ("product", "support"):
+        assert weight_profile(code, variant).weights == want
+
+
+def test_first_order_reed_muller_weights():
+    points = list(iter_product((0, 1), repeat=3))
+    rows = [(1,) * 8] + [tuple(p[i] for p in points) for i in range(3)]
+    code = LinearCode(_scalars(8), F2, rows)
+    assert weight_profile(code).weights == (4, 6, 7, 8)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_reed_solomon_codes_are_msrd(p):
+    # evaluations of the polynomials of degree below k at every point of F_p
+    ctx, shape = FieldContext(p, 1), _scalars(p)
+    for k in range(1, p + 1):
+        code = LinearCode(shape, ctx, [tuple(pow(a, j, p) for a in range(p)) for j in range(k)])
+        assert code.dim == k
+        assert msrd_check(code).is_msrd, k
+        assert weight_profile(code).weights == msrd_weight_profile(shape, k), k
+        wei_duality_check(code)

@@ -297,6 +297,8 @@ def test_rank_indexed_msrd():
     assert not r_msrd_check(split, 1)
     with pytest.raises(RankOutOfRange):
         r_msrd_check(companion, 2)
+    with pytest.raises(RankOutOfRange):  # True == 1 would pass as the rank
+        r_msrd_check(companion, True)
     full = LinearCode.full(Shape((2, 2), (1, 1)), F2)
     assert r_msrd_check(full, 1)
     assert r_msrd_check(full, 3)

@@ -26,7 +26,7 @@ from sumrank import (
     weight_profile,
     worst_case_leakage,
 )
-from sumrank import genweights
+from sumrank import anticode, genweights
 from sumrank.anticode import Meet, _anticode_bound_inverse
 from sumrank.errors import EnumerationTooLarge
 
@@ -235,14 +235,35 @@ REFUSAL_CASES = [c + (None,) for c in CASES if c[2].ell != 5] + [
     ("all", F2, Shape((2,) + (1,) * 7, (2,) + (1,) * 7), "350 tail anticodes at weight 3"),
 ]
 CAPS = (1, 2, 3, 4, 6, 9, 12, 20, 35, 60, 100, 200, 400)
-
-
-@pytest.mark.parametrize(
+refusal_cases = pytest.mark.parametrize(
     "variant,ctx,shape,tail_refusal",
     REFUSAL_CASES,
     ids=[f"{v}-q{c.q}-{s.m}x{s.n}" for v, c, s, _ in REFUSAL_CASES],
 )
-def test_refusals_match_the_flat_sweep(variant, ctx, shape, tail_refusal):
+
+
+@refusal_cases
+def test_refusals_match_the_flat_sweep(variant, ctx, shape, tail_refusal, monkeypatch):
+    monkeypatch.setattr(anticode, "_TABLE", {})
+    _check_refusals(variant, ctx, shape, tail_refusal)
+
+
+@refusal_cases
+def test_refusals_match_the_flat_sweep_on_a_warm_table(
+    variant, ctx, shape, tail_refusal, monkeypatch
+):
+    # a default-cap sweep of every weight keeps each part, pool and tail of
+    # the family; each guard must still refuse a small cap as on a cold table
+    monkeypatch.setattr(anticode, "_TABLE", {})
+    code = random_code(random.Random(9), ctx, shape, shape.ambient_dim // 2)
+    for mu in range(shape.ncols + 1):
+        for v in ("product", "all", "support") if shape.strict else ("support",):
+            list(Meet(code).sweep(mu, v))
+    assert len(anticode._TABLE) > shape.ncols
+    _check_refusals(variant, ctx, shape, tail_refusal)
+
+
+def _check_refusals(variant, ctx, shape, tail_refusal):
     rng = random.Random(5)
     n = shape.ambient_dim
     codes = [random_code(rng, ctx, shape, k) for k in (1, 2, n // 2)]

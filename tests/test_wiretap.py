@@ -21,6 +21,7 @@ from sumrank.errors import (
     AmbientMismatch,
     ContextMismatch,
     EnumerationTooLarge,
+    RankOutOfRange,
     ShapeMismatch,
 )
 
@@ -221,3 +222,14 @@ def test_scenario_guards():
         worst_case_leakage(code, shape.ncols + 1)
     with pytest.raises(EnumerationTooLarge):
         empirical_mi(WiretapScenario(code, good), cap=4)
+
+
+def test_links_and_ranks_must_be_ints():
+    # 2.0 == 2 and True == 1: either would read another weight's answer
+    code = random_code(random.Random(3), F2, Shape((3, 3), (3, 2)), 5)
+    threshold_table(code)  # a warm table: the refusal comes before any lookup
+    for bad in (1.5, 2.0, True):
+        with pytest.raises(ShapeMismatch):
+            worst_case_leakage(code, bad)
+        with pytest.raises(RankOutOfRange):
+            leakage_threshold(code, bad)
