@@ -358,10 +358,11 @@ def _has_rows(shape: Shape, i: int, u: int) -> bool:
     return shape.m[i] == shape.n[i] and 0 < u < shape.n[i]
 
 
-# The code-independent half of every sweep, kept per process as isom._GL_CACHE
-# keeps the GL groups: each weight's family (_parts), each pool's subspace bases
-# and the binary tails' checks.  Entries are tuples that never change; a guard
-# reads the caller's cap on every call, and what it refuses is not stored.
+# The code-independent half of every sweep, kept as isom._GL_CACHE keeps the GL
+# groups: each weight's family (_parts), each pool's subspace bases (up to the
+# caller's cap of them) and the binary tails' checks.  Entries are tuples that
+# never change, and none is evicted: the table grows for the life of the process.
+# A guard reads the caller's cap on every call; what it refuses is not stored.
 _TABLE: dict = {}
 
 
@@ -421,10 +422,14 @@ def _check_bases(ctx: FieldContext, n: int, d: int, cap: int) -> tuple:
 def _tail_checks(ctx: FieldContext, t: int, r: int) -> tuple:
     """The check bases of the non-product dim-r tails of F_q^t, from _TABLE."""
     key = (ctx, "tails", t, r)
-    if key not in _TABLE:  # a tail whose rows are all unit vectors repeats a product
-        tails = [w for w in _optimal_tails(ctx, t, r) if max(map(sum, w.basis), default=0) > 1]
-        _TABLE[key] = tuple(w.orthogonal().basis for w in tails)
+    if key not in _TABLE:
+        _TABLE[key] = tuple(w.orthogonal().basis for w in _nonproduct_tails(ctx, t, r))
     return _TABLE[key]
+
+
+def _nonproduct_tails(ctx: FieldContext, t: int, r: int) -> List[Subspace]:
+    """The dim-r optimal tails of F_q^t whose rows are not all unit vectors (products)."""
+    return [w for w in _optimal_tails(ctx, t, r) if max(map(sum, w.basis), default=0) > 1]
 
 
 def _descriptors(
@@ -433,11 +438,10 @@ def _descriptors(
     """Every member of the weight-mu family, block supports multiplied out
     in order; the supports of each (block, weight) are built once per call."""
     pools: dict = {}
-    for tail, tree, _ in _parts(ctx, shape, variant, mu, cap, {}):
+    for tail, tree, levels in _parts(ctx, shape, variant, mu, cap, {}):
         comps, tails = _leaves(tree), [None]
-        if tail:  # each comp ends in the dimension r of the binary tails, as in _tail_checks
-            tails = _optimal_tails(ctx, shape.ell - shape.scalar_suffix_start(), comps[0][-1])
-            tails = [w for w in tails if max(map(sum, w.basis), default=0) > 1]
+        if tail:  # the last level is the dimension r of tails on the blocks after the head
+            tails = _nonproduct_tails(ctx, shape.ell - len(levels) + 1, comps[0][-1])
             comps = [c[:-1] for c in comps]
         for w, comp in iter_product(tails, comps):
             for i, u in enumerate(comp):

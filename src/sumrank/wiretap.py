@@ -11,7 +11,8 @@ reproduces it exactly.  Strictness of the shape is never assumed here.
 from __future__ import annotations
 
 from collections import Counter
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from fractions import Fraction
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .anticode import AnticodeDescriptor, BlockSupport, Meet
 # bench/selftest.py checks that the benchmark's tracer patches this site
@@ -27,9 +28,6 @@ from .errors import (
 )
 from .genweights import gen_weight, weight_profile
 from .matfq import MatrixFq, Subspace, _products, _row_kernel, rank_rows
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 __all__ = [
     "canonical_complement",
@@ -166,8 +164,6 @@ def _exact_log_q(value: Fraction, q: int) -> int:
 
 def _entropy_q(counts: Dict, total: int, q: int) -> Fraction:
     """Base-q entropy of a count table, exact."""
-    from fractions import Fraction  # loads decimal's C module: only exact MI pays for it
-
     acc = Fraction(0)
     for c in counts.values():
         p = Fraction(c, total)
