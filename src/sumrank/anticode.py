@@ -255,35 +255,39 @@ class Meet:
         shape, kdim = self.code.shape, self.code.dim
         kinds = ("col",) if variant == "support" else ("col", "row")
         extend = self._kernel.echelon
-
-        def descend(i, tree, basis, prefix):
-            nonlocal floor
-            for u, sub in tree:
-                weights = prefix + (u,)
-                pools = [self._pool(i, u, kind, cap) for kind in (kinds if sub else ends)]
-                for pairs, rows in chain.from_iterable(pools):
+        for tail, tree, levels in _parts(self.code.ctx, shape, variant, mu, cap, _TABLE):
+            ends = ("tail",) if tail else kinds
+            if size is not None:  # only the weights of members of that dimension
+                mults = shape.m[: len(levels) - 1] + (1,) if tail else shape.m
+                tree = _tree(levels, mu, lambda i, u: 1, mults, size)[1]
+            # the level walked: its (u, subtree) left, the members of u left, u and
+            # its subtree, its prefix echelon and weights; above holds each level above
+            steps, members, u, sub, basis, prefix, above = iter(tree), (), None, None, [], (), []
+            while True:
+                for pairs, rows in members:
                     if floor is not None and kdim - len(basis) <= floor:
-                        return
+                        steps = members = iter(())  # cut: the level is done
+                        break
                     echelon = extend(rows, kdim, basis) if basis else pairs
                     t = kdim - len(echelon)
                     if floor is not None and t <= floor:
                         continue
-                    if sub:
-                        yield from descend(i + 1, sub, echelon, weights)
-                        continue
+                    if sub:  # walk the subtree, then come back for this level's next member
+                        above.append((steps, members, u, sub, basis, prefix))
+                        steps, members, basis, prefix = iter(sub), (), echelon, prefix + (u,)
+                        break
                     if floor is not None:
                         floor = t
-                    yield t, weights
-
-        try:
-            for tail, tree, levels in _parts(self.code.ctx, shape, variant, mu, cap, _TABLE):
-                ends = ("tail",) if tail else kinds
-                if size is not None:  # only the weights of members of that dimension
-                    mults = shape.m[: len(levels) - 1] + (1,) if tail else shape.m
-                    tree = _tree(levels, mu, lambda i, u: 1, mults, size)[1]
-                yield from descend(0, tree, [], ())
-        finally:
-            del descend  # it refers to itself: drop the cycle so the walk's state is freed now
+                    yield t, prefix + (u,)
+                else:  # this weight's members are done: on to the next, or up
+                    u, sub = next(steps, (None, None))
+                    if u is not None:
+                        members = chain.from_iterable(
+                            [self._pool(len(prefix), u, k, cap) for k in (kinds if sub else ends)])
+                    elif not above:
+                        break
+                    else:
+                        steps, members, u, sub, basis, prefix = above.pop()
 
     def _pool(self, i: int, u: int, kind: str, cap: int) -> list:
         """(echelon, its rows) of the columns G·h for each weight-u support
@@ -323,34 +327,43 @@ def _tree(levels, total: int, options, mults=None, size: int = 0) -> Tuple[int, 
     (ascending), sum u_i = total and, given mults, sum mults[i] * u_i = size.
     The tree is ((u_0, subtree), ...), None under the last level, with one
     shared subtree per (level, rest of total and of size).  A weight counts
-    prod options(i, u_i) members; one counting none is left out."""
-    memo: dict = {}
-    mults = mults or [0] * len(levels)
-
-    def build(i, rest, dim):
-        if (i, rest, dim) not in memo:
+    prod options(i, u_i) members; one counting none is left out.  Built from
+    the last level up, over the states the levels above reach."""
+    mults, seen = mults or [0] * len(levels), [{(total, size)}]
+    for lv, m in zip(levels, mults):  # the states (rest of total, rest of size) each level sees
+        seen.append({(r - u, d - m * u) for r, d in seen[-1] for u in lv if u <= r and m * u <= d})
+    below = {(0, 0): (1, None)}  # state -> (count, subtree), past the last level
+    for i in reversed(range(len(levels))):
+        here, mult, opts = {}, mults[i], {u: options(i, u) for u in levels[i] if u <= total}
+        for rest, dim in seen[i]:
             count, node = 0, []
             for u in levels[i]:
-                left = dim - mults[i] * u
-                if u > rest or left < 0:
+                if u > rest or dim < mult * u:
                     break
-                c, sub = build(i + 1, rest - u, left) if i + 1 < len(levels) else (
-                    u == rest and not left, None)
-                c = c and c * options(i, u)
-                if c:
-                    count += c
+                c, sub = below.get((rest - u, dim - mult * u), (0, None))
+                if c * opts[u]:
+                    count += c * opts[u]
                     node.append((u, sub))
-            memo[i, rest, dim] = count, tuple(node)
-        return memo[i, rest, dim]
-
-    out = build(0, total, size)
-    del build  # it refers to itself: drop the cycle
-    return out
+            if count:
+                here[rest, dim] = count, tuple(node)
+        below = here
+    return below.get((total, size), (0, ()))
 
 
 def _leaves(tree) -> List[Tuple[int, ...]]:
-    """The weights a prefix tree holds, lex ascending."""
-    return [(u, *rest) for u, sub in tree for rest in (_leaves(sub) if sub else [()])]
+    """The weights a prefix tree holds, lex ascending, walked one iterator per level."""
+    out, prefix, stack = [], [], [iter(tree)]
+    while stack:
+        u, sub = next(stack[-1], (None, None))
+        del prefix[len(stack) - 1 :]
+        if u is None:
+            stack.pop()
+        elif sub is None:
+            out.append((*prefix, u))
+        else:
+            prefix.append(u)
+            stack.append(iter(sub))
+    return out
 
 
 def _has_rows(shape: Shape, i: int, u: int) -> bool:
@@ -511,24 +524,23 @@ def _optimal_tails(ctx: FieldContext, t: int, r: int) -> Iterator[Subspace]:
     row by row, so each row takes no spill (least), then one spill column,
     the last column first."""
     spare = range(t - 1, -1, -1) if ctx.q == 2 else ()
-
-    def spills(pivots, i, odd):
-        # odd: the columns hit an odd number of times so far; each later row
-        # evens at most one, right of its pivot
-        if len(odd) > r - i or odd and min(odd) < pivots[i]:
-            return
-        if i == r:
-            yield ()
-            return
-        p = pivots[i]
-        for j in (None, *(j for j in spare if j > p and j not in pivots)):
-            for rest in spills(pivots, i + 1, odd if j is None else odd ^ {j}):
-                yield (j, *rest)
-
     for pivots in combinations(range(t), r):
-        for spill in spills(pivots, 0, frozenset()):
+        for spill in _spills(pivots, spare, 0, frozenset()):
             rows = [tuple(int(c in (p, j)) for c in range(t)) for p, j in zip(pivots, spill)]
             yield Subspace._from_rref(ctx, t, rows, pivots)
+
+
+def _spills(pivots, spare, i, odd) -> Iterator[tuple]:
+    """The spill columns (None: none) of rows i on of an optimal tail with these pivots;
+    odd holds the columns hit an odd number of times, each later row evens one."""
+    if len(odd) > len(pivots) - i or odd and min(odd) < pivots[i]:
+        return
+    if i == len(pivots):
+        yield ()
+        return
+    for j in (None, *(j for j in spare if j > pivots[i] and j not in pivots)):
+        for rest in _spills(pivots, spare, i + 1, odd if j is None else odd ^ {j}):
+            yield (j, *rest)
 
 
 def _tail_counts(q: int, t: int) -> List[int]:

@@ -13,8 +13,9 @@ at once.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import reduce
-from itertools import islice
+from itertools import accumulate, islice
 from operator import mul, or_
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -22,7 +23,6 @@ from .errors import (
     AmbientMismatch,
     ContextMismatch,
     EnumerationTooLarge,
-    InvariantViolation,
     ShapeMismatch,
     TrivialCode,
     UnknownChoice,
@@ -97,12 +97,7 @@ class Shape:
 
     def block_offsets(self) -> Tuple[int, ...]:
         """Flat offsets of each block in the flattened coordinate order."""
-        out = []
-        acc = 0
-        for a, b in zip(self.m, self.n):
-            out.append(acc)
-            acc += a * b
-        return tuple(out)
+        return tuple(accumulate(map(mul, self.m, self.n), initial=0))[:-1]
 
     def lines(self, i: int, kind: str) -> List[range]:
         """The flat coordinates of block i, one range per line: each block row
@@ -122,23 +117,13 @@ class Shape:
         raise UnknownChoice(f"unknown line kind {kind!r}")
 
     def column_offsets(self) -> Tuple[int, ...]:
-        out = []
-        acc = 0
-        for b in self.n:
-            out.append(acc)
-            acc += b
-        return tuple(out)
+        return tuple(accumulate(self.n, initial=0))[:-1]
 
     def block_of_column(self, col: int) -> int:
         """Block index (0-based) holding the global column col (1-based)."""
         if not 1 <= col <= self.ncols:
             raise ShapeMismatch(f"column {col} out of range")
-        acc = 0
-        for i, b in enumerate(self.n):
-            acc += b
-            if col <= acc:
-                return i
-        raise InvariantViolation("the column total must reach ncols")
+        return bisect_left(tuple(accumulate(self.n)), col)  # the first block reaching col
 
     def scalar_suffix_start(self) -> int:
         """Number of leading blocks with m_i > 1 (strict shapes only)."""

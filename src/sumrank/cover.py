@@ -92,23 +92,23 @@ def covering_number(mats: Sequence[MatrixFq]) -> CoverResult:
     pattern = sorted(first_witness)
     rows = sorted({r for r, _ in pattern})
     adj = {r: [c for rr, c in pattern if rr == r] for r in rows}
-    match_col = {}
-
-    def try_assign(r: int, seen: set) -> bool:
-        for c in adj[r]:
-            if c in seen:
-                continue
-            seen.add(c)
-            if c not in match_col or try_assign(match_col[c], seen):
-                match_col[c] = r
-                return True
-        return False
-
+    match_col: dict = {}
     for r in rows:
-        try_assign(r, set())
+        _augment(adj, match_col, r, set())
     pivots = tuple(sorted((r, c) for c, r in match_col.items()))
     witnesses = tuple(first_witness[p] for p in pivots)
     return CoverResult(len(pivots), pivots, witnesses)
+
+
+def _augment(adj: dict, match_col: dict, r: int, seen: set) -> bool:
+    """Match row r by an augmenting path avoiding the columns seen, as deep as the matching."""
+    for c in adj[r]:
+        if c not in seen:
+            seen.add(c)
+            if c not in match_col or _augment(adj, match_col, match_col[c], seen):
+                match_col[c] = r
+                return True
+    return False
 
 
 @_record
@@ -185,8 +185,7 @@ class CosetWitness:
 
 
 def _single_block_matrices(v: LinearCode) -> List[MatrixFq]:
-    if v.shape.ell != 1:
-        raise ShapeMismatch("expected a single-block code")
+    """The basis of v as matrices; every caller has checked v with _coset_block."""
     return [t.blocks[0] for t in v.basis_tuples()]
 
 

@@ -161,16 +161,15 @@ class SingularFactor(UsageError, ValueError):
     """An isometry factor that is not invertible."""
 
 
-def _record(cls=None, *, frozen: bool = True):
-    """Class decorator: the record ``dataclass(frozen=frozen)`` would make,
+def _record(cls):
+    """Class decorator: the record ``dataclass(frozen=True)`` would make,
     without importing ``dataclasses``, whose ``inspect`` and ``ast`` cost a
     CLI process milliseconds.  The fields are the class's own annotations, a
     class attribute being a field's default.  ``__init__``, ``__eq__`` and
     ``__hash__`` are compiled, as dataclass's are, so they run as fast.  A
-    mutable record is unhashable; a method the class defines itself stays.
+    ``__post_init__`` sets a field through ``object.__setattr__``; a method
+    the class defines itself stays.
     """
-    if cls is None:
-        return lambda c: _record(c, frozen=frozen)
     names = tuple(cls.__dict__.get("__annotations__", ()))
     own = "".join(f"self.{name}, " for name in names)
     body = "".join(f"\n    _set(self, {name!r}, {name})" for name in names)
@@ -186,17 +185,12 @@ def _record(cls=None, *, frozen: bool = True):
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    methods = {"__repr__": __repr__}
+    methods = {"__repr__": __repr__, "__setattr__": __setattr__, "__delattr__": __delattr__}
     exec(f"def __init__(self, {', '.join(names)}):{body}\n"
          f"def __eq__(self, other):\n    return ({own}) == ({own.replace('self.', 'other.')})"
          " if other.__class__ is self.__class__ else NotImplemented\n"
          f"def __hash__(self):\n    return hash(({own}))\n", {"_set": object.__setattr__}, methods)
     methods["__init__"].__defaults__ = tuple(cls.__dict__[n] for n in names if n in cls.__dict__)
-    if frozen:
-        methods.update(__setattr__=__setattr__, __delattr__=__delattr__)
-    else:
-        del methods["__hash__"]
-        cls.__hash__ = cls.__dict__.get("__hash__")
     for name, method in methods.items():
         if name not in cls.__dict__:
             method.__qualname__ = f"{cls.__qualname__}.{name}"

@@ -138,14 +138,15 @@ def wei_duality_check(code: LinearCode, cap: int = ANTICODE_CAP) -> dict:
 
     For each residue r in [m], the dual's weight set on the residue class
     of r must be the complement in [n] of the reflected weight set of the
-    code on the class of r + dim(code).  Raises InvariantViolation on any
-    failure; returns the sets for inspection.
+    code on the class of r + dim(code).  Refuses a dual too large to build,
+    as msrd_check does; raises InvariantViolation on failure; returns the sets.
     """
     shape = code.shape
     m = shape.m[0]
     if any(mi != m for mi in shape.m):
         raise UnequalRowDims("weight duality needs equal row dimensions")
     n = shape.ncols
+    code.check_dual_size()
     dual = code.dual()
     primal_w = weight_profile(code, "product", cap).weights
     dual_w = weight_profile(dual, "product", cap).weights

@@ -317,17 +317,17 @@ def _invertible_points(ctx, kernel, blocks, space, bound, first_only, memo):
     for lines in blocks:
         for line in lines:
             done_at[bisect_left(ends, line.stop)].append((len(lines), lines[0].start, line.stop))
-    add, depth = xor if ctx.p == 2 else ctx.add, len(space)
-    scaled: list = [None] * depth  # row i's multiples, formed when the walk first reaches i
+    add, depth, q = xor if ctx.p == 2 else ctx.add, len(space), ctx.q
+    steps: list = [None] * depth  # row i's multiples c = q - 1, ..., 1, formed when first reached
     found: List[Tuple[int, ...]] = []
-
-    def visit(i, vec, tied) -> bool:
-        # coordinates below ends[i] are fixed; True stops the whole walk
-        if tied:
+    # the siblings left to walk, each (level, parent's vector, step to add, tied)
+    stack, i, vec, tied = [], 0, (0,) * total, bound is not None
+    while True:
+        if tied:  # coordinates below ends[i] are fixed
             lo = ends[i - 1] if i else 0
             seg, ref = vec[lo : ends[i]], bound[lo : ends[i]]
             if seg > ref:
-                return True
+                return found
             tied = seg == ref
         for m, start, end in done_at[i]:
             key = (m, vec[start:end])
@@ -335,22 +335,25 @@ def _invertible_points(ctx, kernel, blocks, space, bound, first_only, memo):
                 rows = [kernel.pack(key[1][t : t + m]) for t in range(0, end - start, m)]
                 memo[key] = len(kernel.echelon(rows, m)) == len(rows)
             if not memo[key]:
-                return False
-        if i == depth:
-            if tied:
-                return True
+                break
+        else:  # every block fixed so far is invertible
+            if i < depth:
+                if steps[i] is None:  # c = 1 adds the row itself
+                    row = space[i]
+                    steps[i] = [*(vec_scale(ctx, c, row) for c in range(q - 1, 1, -1)), row]
+                for step in steps[i]:
+                    stack.append((i + 1, vec, step, tied))
+                i += 1  # c = 0 first, which adds nothing
+                continue
+            if tied:  # vec is bound itself
+                return found
             found.append(vec)
-            return first_only
-        if scaled[i] is None:  # c = 0 adds nothing, c = 1 adds the row itself
-            scaled[i] = [None, space[i]] + [vec_scale(ctx, c, space[i]) for c in range(2, ctx.q)]
-        for step in scaled[i]:
-            if visit(i + 1, vec if step is None else tuple(map(add, vec, step)), tied):
-                return True
-        return False
-
-    visit(0, (0,) * total, bound is not None)
-    del visit  # it refers to itself: drop the cycle so the walk's state is freed now
-    return found
+            if first_only:
+                return found
+        if not stack:
+            return found
+        i, vec, step, tied = stack.pop()
+        vec = tuple(map(add, vec, step))
 
 
 def _blocks(flat: Tuple[int, ...], blocks) -> list:

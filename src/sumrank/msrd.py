@@ -111,7 +111,12 @@ def admissible_ranks(shape: Shape, dim: int) -> Dict[int, int]:
 
 def msrd_weight_profile(shape: Shape, dim: int) -> Tuple[int, ...]:
     """Closed-form weights of an MSRD code of the given dimension:
-    d_r = min{h : r(h) >= N - dim + r}."""
+    d_r = min{h : r(h) >= N - dim + r}.
+
+    The closed form is the product family's: it fails for "all" over F_2 with
+    trailing 1x1 blocks, where the binary parity codes of length 3 to 5, all
+    MSRD, have weights (2, 2), (2, 2, 4) and (2, 2, 4, 4).
+    """
     h = d_max_for_dim(shape, dim)  # r(h - 1) = N - dim, so every d_r >= h
     weights = []
     for need in range(shape.ambient_dim - dim + 1, shape.ambient_dim + 1):

@@ -104,7 +104,7 @@ def worst_case_leakage(code: LinearCode, mu: int, cap: int = ANTICODE_CAP) -> in
     return max((t for t, _ in sweep), default=0)
 
 
-@_record(frozen=False)
+@_record
 class WiretapScenario:
     """A code, a complementary message space, and per-block tap matrices."""
 
@@ -113,10 +113,10 @@ class WiretapScenario:
     message_space: Optional[LinearCode] = None
 
     def __post_init__(self):
-        self.taps = tuple(self.taps)
+        object.__setattr__(self, "taps", tuple(self.taps))
         _tap_supports(self.code, self.taps)
         if self.message_space is None:
-            self.message_space = canonical_complement(self.code)
+            object.__setattr__(self, "message_space", canonical_complement(self.code))
         else:
             msg = self.message_space
             if msg.shape != self.code.shape or msg.ctx != self.code.ctx:

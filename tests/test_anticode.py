@@ -22,6 +22,7 @@ from sumrank import (
     r_mu,
     staircase_profile,
     support_product,
+    weight_profile,
 )
 from sumrank.errors import (
     ClassificationNotApplicable,
@@ -308,6 +309,18 @@ def test_enumerate_all_adds_binary_tails():
     assert len(list(enumerate_anticodes(F2, shape, 3, variant="all"))) == len(
         list(enumerate_anticodes(F2, shape, 3, variant="product"))
     )
+
+
+def test_a_shape_of_1500_blocks_has_no_depth_limit():
+    # the family tree, the sweep and the flat walk are loops: none recurses
+    # once per block, as they did until 1,000 blocks raised RecursionError
+    shape = Shape((1,) * 1500, (1,) * 1500)
+    code = LinearCode(shape, F2, [(1,) + (0,) * 1499])
+    for variant in ("product", "all", "support"):
+        assert weight_profile(code, variant).weights == (1,)
+    members = list(enumerate_anticodes(F2, shape, 1))
+    assert len(members) == 1500
+    assert members[-1].blocks[0].space.dim == 1
 
 
 def test_enumerate_rejects_nonstrict_and_bad_variant():

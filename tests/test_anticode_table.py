@@ -16,9 +16,15 @@ import pytest
 
 from sumrank import (
     LinearCode,
+    MatrixFq,
     Shape,
+    covering_number,
+    enumerate_anticodes,
+    equivalent_codes,
     gen_weight,
+    meshulam_search,
     msrd_check,
+    random_isometry,
     threshold_table,
     weight_profile,
     worst_case_leakage,
@@ -181,10 +187,16 @@ def test_entries_match_an_independent_build(cold, ctx, shape):
 
 
 def test_sweeps_leave_no_reference_cycles():
-    # the walk is a nested generator that refers to itself; it must drop that
-    # reference when it ends or is closed, so nothing waits for the collector
-    code = random_code(random.Random(5), F2, Shape((3, 3), (3, 2)), 5)
+    # every walk is a loop or a module-level function, never a nested function
+    # that refers to itself, so whether it ends or is closed, nothing waits
+    # for the collector; the binary tails, the matching and the GL point walk
+    # each left such a cycle once
+    rng = random.Random(5)
+    code = random_code(rng, F2, Shape((3, 3), (3, 2)), 5)
     assert code.dim == 5
+    mats = [MatrixFq(F2, rows) for rows in ([[1, 0], [0, 0]], [[0, 1], [1, 0]], [[0, 0], [1, 1]])]
+    small = random_code(rng, F2, Shape((2, 1), (2, 1)), 2)
+    image = random_isometry(F2, small.shape, rng).apply_code(small)
     calls = {
         "weight_profile": lambda: weight_profile(code),
         "gen_weight": lambda: gen_weight(code, 2),
@@ -192,6 +204,10 @@ def test_sweeps_leave_no_reference_cycles():
         "threshold_table": lambda: threshold_table(code),
         "worst_case_leakage": lambda: worst_case_leakage(code, 2),
         "a sweep dropped after its first item": lambda: next(Meet(code).sweep(2, "product")),
+        "covering_number": lambda: covering_number(mats),
+        "meshulam_search": lambda: meshulam_search(MatrixFq.zero(F2, 2, 2), mats),
+        "binary tails": lambda: list(enumerate_anticodes(F2, Shape((2, 1, 1, 1), (2, 1, 1, 1)), 2, "all")),
+        "equivalent_codes": lambda: equivalent_codes(small, image),
     }
     for call in calls.values():
         call()

@@ -5,6 +5,7 @@ because the test modules have imported every submodule already.  Here each
 subcommand runs in a new interpreter, as ``python -m sumrank.cli``.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -127,3 +128,31 @@ def test_a_malformed_payload_loads_no_sweep_module(tmp_path, sub):
     argv = [sub, bad, bad][: 3 if sub == "equiv" else 2]
     loaded = _loaded(_MAIN, *argv)
     assert "sumrank.cli" in loaded and not loaded & {f"sumrank.{name}" for name in LAZY}
+
+
+# the F_2 dim-1 code [1, 0, ..., 0] on 1,500 1x1 blocks: a sweep as deep as
+# the blocks, which raised RecursionError while the walks recursed per block
+DEEP = LinearCode(Shape((1,) * 1500, (1,) * 1500), F2, [(1,) + (0,) * 1499]).to_dict()
+DEEP_CASES = [
+    (["gweights"], {"variant": "product", "dim": 1, "weights": [1]}),
+    (["gweights", "--variant", "all"], {"variant": "all", "dim": 1, "weights": [1]}),
+    (["gweights", "--variant", "support"], {"variant": "support", "dim": 1, "weights": [1]}),
+    (["gweights", "--variant", "support", "--oracle"], {"variant": "support", "dim": 1, "weights": [1]}),
+    (["dist"], {"distance": 1, "method": "anticode"}),
+    (["anticode"], None),
+]
+
+
+@pytest.mark.parametrize("argv,want", DEEP_CASES, ids=[" ".join(c[0]) for c in DEEP_CASES])
+def test_a_payload_of_1500_blocks_sweeps_without_a_depth_limit(tmp_path, argv, want):
+    path = _write(tmp_path, "deep.json", DEEP)
+    proc = _python("-m", "sumrank.cli", argv[0], path, *argv[1:])
+    assert proc.returncode == 0 and b"Traceback" not in proc.stderr, proc.stderr.decode()[-2000:]
+    out = json.loads(proc.stdout)
+    assert out == want if want is not None else (out["is_optimal"], out["dim"]) == (True, 1)
+
+
+def test_msrd_refuses_the_dual_of_a_payload_of_1500_blocks(tmp_path):
+    proc = _python("-m", "sumrank.cli", "msrd", _write(tmp_path, "deep.json", DEEP))
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr == b"error: dual basis of 2248500 entries exceeds cap 1000000\n"

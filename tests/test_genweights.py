@@ -1,6 +1,11 @@
 """Generalized weight hierarchies, duality of weight sets, expansions."""
 
+import os
 import random
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -273,6 +278,33 @@ def test_weight_set_duality_on_equal_rows():
     mixed = LinearCode(Shape((2, 1), (1, 1)), F2, [(1, 0, 1)])
     with pytest.raises(UnequalRowDims):
         wei_duality_check(mixed)
+
+
+_VAST_DUALITY = """
+from sumrank import FieldContext, LinearCode, Shape, wei_duality_check
+from sumrank.errors import EnumerationTooLarge
+shape = Shape((1,) * 100000, (1,) * 100000)
+code = LinearCode(shape, FieldContext(2, 1), [(1,) + (0,) * 99999])
+try:
+    wei_duality_check(code)
+except EnumerationTooLarge as exc:
+    print(exc)
+"""
+
+
+def test_weight_set_duality_refuses_a_vast_dual_before_building_it():
+    # the F_2 dim-1 code on 10^5 1x1 blocks: its dual basis has about 10^10
+    # entries, which raised MemoryError within 1 GB of address space
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _VAST_DUALITY], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), preexec_fn=cap_memory, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr[-2000:]
+    assert proc.stdout == "dual basis of 9999900000 entries exceeds cap 1000000\n"
 
 
 def test_extension_and_embedding():

@@ -2,7 +2,9 @@
 
 On 1x1 blocks the product and support families are the coordinate spaces,
 so d_r is the generalized Hamming weight of Wei ("Generalized Hamming
-weights for linear codes", IEEE T-IT 37(5), 1991), and MSRD is MDS.
+weights for linear codes", IEEE T-IT 37(5), 1991), and MSRD is MDS.  The
+closed-form MSRD weights hold in the product family, not in "all" over
+F_2; and a col-support product has its staircase profile as weights.
 """
 
 from itertools import product as iter_product
@@ -15,11 +17,13 @@ from sumrank import (
     Shape,
     msrd_check,
     msrd_weight_profile,
+    product_descriptors,
+    staircase_profile,
     wei_duality_check,
     weight_profile,
 )
 
-from helpers import F2
+from helpers import F2, F3
 
 
 def _scalars(length):
@@ -58,3 +62,45 @@ def test_reed_solomon_codes_are_msrd(p):
         assert msrd_check(code).is_msrd, k
         assert weight_profile(code).weights == msrd_weight_profile(shape, k), k
         wei_duality_check(code)
+
+
+@pytest.mark.parametrize("k", [1, 2, 6, 7, 12, 13])
+def test_reed_solomon_codes_over_f13_are_msrd(k):
+    # a spread of k: every k of the [13, k] codes takes seconds
+    ctx, shape = FieldContext(13, 1), _scalars(13)
+    code = LinearCode(shape, ctx, [tuple(pow(a, j, 13) for a in range(13)) for j in range(k)])
+    assert msrd_check(code).is_msrd
+    assert weight_profile(code).weights == msrd_weight_profile(shape, k) == tuple(range(14 - k, 14))
+    wei_duality_check(code)
+
+
+@pytest.mark.parametrize(
+    "length,product,every", [(3, (2, 3), (2, 2)), (4, (2, 3, 4), (2, 2, 4)), (5, (2, 3, 4, 5), (2, 2, 4, 4))]
+)
+def test_parity_codes_meet_the_closed_form_in_the_product_family_only(length, product, every):
+    # the even-weight code is MDS, so MSRD, and its product weights are the
+    # closed form; it is itself an optimal binary tail, so under "all" it
+    # meets anticodes of lower weight
+    rows = [tuple(int(j in (i, length - 1)) for j in range(length)) for i in range(length - 1)]
+    code, shape = LinearCode(_scalars(length), F2, rows), _scalars(length)
+    assert msrd_check(code).is_msrd
+    assert weight_profile(code).weights == msrd_weight_profile(shape, length - 1) == product
+    assert weight_profile(code, "all").weights == every
+
+
+def test_staircase_profiles_are_the_weights_of_col_support_products():
+    # every member of the col-support family, at every weight, as a code
+    seen = 0
+    for ctx, m, n in [
+        (F2, (3, 2), (3, 2)),
+        (F3, (2, 2), (2, 1)),
+        (F2, (2, 1, 1), (2, 1, 1)),
+        (F2, (3, 3, 2), (2, 2, 1)),
+    ]:
+        shape = Shape(m, n)
+        for mu in range(shape.ncols + 1):
+            for desc in product_descriptors(ctx, shape, mu, allow_row=False):
+                u = tuple(blk.space.dim for blk in desc.blocks)
+                assert weight_profile(desc.materialize()).weights == staircase_profile(shape, u)
+                seen += 1
+    assert seen == 162

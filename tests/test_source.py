@@ -140,3 +140,27 @@ def test_no_module_imports_dataclasses():
                 continue
             found += [f"{path.name}:{node.lineno}" for m in modules if m == "dataclasses"]
     assert not found, f"dataclasses imported: {found}"
+
+
+def test_no_nested_function_calls_itself():
+    # a nested function that calls itself holds itself in its closure: a
+    # reference cycle left for the collector, and one stack frame per level,
+    # so a walk as deep as a payload's block count raised RecursionError;
+    # walks are loops, and a recursion of small depth is a module function
+    found = []
+    for path in sorted(Path(sumrank.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for outer in ast.walk(tree):
+            if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            for inner in ast.walk(outer):
+                if inner is outer or not isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                found += [
+                    f"{path.name}:{node.lineno} {inner.name}"
+                    for node in ast.walk(inner)
+                    if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == inner.name
+                ]
+    assert not found, f"nested functions that call themselves: {found}"
