@@ -312,8 +312,8 @@ def test_enumerate_all_adds_binary_tails():
 
 
 def test_a_shape_of_1500_blocks_has_no_depth_limit():
-    # the family tree, the sweep and the flat walk are loops: none recurses
-    # once per block, as they did until 1,000 blocks raised RecursionError
+    # the family tree, the sweep and the flat walk are loops with no depth
+    # limit; a recursion per block raised RecursionError at about 1,000 blocks
     shape = Shape((1,) * 1500, (1,) * 1500)
     code = LinearCode(shape, F2, [(1,) + (0,) * 1499])
     for variant in ("product", "all", "support"):

@@ -189,8 +189,8 @@ def test_entries_match_an_independent_build(cold, ctx, shape):
 def test_sweeps_leave_no_reference_cycles():
     # every walk is a loop or a module-level function, never a nested function
     # that refers to itself, so whether it ends or is closed, nothing waits
-    # for the collector; the binary tails, the matching and the GL point walk
-    # each left such a cycle once
+    # for the collector (a self-calling closure in the binary tails or the
+    # matching left 5 or 8 cyclic objects per call)
     rng = random.Random(5)
     code = random_code(rng, F2, Shape((3, 3), (3, 2)), 5)
     assert code.dim == 5

@@ -82,7 +82,8 @@ def test_parity_codes_meet_the_closed_form_in_the_product_family_only(length, pr
     # closed form; it is itself an optimal binary tail, so under "all" it
     # meets anticodes of lower weight
     rows = [tuple(int(j in (i, length - 1)) for j in range(length)) for i in range(length - 1)]
-    code, shape = LinearCode(_scalars(length), F2, rows), _scalars(length)
+    shape = _scalars(length)
+    code = LinearCode(shape, F2, rows)
     assert msrd_check(code).is_msrd
     assert weight_profile(code).weights == msrd_weight_profile(shape, length - 1) == product
     assert weight_profile(code, "all").weights == every
