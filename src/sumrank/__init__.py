@@ -17,9 +17,9 @@ __version__ = "0.1.0"
 # home submodule of every public name
 _EXPORTS = {
     "anticode": (
-        "AnticodeDescriptor", "BlockSupport", "anticode_dual", "enumerate_anticodes",
-        "is_optimal_anticode", "max_srk_generates", "product_descriptors",
-        "staircase_profile",
+        "VARIANTS", "AnticodeDescriptor", "BlockSupport", "anticode_dual",
+        "enumerate_anticodes", "is_optimal_anticode", "max_srk_generates",
+        "product_descriptors", "staircase_profile",
     ),
     "code": ("ANTICODE_CAP", "DIST_CAP", "LinearCode", "MatrixTuple", "Shape"),
     "cover": (
@@ -28,7 +28,7 @@ _EXPORTS = {
     ),
     "errors": ("InvariantViolation", "SearchExhausted", "SumrankError", "UsageError"),
     "genweights": (
-        "VARIANTS", "GammaBasis", "WeightProfile", "extension_context", "gamma_expand",
+        "GammaBasis", "WeightProfile", "extension_context", "gamma_expand",
         "gen_weight", "subfield_embedding", "wei_duality_check", "weight_profile",
     ),
     "gf": ("MAX_ORDER", "FieldContext", "field_from_dict"),

@@ -47,7 +47,11 @@ __all__ = [
     "max_srk_generates",
     "product_descriptors",
     "staircase_profile",
+    "VARIANTS",
 ]
+
+# the anticode families: every door that takes a variant refuses through _check_variant
+VARIANTS = ("product", "all", "support")
 
 
 @_record
@@ -241,16 +245,15 @@ class Meet:
     ) -> Iterator[Tuple[int, Tuple[int, ...]]]:
         """(dim(C ∩ A), weights) for the members A of weight mu of a family.
 
-        variant is "product", "all" or "support", the families of
-        enumerate_anticodes and of product_descriptors without row
-        supports; weights holds the support dimension of each block, or
-        for a binary tail member of each head block and then the tail.
+        variant is one of VARIANTS, the families of enumerate_anticodes;
+        weights holds the support dimension of each block, or for a binary
+        tail member of each head block and then the tail.
         Without a floor every member is yielded.  With one, only members
         whose meet beats the floor are, and each raises the floor to its
         meet; a subtree is cut once dim C minus its prefix rank is at most
         the floor.  size keeps only members of that dimension.  The family
-        is checked against cap where product_descriptors and
-        enumerate_anticodes check it, with the same count and message.
+        is checked against cap where enumerate_anticodes checks it, with
+        the same count and message.
         """
         shape, kdim = self.code.shape, self.code.dim
         kinds = ("col",) if variant == "support" else ("col", "row")
@@ -366,6 +369,14 @@ def _leaves(tree) -> List[Tuple[int, ...]]:
     return out
 
 
+def _check_variant(shape: Shape, variant: str) -> None:
+    """Refuse an unknown family, and "product" or "all" off a strict shape."""
+    if variant not in VARIANTS:
+        raise UnknownChoice(f"unknown variant {variant!r}")
+    if variant != "support" and not shape.strict:
+        raise ShapeMismatch(f"variant {variant!r} needs a strict shape")
+
+
 def _has_rows(shape: Shape, i: int, u: int) -> bool:
     """Whether block i has weight-u row supports besides its col supports."""
     return shape.m[i] == shape.n[i] and 0 < u < shape.n[i]
@@ -385,14 +396,13 @@ def _parts(ctx: FieldContext, shape: Shape, variant: str, mu: int, cap: int, tab
     head blocks of each tail dimension r, with r as the last level.  A part's
     count is checked against cap when a walk reaches it, before any tail is
     built.  Sweeps keep the parts in _TABLE; the flat path keeps its own."""
-    if variant not in ("product", "all", "support"):
-        raise UnknownChoice(f"unknown variant {variant!r}")
+    _check_variant(shape, variant)
     if type(mu) is not int:  # 2.0 == 2 and True == 1 would read another weight
         raise DimNotAdmissible(f"weight {mu!r} is not an int")
-    key, q, allow_row = (ctx, shape, variant, mu), ctx.q, variant != "support"
+    key, q, with_rows = (ctx, shape, variant, mu), ctx.q, variant != "support"
 
     def options(i, u):  # the weight-u supports of block i
-        rows = gaussian_binomial(shape.m[i], u, q) if allow_row and _has_rows(shape, i, u) else 0
+        rows = gaussian_binomial(shape.m[i], u, q) if with_rows and _has_rows(shape, i, u) else 0
         return gaussian_binomial(shape.n[i], u, q) + rows
 
     entry = table.get(key)
@@ -443,46 +453,6 @@ def _tail_checks(ctx: FieldContext, t: int, r: int) -> tuple:
 def _nonproduct_tails(ctx: FieldContext, t: int, r: int) -> List[Subspace]:
     """The dim-r optimal tails of F_q^t whose rows are not all unit vectors (products)."""
     return [w for w in _optimal_tails(ctx, t, r) if max(map(sum, w.basis), default=0) > 1]
-
-
-def _descriptors(
-    ctx: FieldContext, shape: Shape, mu: int, variant: str, cap: int
-) -> Iterator[AnticodeDescriptor]:
-    """Every member of the weight-mu family, block supports multiplied out
-    in order; the supports of each (block, weight) are built once per call."""
-    pools: dict = {}
-    for tail, tree, levels in _parts(ctx, shape, variant, mu, cap, {}):
-        comps, tails = _leaves(tree), [None]
-        if tail:  # the last level is the dimension r of tails on the blocks after the head
-            tails = _nonproduct_tails(ctx, shape.ell - len(levels) + 1, comps[0][-1])
-            comps = [c[:-1] for c in comps]
-        for w, comp in iter_product(tails, comps):
-            for i, u in enumerate(comp):
-                if (i, u) not in pools:
-                    subs = enumerate_subspaces(ctx, shape.n[i], u, cap)
-                    pools[i, u] = [BlockSupport("col", sub) for sub in subs]
-                    if variant != "support" and _has_rows(shape, i, u):
-                        subs = enumerate_subspaces(ctx, shape.m[i], u, cap)
-                        pools[i, u] += [BlockSupport("row", sub) for sub in subs]
-            for combo in iter_product(*(pools[i, u] for i, u in enumerate(comp))):
-                yield AnticodeDescriptor(shape, ctx, combo, w)
-
-
-def product_descriptors(
-    ctx: FieldContext,
-    shape: Shape,
-    mu: int,
-    allow_row: bool = True,
-    cap: int = ANTICODE_CAP,
-) -> Iterator[AnticodeDescriptor]:
-    """Product anticodes of maximum weight mu, every block a support space.
-
-    With allow_row the square blocks contribute both support families;
-    without it the enumeration is the support-space family, which is also
-    defined on non-strict shapes.  Sweeps walk the family through
-    Meet.sweep instead; this serves the CLI oracle and the tests.
-    """
-    yield from _descriptors(ctx, shape, mu, "product" if allow_row else "support", cap)
 
 
 def _optimal_tail(tail: Subspace) -> bool:
@@ -569,17 +539,39 @@ def enumerate_anticodes(
     variant: str = "product",
     cap: int = ANTICODE_CAP,
 ) -> Iterator[AnticodeDescriptor]:
-    """Optimal anticodes of maximum sum-rank mu, in a deterministic order.
+    """Anticodes of maximum sum-rank mu from one family, in a deterministic order.
 
     variant "product" walks the per-block support products; "all" adds,
     over F_2, the trailing-scalar subspaces with dimension equal to their
-    maximum weight, deduplicating against the products they may repeat.
+    maximum weight that are no product; "support" walks the col support
+    products, the one family also defined on non-strict shapes.  Block
+    supports multiply out in order, those of each (block, weight) built
+    once per call.  Sweeps walk a family through Meet.sweep instead; this
+    serves the CLI oracle and the tests.
     """
-    if not shape.strict:
-        raise ShapeMismatch("anticode families are defined on strict shapes")
-    if variant not in ("product", "all"):
-        raise UnknownChoice(f"unknown variant {variant!r}")
-    yield from _descriptors(ctx, shape, mu, variant, cap)
+    pools: dict = {}
+    for tail, tree, levels in _parts(ctx, shape, variant, mu, cap, {}):
+        comps, tails = _leaves(tree), [None]
+        if tail:  # the last level is the dimension r of tails on the blocks after the head
+            tails = _nonproduct_tails(ctx, shape.ell - len(levels) + 1, comps[0][-1])
+            comps = [c[:-1] for c in comps]
+        for w, comp in iter_product(tails, comps):
+            for i, u in enumerate(comp):
+                if (i, u) not in pools:
+                    subs = enumerate_subspaces(ctx, shape.n[i], u, cap)
+                    pools[i, u] = [BlockSupport("col", sub) for sub in subs]
+                    if variant != "support" and _has_rows(shape, i, u):
+                        subs = enumerate_subspaces(ctx, shape.m[i], u, cap)
+                        pools[i, u] += [BlockSupport("row", sub) for sub in subs]
+            for combo in iter_product(*(pools[i, u] for i, u in enumerate(comp))):
+                yield AnticodeDescriptor(shape, ctx, combo, w)
+
+
+def product_descriptors(
+    ctx: FieldContext, shape: Shape, mu: int, cap: int = ANTICODE_CAP
+) -> Iterator[AnticodeDescriptor]:
+    """The product family of weight mu, as enumerate_anticodes(..., "product")."""
+    yield from enumerate_anticodes(ctx, shape, mu, "product", cap)
 
 
 def is_optimal_anticode(code: LinearCode) -> Tuple[bool, Optional[AnticodeDescriptor]]:

@@ -143,16 +143,12 @@ def _cmd_dual(config: RunConfig) -> dict:
 
 def _flat_weights(code: LinearCode, variant: str, caps: dict) -> list:
     """d_1..d_k in one pass of Meet.dim over every member of the flat family."""
-    from .anticode import Meet, enumerate_anticodes, product_descriptors
+    from .anticode import Meet, enumerate_anticodes
     meet, weights = Meet(code), []
     for mu in range(1, code.shape.ncols + 1):
         if len(weights) == code.dim:
             break
-        if variant == "support":
-            family = product_descriptors(code.ctx, code.shape, mu, allow_row=False, **caps)
-        else:
-            family = enumerate_anticodes(code.ctx, code.shape, mu, variant, **caps)
-        for desc in family:
+        for desc in enumerate_anticodes(code.ctx, code.shape, mu, variant, **caps):
             weights += [mu] * (meet.dim(desc) - len(weights))
             if len(weights) == code.dim:
                 break

@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
-from .anticode import Meet
+from .anticode import VARIANTS, Meet, _check_variant
 # bench/selftest.py checks that the benchmark's tracer patches these sites
 from .anticode import enumerate_anticodes, product_descriptors  # noqa: F401
 from .code import ANTICODE_CAP, LinearCode, MatrixTuple, Shape
@@ -47,14 +47,6 @@ __all__ = [
     "VARIANTS",
 ]
 
-VARIANTS = ("product", "all", "support")
-
-
-def _check_variant_shape(shape: Shape, variant: str) -> None:
-    if variant in ("product", "all") and not shape.strict:
-        raise ShapeMismatch(f"variant {variant!r} needs a strict shape")
-
-
 def gen_weight(
     code: LinearCode, r: int, variant: str = "product", cap: int = ANTICODE_CAP
 ) -> int:
@@ -63,7 +55,7 @@ def gen_weight(
 
     The sweep cuts every prefix whose rank leaves the code fewer than r
     dimensions, and stops at the first member it reaches."""
-    _check_variant_shape(code.shape, variant)
+    _check_variant(code.shape, variant)
     if type(r) is not int or not 1 <= r <= code.dim:  # True == 1 would read d_1
         raise RankOutOfRange(f"r={r!r} outside 1..{code.dim}")
     return _weights(Meet(code), variant, cap, r, r)[0]
@@ -118,7 +110,7 @@ def weight_profile(
     code: LinearCode, variant: str = "product", cap: int = ANTICODE_CAP
 ) -> WeightProfile:
     """All generalized weights d_1..d_k in one shared walk over the family."""
-    _check_variant_shape(code.shape, variant)
+    _check_variant(code.shape, variant)
     kdim = code.dim
     weights = _weights(Meet(code), variant, cap, 1, kdim) if kdim else []
     return WeightProfile(variant, kdim, code.shape.ncols, tuple(weights))

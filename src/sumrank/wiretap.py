@@ -106,27 +106,18 @@ def worst_case_leakage(code: LinearCode, mu: int, cap: int = ANTICODE_CAP) -> in
 
 @_record
 class WiretapScenario:
-    """A code, a complementary message space, and per-block tap matrices."""
+    """A code and per-block tap matrices.
+
+    The message is uniform on a complement of the code; which complement
+    does not change I(M; W), so empirical_mi builds the canonical one.
+    """
 
     code: LinearCode
     taps: Tuple[Optional[MatrixFq], ...]
-    message_space: Optional[LinearCode] = None
 
     def __post_init__(self):
         object.__setattr__(self, "taps", tuple(self.taps))
         _tap_supports(self.code, self.taps)
-        if self.message_space is None:
-            object.__setattr__(self, "message_space", canonical_complement(self.code))
-        else:
-            msg = self.message_space
-            if msg.shape != self.code.shape or msg.ctx != self.code.ctx:
-                raise ShapeMismatch("message space lives in a different ambient")
-            ambient = self.code.ambient_dim
-            if (
-                msg.dim + self.code.dim != ambient
-                or rank_rows(msg.rows + self.code.rows, ambient, msg.ctx) != ambient
-            ):
-                raise ShapeMismatch("message space must complement the code")
 
     @property
     def tapped_links(self) -> int:
@@ -172,7 +163,8 @@ def _entropy_q(counts: Dict, total: int, q: int) -> Fraction:
 
 
 def empirical_mi(scenario: WiretapScenario, cap: int = MI_CAP) -> int:
-    """Exhaustive I_q(M; W) over all message-codeword pairs.
+    """Exhaustive I_q(M; W) over all message-codeword pairs, the message
+    uniform on canonical_complement(code).
 
     Every distribution that appears is uniform on a q-power support, so
     the entropies are exact integers and the result matches leakage_dim.
@@ -180,12 +172,9 @@ def empirical_mi(scenario: WiretapScenario, cap: int = MI_CAP) -> int:
     code = scenario.code
     ctx = code.ctx
     q = ctx.q
-    msg = scenario.message_space
-    if msg is None:
-        raise InvariantViolation("a scenario always holds a message space")
-    pairs = q**code.ambient_dim
-    if pairs > cap:
-        raise EnumerationTooLarge(f"{pairs} pairs exceed cap {cap}")
+    if q**code.ambient_dim > cap:
+        raise EnumerationTooLarge(f"{q}**{code.ambient_dim} pairs exceed cap {cap}")
+    msg = canonical_complement(code)
     observed_code = [scenario.observe_flat(c) for c in code.iter_flat(include_zero=True)]
     observed_msg = [scenario.observe_flat(m) for m in msg.iter_flat(include_zero=True)]
     width = len(observed_msg[0])  # the zero message is always there

@@ -5,7 +5,9 @@ is reproducible from its literal seed.  The oracles here deliberately
 avoid the library's theorem-backed code paths: they enumerate.
 """
 
+import math
 import random
+from collections import Counter
 from functools import lru_cache, reduce
 from itertools import combinations, product as iter_product
 from typing import List, Optional, Sequence, Tuple
@@ -20,7 +22,6 @@ from sumrank import (
     admissible_permutations,
     dim_decomposition,
     enumerate_anticodes,
-    product_descriptors,
     r_mu,
     singleton_distance_bound,
 )
@@ -148,6 +149,33 @@ def span_vectors(
                 nxt.add(tuple(ctx.add(a, b) for a, b in zip(w, scaled)))
         out = nxt
     return frozenset(out)
+
+
+def brute_mi(scenario, messages: Sequence[Sequence[int]]) -> int:
+    """I_q(M; W) in base-q symbols, M uniform on the span of messages and
+    the noise uniform on the scenario's code: every (message, codeword)
+    pair is sent once and its view counted through observe_flat."""
+    code = scenario.code
+    ctx, width = code.ctx, code.ambient_dim
+    space = span_vectors(ctx, messages, width)
+    noise = span_vectors(ctx, code.rows, width)
+    joint = Counter(
+        (m, scenario.observe_flat([ctx.add(a, b) for a, b in zip(m, c)]))
+        for m in space
+        for c in noise
+    )
+    views: Counter = Counter()
+    for (_, w), count in joint.items():
+        views[w] += count
+    # p(m, w) / (p(m) p(w)) = count * |messages| / views[w]
+    total = len(space) * len(noise)
+    value = sum(
+        count / total * math.log(count * len(space) / views[w], ctx.q)
+        for (_, w), count in joint.items()
+    )
+    if abs(value - round(value)) > 1e-9:
+        raise AssertionError(f"mutual information {value} is not an integer")
+    return round(value)
 
 
 def list_meet(code: LinearCode, desc) -> int:
@@ -393,8 +421,6 @@ FAMILY_CAP = 10**6
 
 
 def flat_family(ctx, shape, mu, variant, cap=FAMILY_CAP):
-    if variant == "support":
-        return product_descriptors(ctx, shape, mu, allow_row=False, cap=cap)
     return enumerate_anticodes(ctx, shape, mu, variant, cap)
 
 

@@ -12,10 +12,12 @@ from sumrank import (
     LinearCode,
     Shape,
     Subspace,
+    VARIANTS,
     anticode_dual,
     enumerate_anticodes,
     enumerate_subspaces,
     gaussian_binomial,
+    gen_weight,
     is_optimal_anticode,
     max_srk_generates,
     product_descriptors,
@@ -31,6 +33,7 @@ from sumrank.errors import (
     IllegalTranspose,
     ShapeMismatch,
     TrivialCode,
+    UnknownChoice,
 )
 
 from sumrank.anticode import Meet, _optimal_tail, _optimal_tails, _tail_counts
@@ -284,10 +287,7 @@ def test_family_order_is_pinned():
     ]
     for ctx, shape, variant in cases:
         for mu in range(shape.ncols + 1):
-            if variant == "support":
-                got = list(product_descriptors(ctx, shape, mu, allow_row=False))
-            else:
-                got = list(enumerate_anticodes(ctx, shape, mu, variant))
+            got = list(enumerate_anticodes(ctx, shape, mu, variant))
             want = _reference_descriptors(
                 ctx, shape, mu, variant != "support", variant == "all"
             )
@@ -333,6 +333,31 @@ def test_enumerate_rejects_nonstrict_and_bad_variant():
         list(enumerate_anticodes(F2, Shape((2, 2), (2, 2)), 2, cap=3))
 
 
+def test_every_door_checks_the_family_one_way():
+    # "support" on any shape, "product" and "all" on strict shapes only
+    loose = Shape((1, 2), (1, 2), strict=False)
+    code = LinearCode(loose, F2, [(1, 0, 0, 0, 0)])
+    doors = [
+        lambda v: list(enumerate_anticodes(F2, loose, 1, v)),
+        lambda v: list(Meet(code).sweep(1, v)),
+        lambda v: gen_weight(code, 1, v),
+        lambda v: weight_profile(code, v),
+        lambda v: weight_profile(LinearCode(loose, F2, []), v),  # the zero code sweeps nothing
+    ]
+    for door in doors:
+        for variant in ("product", "all"):
+            with pytest.raises(ShapeMismatch, match=f"^variant '{variant}' needs a strict shape$"):
+                door(variant)
+        with pytest.raises(UnknownChoice, match="^unknown variant 'weird'$"):
+            door("weird")
+        door("support")
+    with pytest.raises(ShapeMismatch, match="^variant 'product' needs a strict shape$"):
+        list(product_descriptors(F2, loose, 1))
+    # a col support of dimension one: the whole first block, or a line of the second
+    assert len(list(enumerate_anticodes(F2, loose, 1, "support"))) == 4
+    assert VARIANTS == ("product", "all", "support")
+
+
 def test_weights_must_be_ints():
     # 2.0 == 2 and True == 1: either would read another weight's family
     shape = Shape((2, 2), (2, 1))
@@ -342,7 +367,7 @@ def test_weights_must_be_ints():
         with pytest.raises(DimNotAdmissible):
             list(enumerate_anticodes(F2, shape, mu))
         with pytest.raises(DimNotAdmissible):
-            list(product_descriptors(F2, shape, mu, allow_row=False))
+            list(enumerate_anticodes(F2, shape, mu, "support"))
         with pytest.raises(DimNotAdmissible):
             list(Meet(code).sweep(mu, "product"))
 
@@ -407,6 +432,32 @@ def test_anticode_dual_of_products_on_many_binary_blocks():
     for desc in tailed:
         with pytest.raises(ClassificationNotApplicable, match="does not factor"):
             anticode_dual(desc)
+
+
+def test_descriptors_that_carry_a_tail():
+    # the classification returns a tail for every F_2 code with trailing 1x1
+    # blocks; a tail of unit rows dualizes block by block, any other refuses
+    for shape, counts in [
+        (Shape((2, 1, 1, 1), (2, 1, 1, 1)), (71, 63, 8)),
+        (Shape((1,) * 5, (1,) * 5), (72, 31, 41)),
+    ]:
+        tailed = unit = refused = 0
+        for mu in range(shape.ncols + 1):
+            for member in enumerate_anticodes(F2, shape, mu, "all"):
+                ok, desc = is_optimal_anticode(member.materialize())
+                assert ok and desc.materialize() == member.materialize()
+                if desc.tail is None:
+                    continue
+                tailed += 1
+                assert AnticodeDescriptor.from_dict(desc.to_dict(), shape, F2) == desc
+                if all(sum(row) == 1 for row in desc.tail.basis):
+                    unit += 1
+                    assert anticode_dual(desc).materialize() == desc.materialize().dual()
+                else:
+                    refused += 1
+                    with pytest.raises(ClassificationNotApplicable, match="does not factor"):
+                        anticode_dual(desc)
+        assert (tailed, unit, refused) == counts
 
 
 def test_classification_decides_above_the_scan_guard():

@@ -520,3 +520,85 @@ def test_reports_are_byte_stable(tmp_path, capsys):
         first = _run(argv, capsys)
         second = _run(argv, capsys)
         assert first == second and first[0] == 0
+
+
+def test_anticode_reports_a_binary_tail(tmp_path, capsys):
+    # the code is its even-weight tail on the three trailing 1x1 blocks
+    shape = Shape((2, 1, 1, 1), (2, 1, 1, 1))
+    code = LinearCode(shape, F2, [(0,) * 4 + (1, 1, 0), (0,) * 5 + (1, 1)])
+    path = _write(tmp_path, "tail.json", code.to_dict())
+    status, out, err = _run(["anticode", path, "--oracle"], capsys)
+    assert (status, err) == (0, "")
+    assert json.loads(out) == {
+        "is_optimal": True,
+        "dim": 2,
+        "descriptor": {
+            "blocks": [{"kind": "col", "L": []}],
+            "tail": {"basis": [[1, 0, 1], [0, 1, 1]]},
+        },
+    }
+
+
+DIAG_2X2 = {
+    "field": {"p": 2, "e": 1},
+    "shape": {"m": [2], "n": [2]},
+    "basis": [[[[1, 0], [0, 0]]], [[[0, 0], [0, 1]]]],
+}
+
+
+@pytest.mark.parametrize(
+    "argv,payloads,table",
+    [
+        # a threshold list is a scalar-list row
+        (
+            ["leak", "{0}", "{1}", "--oracle"],
+            [IDENTITY_CODE, {"field": {"p": 2, "e": 1}, "taps": [[[1], [0]]]}],
+            ["leak_symbols     1", "threshold_table  1 2 2"],
+        ),
+        # nested pivots go through json.dumps
+        (
+            ["rho", "{0}"],
+            [COVER_MATS],
+            ["rho        2", "pivots: [[1, 2], [2, 1]]", "witnesses  1 2"],
+        ),
+        # a non-optimal code has no descriptor
+        (
+            ["anticode", "{0}"],
+            [DIAG_2X2],
+            ["is_optimal  false", "dim         2", "descriptor  -"],
+        ),
+        # the full space has no dual distance, and c3 does not apply to it
+        (
+            ["msrd", "{0}"],
+            [LinearCode.full(Shape((2, 1), (2, 1)), F2).to_dict()],
+            [
+                "dim             5",
+                "distance        1",
+                "distance_bound  1",
+                "block           0",
+                "delta           0",
+                "remainder       0",
+                "is_msrd         true",
+                "criteria:",
+                "  c0             true",
+                "  c1             true",
+                "  c2             true",
+                "  c3             -",
+                "  column_window  true",
+                "equal_rows      false",
+                "dual_distance   -",
+            ],
+        ),
+        # a single-rank report falls back to the generic table
+        (
+            ["gweights", "{0}", "--r", "2"],
+            [FULL_2X2],
+            ["variant  product", "r        2", "weight   1"],
+        ),
+    ],
+    ids=["leak", "rho", "anticode", "msrd", "gweights-r"],
+)
+def test_table_rows_are_pinned(tmp_path, capsys, argv, payloads, table):
+    paths = [_write(tmp_path, f"p{i}.json", p) for i, p in enumerate(payloads)]
+    argv = [arg.format(*paths) for arg in argv] + ["--format", "table"]
+    assert _run(argv, capsys) == (0, "\n".join(table) + "\n", "")

@@ -1,11 +1,14 @@
 """Field arithmetic: exhaustive axioms at desk scale, table sanity,
 modulus selection against an independent irreducibility scan."""
 
+import random
+from functools import reduce
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sumrank import FieldContext, field_from_dict
+from sumrank import FieldContext, Subspace, field_from_dict
 from sumrank.errors import (
     ContextMismatch,
     DivideByZero,
@@ -51,6 +54,28 @@ def test_neg_and_sub_tables_match_digits(p, e):
         assert ctx.neg(a) == _undigits([-d % p for d in da], p)
         for b, db in enumerate(digits):
             assert ctx.sub(a, b) == _undigits([(x - y) % p for x, y in zip(da, db)], p)
+
+
+@pytest.mark.parametrize("p,e", [(3, 6), (5, 4), (7, 3)])
+def test_odd_extensions_above_the_table_bound(p, e):
+    # odd p, e > 1, q > 256: no add or neg table, so add, neg and sub run on
+    # base-p digits
+    ctx = FieldContext(p, e)
+    assert ctx.q > 256 and ctx._neg_table is None
+    rng = random.Random(ctx.q)
+    for _ in range(3000):
+        a, b, c = (rng.randrange(ctx.q) for _ in range(3))
+        assert ctx.add(a, ctx.neg(a)) == 0
+        assert ctx.sub(ctx.add(a, b), b) == a
+        assert ctx.mul(a, ctx.add(b, c)) == ctx.add(ctx.mul(a, b), ctx.mul(a, c))
+        if a:
+            assert ctx.mul(a, ctx.inv(a)) == 1
+    space = Subspace(ctx, 5, [[rng.randrange(ctx.q) for _ in range(5)] for _ in range(2)])
+    dual = space.orthogonal()
+    assert space.dim == 2 and dual.dim == 3
+    for u in space.basis:
+        for v in dual.basis:
+            assert reduce(ctx.add, map(ctx.mul, u, v)) == 0
 
 
 @pytest.mark.parametrize("p,e", BIGGER)

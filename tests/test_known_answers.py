@@ -15,9 +15,9 @@ from sumrank import (
     FieldContext,
     LinearCode,
     Shape,
+    enumerate_anticodes,
     msrd_check,
     msrd_weight_profile,
-    product_descriptors,
     staircase_profile,
     wei_duality_check,
     weight_profile,
@@ -100,7 +100,7 @@ def test_staircase_profiles_are_the_weights_of_col_support_products():
     ]:
         shape = Shape(m, n)
         for mu in range(shape.ncols + 1):
-            for desc in product_descriptors(ctx, shape, mu, allow_row=False):
+            for desc in enumerate_anticodes(ctx, shape, mu, "support"):
                 u = tuple(blk.space.dim for blk in desc.blocks)
                 assert weight_profile(desc.materialize()).weights == staircase_profile(shape, u)
                 seen += 1

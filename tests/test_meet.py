@@ -54,8 +54,6 @@ FAMILIES = [
 
 
 def _family(variant, ctx, shape, mu):
-    if variant == "support":
-        return product_descriptors(ctx, shape, mu, allow_row=False)
     return enumerate_anticodes(ctx, shape, mu, variant)
 
 

@@ -47,7 +47,7 @@ CASES = [
     (CoverResult, (2, ((1, 1), (2, 2)), (0, 1)), 0),
     (MeshulamResult, ((1, 0, 1), 2, 2), 0),
     (CosetWitness, (MatrixFq(F3, [[1, 2]]), 1, "random"), 0),
-    (WiretapScenario, (CODE, (MatrixFq(F2, [[1], [0]]), None), None), 1),
+    (WiretapScenario, (CODE, (MatrixFq(F2, [[1], [0]]), None)), 0),
 ]
 IDS = [cls.__name__ for cls, _, _ in CASES]
 

@@ -17,6 +17,7 @@ from sumrank import (
     weight_profile,
     worst_case_leakage,
 )
+from sumrank import wiretap
 from sumrank.errors import (
     AmbientMismatch,
     ContextMismatch,
@@ -25,7 +26,7 @@ from sumrank.errors import (
     ShapeMismatch,
 )
 
-from helpers import F2, F3, random_code, random_matrix, random_shape
+from helpers import F2, F3, brute_mi, random_code, random_matrix, random_shape
 
 
 def _random_taps(rng, ctx, shape, none_chance=0.25):
@@ -134,8 +135,10 @@ def test_mi_does_not_depend_on_the_complement():
     ]
     alt = LinearCode(shape, F2, shifted)
     assert alt.dim == base.dim and alt.intersect(code).dim == 0
-    reference = empirical_mi(WiretapScenario(code, taps))
-    assert empirical_mi(WiretapScenario(code, taps, message_space=alt)) == reference
+    scenario = WiretapScenario(code, taps)
+    reference = empirical_mi(scenario)
+    assert brute_mi(scenario, alt.rows) == reference
+    assert brute_mi(scenario, base.rows) == reference
     assert reference == leakage_dim(code, taps)
 
 
@@ -211,17 +214,21 @@ def test_scenario_guards():
     with pytest.raises(ContextMismatch):
         WiretapScenario(code, (MatrixFq.identity(F3, 2), None))
     with pytest.raises(ShapeMismatch):
-        WiretapScenario(code, good, message_space=code)
-    short = LinearCode(shape, F2, [(0, 0, 0, 0, 1)])
-    with pytest.raises(ShapeMismatch):
-        WiretapScenario(code, good, message_space=short)
-    other_shape = LinearCode(Shape((2,), (2,)), F2, [(1, 0, 0, 1)])
-    with pytest.raises(ShapeMismatch):
-        WiretapScenario(code, good, message_space=other_shape)
-    with pytest.raises(ShapeMismatch):
         worst_case_leakage(code, shape.ncols + 1)
-    with pytest.raises(EnumerationTooLarge):
+    with pytest.raises(EnumerationTooLarge, match=r"^2\*\*5 pairs exceed cap 4$"):
         empirical_mi(WiretapScenario(code, good), cap=4)
+
+
+def test_a_vast_scenario_builds_no_complement(monkeypatch):
+    # the scenario holds only the code and the taps, and empirical_mi refuses
+    # 2**15000 pairs, a number past int-to-str's 4,300 digits, by its power
+    # before it builds the complement
+    monkeypatch.setattr(wiretap, "canonical_complement", None)
+    shape = Shape((1,) * 15000, (1,) * 15000)
+    code = LinearCode(shape, F2, [(1,) + (0,) * 14999])
+    scenario = WiretapScenario(code, (None,) * 15000)
+    with pytest.raises(EnumerationTooLarge, match=r"^2\*\*15000 pairs exceed cap 1048576$"):
+        empirical_mi(scenario)
 
 
 def test_links_and_ranks_must_be_ints():
