@@ -3,8 +3,12 @@
 Prints the dual support-weight thresholds, then the worst-case leakage
 as a function of the number of tapped links, and finally spot-checks the
 dual-intersection formula against exhaustive mutual information on a few
-random tap profiles.  Exits 1 if any spot check disagrees, or if the
-worst-case leakage at some mu is not the number of thresholds at most mu.
+random tap profiles.  threshold_table and worst_case_leakage sweep the code
+itself when it is at most half the ambient space (with equal row
+dimensions), so each is also checked against a direct sweep of the dual.
+Exits 1 if any check disagrees: a spot check, the thresholds against the
+dual's support weights, or the worst-case leakage at some mu against the
+dual sweep or against the number of thresholds at most mu.
 """
 
 import argparse
@@ -19,8 +23,10 @@ from sumrank import (
     empirical_mi,
     leakage_dim,
     threshold_table,
+    weight_profile,
     worst_case_leakage,
 )
+from sumrank.anticode import Meet
 from sumrank.gf import FieldContext
 from sumrank.matfq import MatrixFq
 
@@ -67,12 +73,19 @@ def main() -> int:
     print(f"code of dim {code.dim} on {shape.m} x {shape.n} over F_{ctx.q}")
     thresholds = threshold_table(code)
     print(f"thresholds (links needed for r leaked symbols): {thresholds}")
-    mismatches = 0
+    dual = code.dual()
+    direct = weight_profile(dual, "support").weights
+    mismatches = int(thresholds != direct)
+    if thresholds != direct:
+        print(f"  MISMATCH: the dual's support weights are {direct}")
+    dual_meet = Meet(dual)
     for mu in range(shape.ncols + 1):
         leaked = worst_case_leakage(code, mu)
         counted = sum(1 for t in thresholds if t <= mu)
-        mismatches += leaked != counted
+        swept = max((t for t, _ in dual_meet.sweep(mu, "support", floor=0)), default=0)
+        mismatches += leaked != counted or leaked != swept
         verdict = "" if leaked == counted else f" [MISMATCH: {counted} thresholds <= mu]"
+        verdict += "" if leaked == swept else f" [MISMATCH: {swept} by the dual sweep]"
         print(f"  mu = {mu}: worst-case leakage {leaked}{verdict}")
     for _ in range(config.spot_checks):
         taps = []

@@ -6,6 +6,12 @@ B_i on block i reveals D_i B_i.  The leaked information in base-q
 symbols is the dimension of the dual code met with the product of the
 tap column spaces, and an exhaustive mutual-information computation
 reproduces it exactly.  Strictness of the shape is never assumed here.
+
+A coset code is usually small and its dual large.  On a code at most half
+the ambient space leakage_dim meets C, and so do the sweeps of
+threshold_table and worst_case_leakage when the rows are equal (_c_side),
+by the meet identity of genweights._weights; leakage_threshold and every
+other code go through the dual.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from .errors import (
     ShapeMismatch,
     _record,
 )
-from .genweights import gen_weight, weight_profile
+from .genweights import _dual_meets, _weights, gen_weight, weight_profile
 from .matfq import MatrixFq, Subspace, _products, _row_kernel, rank_rows
 
 __all__ = [
@@ -87,19 +93,31 @@ def support_product(
     return AnticodeDescriptor(shape, ctx, blocks)
 
 
+def _c_side(code: LinearCode) -> bool:
+    """Equal rows and 2 dim C <= ambient: the leakage sweeps walk C, not C^⊥."""
+    return 2 * code.dim <= code.ambient_dim and len(set(code.shape.m)) == 1
+
+
 def leakage_dim(code: LinearCode, taps: Sequence[Optional[MatrixFq]]) -> int:
     """Symbols leaked to a tap profile: dim of the dual inside the taps'
-    support product."""
-    spaces = _tap_supports(code, taps)
-    desc = support_product(code.shape, code.ctx, spaces)
-    return Meet(code.dual()).dim(desc)
+    support product A, or on a code at most half the ambient space
+    dim A - dim C + dim(C ∩ A^⊥), A^⊥ the product of the spaces V_i^⊥."""
+    spaces, shape = _tap_supports(code, taps), code.shape
+    if 2 * code.dim <= code.ambient_dim:
+        desc = support_product(shape, code.ctx, [v.orthogonal() for v in spaces])
+        dim_a = sum(m * v.dim for m, v in zip(shape.m, spaces))
+        return dim_a - code.dim + Meet(code).dim(desc)
+    return Meet(code.dual()).dim(support_product(shape, code.ctx, spaces))
 
 
 def worst_case_leakage(code: LinearCode, mu: int, cap: int = ANTICODE_CAP) -> int:
-    """Max leakage over all tap profiles with mu links total."""
+    """Max leakage over all tap profiles with mu links total: one sweep of C
+    at N - mu when _c_side(code), else of the dual at mu."""
     if type(mu) is not int or not 0 <= mu <= code.shape.ncols:
         raise ShapeMismatch(f"links {mu!r} outside 0..{code.shape.ncols}")
-    # each member the sweep yields beats every earlier one
+    # each meet either sweep yields beats every earlier one
+    if _c_side(code):
+        return max(_dual_meets(Meet(code), mu, cap, 0), default=0)
     sweep = Meet(code.dual()).sweep(mu, "support", cap, floor=0)
     return max((t for t, _ in sweep), default=0)
 
@@ -209,5 +227,9 @@ def leakage_threshold(code: LinearCode, r: int, cap: int = ANTICODE_CAP) -> int:
 
 
 def threshold_table(code: LinearCode, cap: int = ANTICODE_CAP) -> Tuple[int, ...]:
-    """All leakage thresholds of the dual at once."""
+    """All leakage thresholds at once: the support weights of the dual, read
+    from a walk of C itself when _c_side(code)."""
+    if _c_side(code):
+        last = code.ambient_dim - code.dim
+        return tuple(_weights(Meet(code), "support", cap, 1, last, dual=True))
     return weight_profile(code.dual(), "support", cap).weights

@@ -275,6 +275,8 @@ def _check_refusals(variant, ctx, shape, tail_refusal):
         pairs = [
             (lambda c: weight_profile(code, variant, c).weights,
              lambda c: flat_weights(code, variant, c), variant),
+            (lambda c: threshold_table(code, c),
+             lambda c: flat_weights(code.dual(), "support", c), "support"),
             (lambda c: worst_case_leakage(code, 1, c),
              lambda c: flat_leakage(code, 1, c), "support"),
             (lambda c: worst_case_leakage(code, shape.ncols // 2, c),

@@ -1,10 +1,13 @@
-"""Wiretap leakage: exhaustive mutual information against the dual-intersection formula."""
+"""Wiretap leakage: exhaustive mutual information against the dual-intersection
+formula, and the sweeps of C (meet identity) against direct sweeps of the dual."""
 
 import random
+import time
 
 import pytest
 
 from sumrank import (
+    FieldContext,
     LinearCode,
     MatrixFq,
     Shape,
@@ -18,6 +21,7 @@ from sumrank import (
     worst_case_leakage,
 )
 from sumrank import wiretap
+from sumrank.anticode import Meet
 from sumrank.errors import (
     AmbientMismatch,
     ContextMismatch,
@@ -26,7 +30,19 @@ from sumrank.errors import (
     ShapeMismatch,
 )
 
-from helpers import F2, F3, brute_mi, random_code, random_matrix, random_shape
+from helpers import (
+    F2,
+    F3,
+    F4,
+    brute_mi,
+    flat_leakage,
+    flat_weights,
+    random_code,
+    random_matrix,
+    random_shape,
+)
+
+F5 = FieldContext(5, 1)
 
 
 def _random_taps(rng, ctx, shape, none_chance=0.25):
@@ -240,3 +256,104 @@ def test_links_and_ranks_must_be_ints():
             worst_case_leakage(code, bad)
         with pytest.raises(RankOutOfRange):
             leakage_threshold(code, bad)
+
+
+# ------------------------------------------- C side against the dual it replaces
+
+# equal rows, strict and not, take the C side up to half the ambient space;
+# unequal rows keep the dual for threshold_table and worst_case_leakage
+SIDE_CASES = [
+    (F2, Shape((2, 2), (2, 1))),
+    (F3, Shape((2, 2), (2, 2))),
+    (F4, Shape((2, 2), (2, 1))),
+    (F5, Shape((2, 2), (2, 1))),  # F_5 runs on the list-row kernel
+    (F2, Shape((2, 2), (1, 3), strict=False)),
+    (F3, Shape((1, 1), (2, 1), strict=False)),
+    (F2, Shape((2, 1), (2, 1))),
+]
+
+
+def _code_of_dim(rng, ctx, shape, k):
+    while True:
+        code = random_code(rng, ctx, shape, k)
+        if code.dim == k:
+            return code
+
+
+def _dual_leakage(code, mu):
+    sweep = Meet(code.dual()).sweep(mu, "support", floor=0)
+    return max((t for t, _ in sweep), default=0)
+
+
+@pytest.mark.parametrize(
+    "ctx,shape", SIDE_CASES, ids=[f"q{c.q}-{s.m}x{s.n}" for c, s in SIDE_CASES]
+)
+def test_the_c_side_matches_the_dual_sweep(ctx, shape):
+    rng = random.Random(31)
+    for k in range(shape.ambient_dim + 1):
+        code = _code_of_dim(rng, ctx, shape, k)
+        dual = code.dual()
+        table = threshold_table(code)
+        assert table == weight_profile(dual, "support").weights, k
+        assert table == flat_weights(dual, "support"), k
+        for mu in range(shape.ncols + 1):
+            leaked = worst_case_leakage(code, mu)
+            assert leaked == _dual_leakage(code, mu) == flat_leakage(code, mu), (k, mu)
+        for _ in range(3):
+            taps = _random_taps(rng, ctx, shape)
+            desc = wiretap.support_product(shape, ctx, wiretap._tap_supports(code, taps))
+            assert leakage_dim(code, taps) == Meet(dual).dim(desc), k
+
+
+def _no_dual(self):
+    raise AssertionError("the C side builds no dual")
+
+
+def test_a_small_code_never_builds_its_dual(monkeypatch):
+    # F_2 (4,4,4)x(4,4,4), dim 4 of 48: each dual sweep took seconds; the
+    # values are those the dual sweeps give
+    shape = Shape((4, 4, 4), (4, 4, 4))
+    code = random_code(random.Random(5), F2, shape, 4)
+    assert code.dim == 4
+    rng = random.Random(5)
+    taps = [
+        (random_matrix(rng, F2, 4, 2), None, random_matrix(rng, F2, 4, 3)),
+        (random_matrix(rng, F2, 4, 4), random_matrix(rng, F2, 4, 1), random_matrix(rng, F2, 4, 4)),
+        (None, None, None),
+    ]
+    monkeypatch.setattr(LinearCode, "dual", _no_dual)
+    start = time.perf_counter()
+    assert threshold_table(code) == (
+        1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4, 4, 5, 5, 5, 5, 6, 6, 6, 6, 7,
+        7, 7, 8, 8, 8, 8, 9, 9, 9, 9, 10, 10, 10, 10, 11, 11, 11, 11, 12, 12, 12, 12,
+    )
+    assert [worst_case_leakage(code, mu) for mu in range(13)] == [
+        0, 3, 6, 9, 13, 17, 21, 24, 28, 32, 36, 40, 44
+    ]
+    assert [leakage_dim(code, t) for t in taps] == [16, 20, 0]
+    assert time.perf_counter() - start < 1.0
+
+
+def test_unequal_rows_and_large_codes_build_the_dual(monkeypatch):
+    built = []
+    real = LinearCode.dual
+
+    def counted(self):
+        built.append(self.dim)
+        return real(self)
+
+    monkeypatch.setattr(LinearCode, "dual", counted)
+    rng = random.Random(13)
+    unequal = _code_of_dim(rng, F2, Shape((2, 1), (2, 1)), 2)
+    large = _code_of_dim(rng, F2, Shape((2, 2), (2, 1)), 4)
+    taps = (MatrixFq.identity(F2, 2), MatrixFq.identity(F2, 1))
+    for code in (unequal, large):
+        for call in (threshold_table, lambda c: worst_case_leakage(c, 2)):
+            built.clear()
+            call(code)
+            assert built == [code.dim]
+    built.clear()
+    leakage_dim(large, taps)
+    assert built == [4]
+    leakage_dim(unequal, taps)  # the meet identity holds for any rows
+    assert built == [4]
