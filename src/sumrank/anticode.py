@@ -292,6 +292,19 @@ class Meet:
                     else:
                         steps, members, u, sub, basis, prefix = above.pop()
 
+    def _dual_meets(self, mu: int, floor: int, cap: int) -> Iterator[int]:
+        """Rising dims of C^⊥ ∩ A above the floor up to the largest, A over the
+        weight-mu support anticodes (equal rows), after that family's cap
+        check, from one sweep of C at N - mu (genweights._weights)."""
+        code, shape = self.code, self.code.shape
+        next(_parts(code.ctx, shape, "support", mu, cap, _TABLE))
+        off = shape.m[0] * mu - code.dim
+        if off > floor:  # every member meets C^⊥ in off dimensions or more
+            yield off
+            floor = off
+        for t, _ in self.sweep(shape.ncols - mu, "support", cap, floor=floor - off):
+            yield t + off
+
     def _pool(self, i: int, u: int, kind: str, cap: int) -> list:
         """(echelon, its rows) of the columns G·h for each weight-u support
         of one kind on block i, or each dim-u tail from block i on."""

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd
-from typing import Iterator, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from . import anticode
 from .anticode import VARIANTS, Meet, _check_variant
 # bench/selftest.py checks that the benchmark's tracer patches these sites
 from .anticode import enumerate_anticodes, product_descriptors  # noqa: F401
@@ -59,56 +59,45 @@ def gen_weight(
     _check_variant(code.shape, variant)
     if type(r) is not int or not 1 <= r <= code.dim:  # True == 1 would read d_1
         raise RankOutOfRange(f"r={r!r} outside 1..{code.dim}")
-    return _weights(Meet(code), variant, cap, r, r)[0]
+    return _weights(_sweeps(Meet(code), variant, cap), code.shape.ncols, r, r)[0]
 
 
 def _weights(
-    meet: Meet, variant: str, cap: int, first: int, last: int, dual: bool = False
+    meets: Callable[[int, int], Iterable[int]], ncols: int, first: int, last: int
 ) -> List[int]:
-    """[d_first, ..., d_last] of meet.code, or with dual the support weights
-    of its dual, through a caller's Meet and its pools.
+    """[d_first, ..., d_last] of one anticode family, where meets(mu, floor)
+    yields, for the members of weight mu, rising meets above the floor up to
+    the largest.
 
-    Ascending mu, the sweep yields only members that meet the code in more
-    dimensions than the floor, cutting every prefix that cannot; each such
-    meet t sets d_r = mu for the ranks r <= t still open and raises the
-    floor to t.  The walk stops as soon as d_last is set.
+    Ascending mu, each such meet t sets d_r = mu for the ranks r <= t still
+    open and raises the floor to t.  The walk stops as soon as d_last is set.
 
-    The dual mode sweeps C, not C^⊥ (equal row dimensions m, k = dim C).  A
-    support anticode A of weight mu with column spaces V_i has dim A = m mu,
-    and A^⊥ is the support anticode with the spaces V_i^⊥, of weight N - mu.
-    (C^⊥ ∩ A)^⊥ = C + A^⊥ gives the meet identity
+    A code's own weights read its sweep (_sweeps), which cuts every prefix
+    that cannot beat the floor.  threshold_table reads the support weights
+    of C^⊥ from sweeps of C (Meet._dual_meets; equal row dimensions m,
+    k = dim C).  A support anticode A of weight mu with column spaces V_i has
+    dim A = m mu, and A^⊥ is the support anticode with the spaces V_i^⊥, of
+    weight N - mu.  (C^⊥ ∩ A)^⊥ = C + A^⊥ gives the meet identity
         dim(C^⊥ ∩ A) = m mu - k + dim(C ∩ A^⊥),
     and A -> A^⊥ is a bijection between the weight-mu and weight-(N - mu)
     families, so a sweep of C at N - mu, its meets and floor shifted by
-    m mu - k, visits the dual's members (_dual_meets).  The bijection makes
-    the two counts equal: the weight-mu count is checked first, so a refusal
-    names the weight, count and cap the dual's sweep would, and the sweep at
-    N - mu then passes its own check.
+    m mu - k, visits the dual's members.  The bijection makes the two counts
+    equal: the weight-mu count is checked first, so a refusal names the
+    weight, count and cap the dual's sweep would, and the sweep at N - mu
+    then passes its own check.
     """
     weights: List[int] = []
-    for mu in range(1, meet.code.shape.ncols + 1):
-        floor = first - 1 + len(weights)
-        meets = _dual_meets(meet, mu, cap, floor) if dual else (
-            t for t, _ in meet.sweep(mu, variant, cap, floor=floor))
-        for t in meets:
+    for mu in range(1, ncols + 1):
+        for t in meets(mu, first - 1 + len(weights)):
             weights += [mu] * (min(t, last) - first + 1 - len(weights))
             if t >= last:
                 return weights
     raise InvariantViolation("the full space must meet every rank demand")
 
 
-def _dual_meets(meet: Meet, mu: int, cap: int, floor: int) -> Iterator[int]:
-    """Rising values above the floor, each reached by dim(C^⊥ ∩ A) for some
-    weight-mu support anticode A, up to the largest, from one sweep of C at
-    N - mu (_weights)."""
-    code, shape = meet.code, meet.code.shape
-    next(anticode._parts(code.ctx, shape, "support", mu, cap, anticode._TABLE))
-    off = shape.m[0] * mu - code.dim
-    if off > floor:  # every member meets C^⊥ in off dimensions or more
-        yield off
-        floor = off
-    for t, _ in meet.sweep(shape.ncols - mu, "support", cap, floor=floor - off):
-        yield t + off
+def _sweeps(meet: Meet, variant: str, cap: int) -> Callable[[int, int], Iterator[int]]:
+    """meets(mu, floor) of _weights for meet.code's own weights in a family."""
+    return lambda mu, floor: map(itemgetter(0), meet.sweep(mu, variant, cap, floor=floor))
 
 
 @_record
@@ -145,7 +134,8 @@ def weight_profile(
     """All generalized weights d_1..d_k in one shared walk over the family."""
     _check_variant(code.shape, variant)
     kdim = code.dim
-    weights = _weights(Meet(code), variant, cap, 1, kdim) if kdim else []
+    meets = _sweeps(Meet(code), variant, cap)
+    weights = _weights(meets, code.shape.ncols, 1, kdim) if kdim else []
     return WeightProfile(variant, kdim, code.shape.ncols, tuple(weights))
 
 

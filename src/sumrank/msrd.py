@@ -32,7 +32,7 @@ from .errors import (
     TrivialCode,
     _record,
 )
-from .genweights import _weights
+from .genweights import _sweeps, _weights
 from .matfq import Subspace
 
 __all__ = [
@@ -199,7 +199,7 @@ def msrd_check(code: LinearCode, cap: int = ANTICODE_CAP) -> MsrdReport:
     # the distance is d_1 of the product family; its sweep fills the pools
     # that the criteria below read again
     meet = Meet(code)
-    (d,) = _weights(meet, "product", cap, 1, 1)
+    (d,) = _weights(_sweeps(meet, "product", cap), shape.ncols, 1, 1)
     j, delta, s = dim_decomposition(shape, code.dim)
     bound = singleton_distance_bound(shape, code.dim)
     if d > bound:
@@ -308,7 +308,8 @@ def r_msrd_check(code: LinearCode, r: int, cap: int = ANTICODE_CAP) -> bool:
     h = ranks[r]
     k = shape.block_of_column(h)
     # d_r .. d_{r + m_k}: the rank itself, its run and the next rank's step
-    prof = _weights(Meet(code), "product", cap, r, min(r + shape.m[k], code.dim))
+    meets = _sweeps(Meet(code), "product", cap)
+    prof = _weights(meets, shape.ncols, r, min(r + shape.m[k], code.dim))
     if prof[0] != h:
         return False
     if any(d != h for d in prof[: shape.m[k]]):

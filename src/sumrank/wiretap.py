@@ -7,17 +7,18 @@ symbols is the dimension of the dual code met with the product of the
 tap column spaces, and an exhaustive mutual-information computation
 reproduces it exactly.  Strictness of the shape is never assumed here.
 
-A coset code is usually small and its dual large.  On a code at most half
-the ambient space leakage_dim meets C, and so do the sweeps of
-threshold_table and worst_case_leakage when the rows are equal (_c_side),
-by the meet identity of genweights._weights; leakage_threshold and every
-other code go through the dual.
+A coset code is usually small and its dual large.  leakage_dim meets C
+itself on every code, and so do the sweeps of threshold_table and
+worst_case_leakage on a code at most half the ambient space with equal
+rows (_c_side), by the meet identity of genweights._weights;
+leakage_threshold and every other code sweep the dual.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .anticode import AnticodeDescriptor, BlockSupport, Meet
@@ -32,7 +33,7 @@ from .errors import (
     ShapeMismatch,
     _record,
 )
-from .genweights import _dual_meets, _weights, gen_weight, weight_profile
+from .genweights import _weights, gen_weight, weight_profile
 from .matfq import MatrixFq, Subspace, _products, _row_kernel, rank_rows
 
 __all__ = [
@@ -100,14 +101,12 @@ def _c_side(code: LinearCode) -> bool:
 
 def leakage_dim(code: LinearCode, taps: Sequence[Optional[MatrixFq]]) -> int:
     """Symbols leaked to a tap profile: dim of the dual inside the taps'
-    support product A, or on a code at most half the ambient space
-    dim A - dim C + dim(C ∩ A^⊥), A^⊥ the product of the spaces V_i^⊥."""
+    support product A, read from C as dim A - dim C + dim(C ∩ A^⊥), A^⊥
+    the product of the spaces V_i^⊥."""
     spaces, shape = _tap_supports(code, taps), code.shape
-    if 2 * code.dim <= code.ambient_dim:
-        desc = support_product(shape, code.ctx, [v.orthogonal() for v in spaces])
-        dim_a = sum(m * v.dim for m, v in zip(shape.m, spaces))
-        return dim_a - code.dim + Meet(code).dim(desc)
-    return Meet(code.dual()).dim(support_product(shape, code.ctx, spaces))
+    desc = support_product(shape, code.ctx, [v.orthogonal() for v in spaces])
+    dim_a = sum(m * v.dim for m, v in zip(shape.m, spaces))
+    return dim_a - code.dim + Meet(code).dim(desc)
 
 
 def worst_case_leakage(code: LinearCode, mu: int, cap: int = ANTICODE_CAP) -> int:
@@ -117,7 +116,7 @@ def worst_case_leakage(code: LinearCode, mu: int, cap: int = ANTICODE_CAP) -> in
         raise ShapeMismatch(f"links {mu!r} outside 0..{code.shape.ncols}")
     # each meet either sweep yields beats every earlier one
     if _c_side(code):
-        return max(_dual_meets(Meet(code), mu, cap, 0), default=0)
+        return max(Meet(code)._dual_meets(mu, 0, cap), default=0)
     sweep = Meet(code.dual()).sweep(mu, "support", cap, floor=0)
     return max((t for t, _ in sweep), default=0)
 
@@ -230,6 +229,6 @@ def threshold_table(code: LinearCode, cap: int = ANTICODE_CAP) -> Tuple[int, ...
     """All leakage thresholds at once: the support weights of the dual, read
     from a walk of C itself when _c_side(code)."""
     if _c_side(code):
-        last = code.ambient_dim - code.dim
-        return tuple(_weights(Meet(code), "support", cap, 1, last, dual=True))
+        meets = partial(Meet(code)._dual_meets, cap=cap)
+        return tuple(_weights(meets, code.shape.ncols, 1, code.ambient_dim - code.dim))
     return weight_profile(code.dual(), "support", cap).weights

@@ -171,10 +171,10 @@ def test_weight_ranges_match_the_flat_sweep(variant, ctx, shape):
     # and r_msrd_check: every range [first, last] of every code
     for code in _codes(ctx, shape):
         flat = list(flat_weights(code, variant))
-        meet = Meet(code)
+        meets = genweights._sweeps(Meet(code), variant, ANTICODE_CAP)
         for first in range(1, code.dim + 1):
             for last in range(first, code.dim + 1):
-                got = genweights._weights(meet, variant, ANTICODE_CAP, first, last)
+                got = genweights._weights(meets, shape.ncols, first, last)
                 assert got == flat[first - 1 : last], (code.dim, first, last)
 
 

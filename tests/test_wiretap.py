@@ -2,7 +2,6 @@
 formula, and the sweeps of C (meet identity) against direct sweeps of the dual."""
 
 import random
-import time
 
 import pytest
 
@@ -261,7 +260,8 @@ def test_links_and_ranks_must_be_ints():
 # ------------------------------------------- C side against the dual it replaces
 
 # equal rows, strict and not, take the C side up to half the ambient space;
-# unequal rows keep the dual for threshold_table and worst_case_leakage
+# unequal rows keep the dual for threshold_table and worst_case_leakage;
+# leakage_dim meets C on every code
 SIDE_CASES = [
     (F2, Shape((2, 2), (2, 1))),
     (F3, Shape((2, 2), (2, 2))),
@@ -322,7 +322,6 @@ def test_a_small_code_never_builds_its_dual(monkeypatch):
         (None, None, None),
     ]
     monkeypatch.setattr(LinearCode, "dual", _no_dual)
-    start = time.perf_counter()
     assert threshold_table(code) == (
         1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4, 4, 5, 5, 5, 5, 6, 6, 6, 6, 7,
         7, 7, 8, 8, 8, 8, 9, 9, 9, 9, 10, 10, 10, 10, 11, 11, 11, 11, 12, 12, 12, 12,
@@ -331,7 +330,6 @@ def test_a_small_code_never_builds_its_dual(monkeypatch):
         0, 3, 6, 9, 13, 17, 21, 24, 28, 32, 36, 40, 44
     ]
     assert [leakage_dim(code, t) for t in taps] == [16, 20, 0]
-    assert time.perf_counter() - start < 1.0
 
 
 def test_unequal_rows_and_large_codes_build_the_dual(monkeypatch):
@@ -352,8 +350,6 @@ def test_unequal_rows_and_large_codes_build_the_dual(monkeypatch):
             built.clear()
             call(code)
             assert built == [code.dim]
-    built.clear()
-    leakage_dim(large, taps)
-    assert built == [4]
-    leakage_dim(unequal, taps)  # the meet identity holds for any rows
-    assert built == [4]
+        built.clear()
+        leakage_dim(code, taps)  # the meet identity holds for any code
+        assert built == []
