@@ -200,23 +200,28 @@ class Meet:
     depth-first, one block per level and a binary tail as the last, and
     never builds a descriptor: a child extends its parent's echelon of G·H
     with its own block's columns only, so the rank of a prefix bounds every
-    meet below it and lets a caller's floor cut whole subtrees.  The block
-    weights, counts and binary tails of each weight and the check bases of
-    each pool do not depend on the code: every Meet of a process shares
-    them per field and shape (_TABLE).  A Meet keeps its reduced columns,
-    per support for dim and per (block, weight, kind) pool for sweep, so
-    make one Meet per code and drop it after.
+    meet below it and lets a caller's floor cut whole subtrees.  With a
+    floor, a child's echelon stops at rank dim C - floor, where its meet
+    could no longer beat the floor.  The block weights, counts and binary
+    tails of each weight and the check bases of each pool do not depend on
+    the code: every Meet of a process shares them per field and shape
+    (_TABLE).  A Meet keeps what depends on its code: per (block, kind) the
+    packed columns of each line and the images G·h of each check row h,
+    one per line; per support the reduced columns dim reads; and per
+    (block, weight, kinds) one merged pool, col members then row members,
+    that sweep walks.  So make one Meet per code and drop it after.
 
     G's columns are packed once by the field's row kernel (matfq), which
     combines them into each column G·h and runs every echelon.  The zero
     code packs nothing, so its echelons are empty at any ambient size.
     """
 
-    __slots__ = ("code", "_columns", "_pools", "_kernel", "_packed")
+    __slots__ = ("code", "_columns", "_images", "_pools", "_kernel", "_packed")
 
     def __init__(self, code: LinearCode):
         self.code = code
         self._columns: dict = {}
+        self._images: dict = {}
         self._pools: dict = {}
         self._kernel = kernel = _row_kernel(code.ctx, code.dim)
         self._packed = [kernel.pack(col) for col in zip(*code.rows)]  # none on the zero code
@@ -231,8 +236,8 @@ class Meet:
         for i, kind, space in desc._factors():
             key = (i, kind, space)
             if key not in self._columns:
-                self._columns[key] = self._reduced(i, kind, [space.orthogonal().basis])[0]
-            checks += self._columns[key][1]
+                self._columns[key] = self._reduced(i, kind, space.orthogonal().basis)[1]
+            checks += self._columns[key]
         return code.dim - len(self._kernel.echelon(checks, code.dim))
 
     def sweep(
@@ -271,7 +276,9 @@ class Meet:
                     if floor is not None and kdim - len(basis) <= floor:
                         steps = members = iter(())  # cut: the level is done
                         break
-                    echelon = extend(rows, kdim, basis) if basis else pairs
+                    # past rank kdim - floor a member has t <= floor: skipped or cut anyway
+                    top = kdim if floor is None else kdim - floor
+                    echelon = extend(rows, top, basis) if basis else pairs
                     t = kdim - len(echelon)
                     if floor is not None and t <= floor:
                         continue
@@ -285,8 +292,7 @@ class Meet:
                 else:  # this weight's members are done: on to the next, or up
                     u, sub = next(steps, (None, None))
                     if u is not None:
-                        members = chain.from_iterable(
-                            [self._pool(len(prefix), u, k, cap) for k in (kinds if sub else ends)])
+                        members = iter(self._pool(len(prefix), u, kinds if sub else ends, cap))
                     elif not above:
                         break
                     else:
@@ -305,37 +311,46 @@ class Meet:
         for t, _ in self.sweep(shape.ncols - mu, "support", cap, floor=floor - off):
             yield t + off
 
-    def _pool(self, i: int, u: int, kind: str, cap: int) -> list:
-        """(echelon, its rows) of the columns G·h for each weight-u support
-        of one kind on block i, or each dim-u tail from block i on."""
-        pool = self._pools.get((i, u, kind))
+    def _pool(self, i: int, u: int, kinds: tuple, cap: int) -> list:
+        """(echelon, its rows) of the columns G·h for each weight-u support of
+        the kinds on block i, col before row, or each dim-u tail from block i
+        on: one list per (block, weight, kinds), its pools built col first."""
+        pool = self._pools.get((i, u, kinds))
         if pool is None:
-            shape, ctx = self.code.shape, self.code.ctx
-            amb = shape.n[i] if kind == "col" else shape.m[i]
-            bases = ()
-            if kind == "tail":
-                bases = _tail_checks(ctx, shape.ell - i, u)
-            elif kind == "col" or _has_rows(shape, i, u):  # L and its checks L^⊥ match
-                bases = _check_bases(ctx, amb, amb - u, cap)
-            pool = self._pools[i, u, kind] = self._reduced(i, kind, bases)
+            shape, ctx, pool = self.code.shape, self.code.ctx, []
+            for kind in kinds:
+                amb = shape.n[i] if kind == "col" else shape.m[i]
+                bases = ()
+                if kind == "tail":
+                    bases = _tail_checks(ctx, shape.ell - i, u)
+                elif kind == "col" or _has_rows(shape, i, u):  # L and its checks L^⊥ match
+                    bases = _check_bases(ctx, amb, amb - u, cap)
+                pool += [self._reduced(i, kind, checks) for checks in bases]
+            self._pools[i, u, kinds] = pool
         return pool
 
-    def _reduced(self, i: int, kind: str, bases) -> list:
-        """(echelon, its rows) of the columns G·h for each check basis h in bases.
+    def _reduced(self, i: int, kind: str, checks) -> tuple:
+        """(echelon, its rows) of the columns G·h for the check rows h of one
+        support of a kind on block i, or of one tail from block i on.
 
         A check of a block support applies along every block row (col) or
         block column (row); a check of a tail starting at block i applies
-        along the trailing coordinates.
+        along the trailing coordinates.  Each check row's images are kept.
         """
-        code, kernel, kdim = self.code, self._kernel, self.code.dim
+        kernel, kdim = self._kernel, self.code.dim
         if not kdim:
-            return [([], []) for _ in bases]
-        combine, packed, out = kernel.combine, self._packed, []
-        lines = [packed[ln.start : ln.stop : ln.step] for ln in code.shape.lines(i, kind)]
-        for checks in bases:
-            pairs = kernel.echelon([combine(chk, vecs) for vecs in lines for chk in checks], kdim)
-            out.append((pairs, [row for _, row in pairs]))
-        return out
+            return [], []
+        if (i, kind) not in self._images:
+            lines = self.code.shape.lines(i, kind)
+            self._images[i, kind] = [self._packed[ln.start : ln.stop : ln.step] for ln in lines], {}
+        lines, images = self._images[i, kind]
+        cols: list = []
+        for h in checks:
+            if h not in images:
+                images[h] = [kernel.combine(h, vecs) for vecs in lines]
+            cols += images[h]
+        pairs = kernel.echelon(cols, kdim)
+        return pairs, [row for _, row in pairs]
 
 
 def _tree(levels, total: int, options, mults=None, size: int = 0) -> Tuple[int, tuple]:

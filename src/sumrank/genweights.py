@@ -8,6 +8,13 @@ shapes and drive the leakage analysis).  Each weight mu of a family is
 walked by Meet.sweep, depth-first over the blocks with a shared prefix
 echelon, so a prefix whose rank already rules out a new meet is cut
 together with every member below it.
+
+The paper proves that the generalized weights of an MSRD code are
+determined by its parameters; msrd.msrd_weight_profile is that closed
+form, and it holds in the product family.  It does not hold in "all":
+the binary parity codes of length 3 to 5 are MSRD, yet each is itself an
+optimal binary tail, so they meet "all" anticodes of lower weight than
+the closed form gives (test_known_answers).
 """
 
 from __future__ import annotations

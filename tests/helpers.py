@@ -27,12 +27,13 @@ from sumrank import (
 )
 from sumrank.anticode import Meet
 from sumrank.errors import TrivialCode
-from sumrank.matfq import _echelon, rank_rows
+from sumrank.matfq import _echelon, _row_kernel, rank_rows
 from sumrank.msrd import _column_window_descriptor
 
 F2 = FieldContext(2, 1)
 F3 = FieldContext(3, 1)
 F4 = FieldContext(2, 2)
+F5 = FieldContext(5, 1)
 F8 = FieldContext(2, 3)
 F9 = FieldContext(3, 2)
 
@@ -188,6 +189,23 @@ def list_meet(code: LinearCode, desc) -> int:
         for h in desc.materialize().dual().rows
     ]
     return code.dim - rank_rows(cols, code.dim, ctx)
+
+
+def pool_reference(code: LinearCode, i: int, kind: str, bases) -> list:
+    """(echelon, its rows) of the columns G·h for each check basis in bases,
+    as Meet built a pool before it kept check images: the lines sliced from
+    the packed columns afresh, one combine per (line, check row), line by
+    line, and one echelon per basis."""
+    kernel, kdim = _row_kernel(code.ctx, code.dim), code.dim
+    if not kdim:
+        return [([], []) for _ in bases]
+    packed = [kernel.pack(col) for col in zip(*code.rows)]
+    lines = [packed[ln.start : ln.stop : ln.step] for ln in code.shape.lines(i, kind)]
+    out = []
+    for checks in bases:
+        pairs = kernel.echelon([kernel.combine(h, vecs) for vecs in lines for h in checks], kdim)
+        out.append((pairs, [row for _, row in pairs]))
+    return out
 
 
 def brute_min_cover(points: Sequence[Tuple[int, int]]) -> int:

@@ -1,7 +1,7 @@
 """The pruned family walker (Meet.sweep) against the flat sweep it replaced.
 
 Every result that a sweep feeds is compared with the flat loops of
-tests/helpers.py, over F_2, F_3, F_4, F_8 and F_9, on the product family,
+tests/helpers.py, over F_2, F_3, F_4, F_5, F_8 and F_9, on the product family,
 the binary tail family and the support family of non-strict shapes, for
 the zero code, the full space, random codes and MSRD codes.  Small caps
 must refuse at the same weight and with the same message as the flat
@@ -34,6 +34,7 @@ from helpers import (
     F2,
     F3,
     F4,
+    F5,
     F8,
     F9,
     flat_family,
@@ -51,7 +52,8 @@ CASES = [
     ("product", F3, Shape((2, 2), (2, 2))),
     ("product", F4, Shape((2, 2), (2, 1))),
     ("product", F8, Shape((2, 1), (2, 1))),
-    # F_9 has no packed form: its row kernel is _ListRows
+    # F_5 and F_9 have no packed form: their row kernel is _ListRows
+    ("product", F5, Shape((2, 1), (2, 1))),
     ("product", F9, Shape((2, 1), (2, 1))),
     # binary tails on three trailing 1x1 blocks, and on a shape of 1x1
     # blocks only, where a tail has no head blocks
