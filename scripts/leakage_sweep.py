@@ -3,12 +3,13 @@
 Prints the dual support-weight thresholds, then the worst-case leakage
 as a function of the number of tapped links, and finally spot-checks the
 dual-intersection formula against exhaustive mutual information on a few
-random tap profiles.  threshold_table and worst_case_leakage sweep the code
-itself when it is at most half the ambient space (with equal row
-dimensions), so each is also checked against a direct sweep of the dual.
-Exits 1 if any check disagrees: a spot check, the thresholds against the
-dual's support weights, or the worst-case leakage at some mu against the
-dual sweep or against the number of thresholds at most mu.
+random tap profiles.  threshold_table, worst_case_leakage and
+leakage_threshold sweep the code itself when it is at most half the ambient
+space (with equal row dimensions), so each is also checked against a direct
+sweep of the dual.  Exits 1 if any check disagrees: a spot check, the
+thresholds or leakage_threshold at some r against the dual's support
+weights, or the worst-case leakage at some mu against the dual sweep or
+against the number of thresholds at most mu.
 """
 
 import argparse
@@ -22,6 +23,7 @@ from sumrank import (
     WiretapScenario,
     empirical_mi,
     leakage_dim,
+    leakage_threshold,
     threshold_table,
     weight_profile,
     worst_case_leakage,
@@ -78,6 +80,11 @@ def main() -> int:
     mismatches = int(thresholds != direct)
     if thresholds != direct:
         print(f"  MISMATCH: the dual's support weights are {direct}")
+    for r, weight in enumerate(direct, 1):
+        one = leakage_threshold(code, r)
+        mismatches += one != weight
+        if one != weight:
+            print(f"  MISMATCH: leakage_threshold at r = {r} is {one}, the dual's weight {weight}")
     dual_meet = Meet(dual)
     for mu in range(shape.ncols + 1):
         leaked = worst_case_leakage(code, mu)

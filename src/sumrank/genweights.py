@@ -80,8 +80,8 @@ def _weights(
     open and raises the floor to t.  The walk stops as soon as d_last is set.
 
     A code's own weights read its sweep (_sweeps), which cuts every prefix
-    that cannot beat the floor.  threshold_table reads the support weights
-    of C^⊥ from sweeps of C (Meet._dual_meets; equal row dimensions m,
+    that cannot beat the floor.  wiretap's leakage sweeps read the support
+    weights of C^⊥ from sweeps of C (Meet._dual_meets; equal row dimensions m,
     k = dim C).  A support anticode A of weight mu with column spaces V_i has
     dim A = m mu, and A^⊥ is the support anticode with the spaces V_i^⊥, of
     weight N - mu.  (C^⊥ ∩ A)^⊥ = C + A^⊥ gives the meet identity
@@ -168,7 +168,7 @@ def wei_duality_check(code: LinearCode, cap: int = ANTICODE_CAP) -> dict:
     if any(mi != m for mi in shape.m):
         raise UnequalRowDims("weight duality needs equal row dimensions")
     n = shape.ncols
-    code.check_dual_size()
+    code.check_dual_size(cap)
     dual = code.dual()
     primal_w = weight_profile(code, "product", cap).weights
     dual_w = weight_profile(dual, "product", cap).weights

@@ -193,7 +193,7 @@ def msrd_check(code: LinearCode, cap: int = ANTICODE_CAP) -> MsrdReport:
     if code.dim == 0:
         raise TrivialCode("the zero code has no distance")
     # c3 reads the dual: refuse one too large to build before any sweep
-    code.check_dual_size()
+    code.check_dual_size(cap)
     n = shape.ncols
     ambient = shape.ambient_dim
     # the distance is d_1 of the product family; its sweep fills the pools

@@ -8,10 +8,11 @@ tap column spaces, and an exhaustive mutual-information computation
 reproduces it exactly.  Strictness of the shape is never assumed here.
 
 A coset code is usually small and its dual large.  leakage_dim meets C
-itself on every code, and so do the sweeps of threshold_table and
-worst_case_leakage on a code at most half the ambient space with equal
-rows (_c_side), by the meet identity of genweights._weights;
-leakage_threshold and every other code sweep the dual.
+itself on every code.  The three sweeps (threshold_table,
+worst_case_leakage, leakage_threshold) read the dual's support family
+through one side choice, _dual_support_meets: a code at most half the
+ambient space with equal rows is swept itself, by the meet identity of
+genweights._weights, and any other code sweeps its dual.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .anticode import AnticodeDescriptor, BlockSupport, Meet
 # bench/selftest.py checks that the benchmark's tracer patches this site
@@ -30,10 +31,11 @@ from .errors import (
     ContextMismatch,
     EnumerationTooLarge,
     InvariantViolation,
+    RankOutOfRange,
     ShapeMismatch,
     _record,
 )
-from .genweights import _weights, gen_weight, weight_profile
+from .genweights import _sweeps, _weights
 from .matfq import MatrixFq, Subspace, _products, _row_kernel, rank_rows
 
 __all__ = [
@@ -94,9 +96,12 @@ def support_product(
     return AnticodeDescriptor(shape, ctx, blocks)
 
 
-def _c_side(code: LinearCode) -> bool:
-    """Equal rows and 2 dim C <= ambient: the leakage sweeps walk C, not C^⊥."""
-    return 2 * code.dim <= code.ambient_dim and len(set(code.shape.m)) == 1
+def _dual_support_meets(code: LinearCode, cap: int) -> Callable[[int, int], Iterable[int]]:
+    """meets(mu, floor) of genweights._weights for C^⊥'s support family: sweeps
+    of C (Meet._dual_meets) if 2 dim C <= ambient and rows are equal, else of C^⊥."""
+    if 2 * code.dim <= code.ambient_dim and len(set(code.shape.m)) == 1:
+        return partial(Meet(code)._dual_meets, cap=cap)
+    return _sweeps(Meet(code.dual()), "support", cap)
 
 
 def leakage_dim(code: LinearCode, taps: Sequence[Optional[MatrixFq]]) -> int:
@@ -110,15 +115,12 @@ def leakage_dim(code: LinearCode, taps: Sequence[Optional[MatrixFq]]) -> int:
 
 
 def worst_case_leakage(code: LinearCode, mu: int, cap: int = ANTICODE_CAP) -> int:
-    """Max leakage over all tap profiles with mu links total: one sweep of C
-    at N - mu when _c_side(code), else of the dual at mu."""
+    """Max leakage over all tap profiles with mu links total: the largest
+    meet of the dual's weight-mu support family, from one sweep."""
     if type(mu) is not int or not 0 <= mu <= code.shape.ncols:
         raise ShapeMismatch(f"links {mu!r} outside 0..{code.shape.ncols}")
-    # each meet either sweep yields beats every earlier one
-    if _c_side(code):
-        return max(Meet(code)._dual_meets(mu, 0, cap), default=0)
-    sweep = Meet(code.dual()).sweep(mu, "support", cap, floor=0)
-    return max((t for t, _ in sweep), default=0)
+    # each meet the sweep yields beats every earlier one
+    return max(_dual_support_meets(code, cap)(mu, 0), default=0)
 
 
 @_record
@@ -154,14 +156,11 @@ class WiretapScenario:
 
 
 def _exact_log_q(value: Fraction, q: int) -> int:
-    """log_q of an exact q-power; anything else breaks linearity."""
+    """log_q of a q-power probability, 1/q^j; anything else breaks linearity."""
     if value <= 0:
         raise InvariantViolation("log of a nonpositive probability ratio")
     num, den = value.numerator, value.denominator
     out = 0
-    while num % q == 0:
-        num //= q
-        out += 1
     while den % q == 0:
         den //= q
         out -= 1
@@ -222,13 +221,13 @@ def empirical_mi(scenario: WiretapScenario, cap: int = MI_CAP) -> int:
 def leakage_threshold(code: LinearCode, r: int, cap: int = ANTICODE_CAP) -> int:
     """Fewest tapped links forcing r leaked symbols: the r-th support
     weight of the dual code."""
-    return gen_weight(code.dual(), r, "support", cap)
+    top = code.ambient_dim - code.dim
+    if type(r) is not int or not 1 <= r <= top:  # True == 1 would read d_1
+        raise RankOutOfRange(f"r={r!r} outside 1..{top}")
+    return _weights(_dual_support_meets(code, cap), code.shape.ncols, r, r)[0]
 
 
 def threshold_table(code: LinearCode, cap: int = ANTICODE_CAP) -> Tuple[int, ...]:
-    """All leakage thresholds at once: the support weights of the dual, read
-    from a walk of C itself when _c_side(code)."""
-    if _c_side(code):
-        meets = partial(Meet(code)._dual_meets, cap=cap)
-        return tuple(_weights(meets, code.shape.ncols, 1, code.ambient_dim - code.dim))
-    return weight_profile(code.dual(), "support", cap).weights
+    """All leakage thresholds at once: the support weights of the dual."""
+    top, meets = code.ambient_dim - code.dim, _dual_support_meets(code, cap)
+    return tuple(_weights(meets, code.shape.ncols, 1, top)) if top else ()

@@ -477,6 +477,7 @@ def flat_msrd_report(code, cap=FAMILY_CAP):
     shape, ctx = code.shape, code.ctx
     if code.dim == 0:
         raise TrivialCode("the zero code has no distance")
+    code.check_dual_size(cap)  # c3 reads the dual, refused past the cap first
     d = flat_gen_weight(code, 1, "product", cap)
     j, delta, s = dim_decomposition(shape, code.dim)
     meet = Meet(code)

@@ -26,6 +26,7 @@ from sumrank import (
     weight_profile,
 )
 from sumrank.errors import (
+    AmbientMismatch,
     ClassificationNotApplicable,
     DimNotAdmissible,
     EnumerationTooLarge,
@@ -142,6 +143,55 @@ def test_descriptor_guards():
     col = {"kind": "col", "L": [[1]]}
     with pytest.raises(ShapeMismatch):
         AnticodeDescriptor.from_dict({"blocks": [col, col, col]}, Shape((1, 1), (1, 1)), F2)
+
+
+_COL2 = BlockSupport("col", Subspace.full(F2, 2))
+_COL1 = BlockSupport("col", Subspace.full(F2, 1))
+
+
+@pytest.mark.parametrize(
+    "build,error,message",
+    [
+        (
+            lambda: AnticodeDescriptor(
+                Shape((2, 1, 1), (2, 1, 1)), F2, (_COL2,), Subspace.full(F2, 1)
+            ),
+            ShapeMismatch,
+            "tail ambient must cover the remaining blocks",
+        ),
+        (
+            lambda: AnticodeDescriptor(Shape((2, 1), (2, 1)), F2, (_COL2,), Subspace.full(F3, 1)),
+            AmbientMismatch,
+            "tail over a different field context",
+        ),
+        (
+            lambda: AnticodeDescriptor(Shape((2,), (2,)), F3, (_COL2,)),
+            AmbientMismatch,
+            "block support over a different field context",
+        ),
+        (
+            lambda: AnticodeDescriptor(Shape((2, 1), (2, 1)), F2, (_COL1, _COL1)),
+            AmbientMismatch,
+            "block 0: col support ambient must be 2",
+        ),
+        (
+            lambda: AnticodeDescriptor(
+                Shape((2, 1), (2, 1)), F2, (BlockSupport("row", Subspace.full(F2, 1)), _COL1)
+            ),
+            AmbientMismatch,
+            "block 0: row support ambient must be 2",
+        ),
+        (
+            lambda: is_optimal_anticode(LinearCode(Shape((1, 2), (2, 1), strict=False), F2, [])),
+            ShapeMismatch,
+            "optimal anticodes live in strict shapes",
+        ),
+    ],
+    ids=["tail-ambient", "tail-field", "block-field", "col-ambient", "row-ambient", "nonstrict"],
+)
+def test_constructors_refuse_what_they_cannot_hold(build, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        build()
 
 
 def test_classification_of_known_codes():

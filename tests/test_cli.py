@@ -405,7 +405,7 @@ def test_msrd_refuses_a_vast_dual_before_sweeping(tmp_path):
     assert err == "error: dual basis of 10000100000 entries exceeds cap 1000000\n"
 
 
-@pytest.mark.parametrize("sub", ["dual", "leak"])
+@pytest.mark.parametrize("sub", ["dual", "leak", "msrd"])
 def test_dual_guard_refuses_above_the_cap(tmp_path, capsys, sub):
     # the identity code has ambient 4 and dim 1: a dual basis of 4 * 3 entries
     argv = [sub, _write(tmp_path, "c.json", IDENTITY_CODE)]

@@ -14,6 +14,7 @@ span oracle.
 import random
 import time
 from collections import Counter
+from math import comb
 
 import pytest
 
@@ -190,6 +191,17 @@ def test_f2_min_distance_stops_in_a_later_chunk(monkeypatch):
     # the scan passed chunk 0 (one nonzero word) and stopped in chunk 1, so
     # chunks 2 and 3 were never built
     assert 1 < sum(seen) <= 3
+
+
+def test_f2_chunks_shrink_to_the_plane_budget():
+    # 2,048 coordinates in lanes of 2^16 would pass 2^26 plane bits, so the
+    # walk takes two chunks of 2^15 codewords
+    ambient, k = 2048, 16
+    assert ambient << 16 > 1 << 26 >= ambient << 15 and sumrank.code._LANE_BITS == k
+    shape = Shape((1,) * ambient, (1,) * ambient)
+    units = [tuple(int(j == i) for j in range(ambient)) for i in range(k)]
+    code = LinearCode(shape, F2, units)
+    assert code.srk_distribution() == {w: comb(k, w) for w in range(1, k + 1)}
 
 
 def _low_rank_word(rng, m, n, r):

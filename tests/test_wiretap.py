@@ -2,6 +2,7 @@
 formula, and the sweeps of C (meet identity) against direct sweeps of the dual."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,6 +14,7 @@ from sumrank import (
     WiretapScenario,
     canonical_complement,
     empirical_mi,
+    gen_weight,
     leakage_dim,
     leakage_threshold,
     threshold_table,
@@ -25,6 +27,7 @@ from sumrank.errors import (
     AmbientMismatch,
     ContextMismatch,
     EnumerationTooLarge,
+    InvariantViolation,
     RankOutOfRange,
     ShapeMismatch,
 )
@@ -255,13 +258,17 @@ def test_links_and_ranks_must_be_ints():
             worst_case_leakage(code, bad)
         with pytest.raises(RankOutOfRange):
             leakage_threshold(code, bad)
+    # ambient 15, dim 5: the ranks of the dual run 1..10
+    for bad in (0, 11):
+        with pytest.raises(RankOutOfRange, match=f"^r={bad} outside 1..10$"):
+            leakage_threshold(code, bad)
 
 
 # ------------------------------------------- C side against the dual it replaces
 
 # equal rows, strict and not, take the C side up to half the ambient space;
-# unequal rows keep the dual for threshold_table and worst_case_leakage;
-# leakage_dim meets C on every code
+# unequal rows keep the dual for threshold_table, worst_case_leakage and
+# leakage_threshold; leakage_dim meets C on every code
 SIDE_CASES = [
     (F2, Shape((2, 2), (2, 1))),
     (F3, Shape((2, 2), (2, 2))),
@@ -296,6 +303,9 @@ def test_the_c_side_matches_the_dual_sweep(ctx, shape):
         table = threshold_table(code)
         assert table == weight_profile(dual, "support").weights, k
         assert table == flat_weights(dual, "support"), k
+        for r in range(1, dual.dim + 1):
+            need = leakage_threshold(code, r)
+            assert need == gen_weight(dual, r, "support") == table[r - 1], (k, r)
         for mu in range(shape.ncols + 1):
             leaked = worst_case_leakage(code, mu)
             assert leaked == _dual_leakage(code, mu) == flat_leakage(code, mu), (k, mu)
@@ -330,6 +340,7 @@ def test_a_small_code_never_builds_its_dual(monkeypatch):
         0, 3, 6, 9, 13, 17, 21, 24, 28, 32, 36, 40, 44
     ]
     assert [leakage_dim(code, t) for t in taps] == [16, 20, 0]
+    assert [leakage_threshold(code, r) for r in (1, 23, 44)] == [1, 7, 12]
 
 
 def test_unequal_rows_and_large_codes_build_the_dual(monkeypatch):
@@ -346,10 +357,50 @@ def test_unequal_rows_and_large_codes_build_the_dual(monkeypatch):
     large = _code_of_dim(rng, F2, Shape((2, 2), (2, 1)), 4)
     taps = (MatrixFq.identity(F2, 2), MatrixFq.identity(F2, 1))
     for code in (unequal, large):
-        for call in (threshold_table, lambda c: worst_case_leakage(c, 2)):
+        for call in (
+            threshold_table,
+            lambda c: worst_case_leakage(c, 2),
+            lambda c: leakage_threshold(c, 1),
+        ):
             built.clear()
             call(code)
             assert built == [code.dim]
         built.clear()
         leakage_dim(code, taps)  # the meet identity holds for any code
         assert built == []
+
+
+@pytest.mark.parametrize("cap,mu,count,below", [(20, 2, 63, [1, 1]), (63, 3, 100, [1, 1, 2, 2, 2])])
+def test_both_routes_refuse_a_family_alike(monkeypatch, cap, mu, count, below):
+    # F_2 (3,3)x(3,3) has 14, 63, 100, 63 and 14 support anticodes at weights
+    # 1 to 5: the C side sweeps C at 6 - mu, yet names weight mu's count, as a
+    # sweep of the dual at mu does
+    code = _code_of_dim(random.Random(19), F2, Shape((3, 3), (3, 3)), 2)
+    dual = code.dual()
+    monkeypatch.setattr(LinearCode, "dual", _no_dual)
+    message = f"^{count} anticodes at weight {mu} exceed cap {cap}$"
+    pairs = [
+        (lambda: threshold_table(code, cap), lambda: weight_profile(dual, "support", cap)),
+        (lambda: leakage_threshold(code, 16, cap), lambda: gen_weight(dual, 16, "support", cap)),
+        (
+            lambda: worst_case_leakage(code, mu, cap),
+            lambda: list(Meet(dual).sweep(mu, "support", cap)),
+        ),
+    ]
+    for c_side, dual_side in pairs:
+        for call in (c_side, dual_side):
+            with pytest.raises(EnumerationTooLarge, match=message):
+                call()
+    # the ranks met below weight mu pass the same cap on both routes
+    ranks = range(1, len(below) + 1)
+    assert [leakage_threshold(code, r, cap) for r in ranks] == below
+    assert [gen_weight(dual, r, "support", cap) for r in ranks] == below
+
+
+def test_exact_log_q_reads_only_unit_fractions():
+    assert wiretap._exact_log_q(Fraction(1, 8), 2) == -3
+    assert wiretap._exact_log_q(Fraction(1), 3) == 0
+    with pytest.raises(InvariantViolation, match="^3/8 is not a power of 2$"):
+        wiretap._exact_log_q(Fraction(3, 8), 2)
+    with pytest.raises(InvariantViolation, match="^log of a nonpositive probability ratio$"):
+        wiretap._exact_log_q(Fraction(0), 2)
