@@ -8,7 +8,8 @@ exactly: it enumerates permutations, transpose masks and right factors N,
 and for each one solves a linear system for every left tuple (M_j) that
 maps the first code into the second, so the left GL groups are never
 listed.  The system is packed per right factor and solved by the field's
-row kernel (matfq).
+row kernel (matfq).  A right tuple N and its scalar multiples c N share
+their left solutions, so one tuple per scalar class is solved.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import random
 from bisect import bisect_left
 from itertools import permutations, product as iter_product
 from math import factorial
-from operator import xor
+from operator import attrgetter, xor
 from typing import Iterator, List, Tuple
 
 from .code import LinearCode, MatrixTuple, Shape
@@ -374,7 +375,7 @@ def equivalent_codes(
     tuple) order, each GL tuple in gl_group order with block 0 slowest, or
     None; with all_witnesses, every witness in that order (for first ==
     second, the automorphism group).  The isometry group order is checked
-    against cap before any work happens.
+    against cap, which must be an int, before any work happens.
 
     Only the right factors are enumerated.  For fixed sigma, mask and N the
     condition "M op(X) N lies in second for every basis tuple X of first"
@@ -382,7 +383,15 @@ def equivalent_codes(
     checks of second, one echelon of packed columns (_left_solver), yields
     every candidate left tuple, and a pruned walk of that space keeps the
     tuples whose blocks are all invertible.
+
+    Right tuples are walked one per scalar class: second being linear,
+    c N = (c N_1, ..., c N_l) has the left solutions of N, so only the N
+    whose N_1 leads with 1 is solved (q - 1 times fewer systems).  It is the
+    first of its class in gl_group order, so the first witness is unchanged;
+    with all_witnesses each solved class adds its points for every c N.
     """
+    if type(cap) is not int:  # a float or bool cap has no bit_length to guard with
+        raise GroupTooLarge(f"cap {cap!r} is not an int")
     if first.shape != second.shape:
         raise ShapeMismatch("codes live in different product spaces")
     if first.ctx != second.ctx:
@@ -417,23 +426,33 @@ def equivalent_codes(
     memo: dict = {}
     lefts: dict = {}
     first_only = not all_witnesses
+    q, by_rows = ctx.q, attrgetter("rows")
+    leads = range(len(right_pools[0])) if q == 2 else [  # each N_1 whose lead is 1
+        i for i, n in enumerate(right_pools[0]) if next(filter(None, n.rows[0])) == 1
+    ]
+
+    def scaled(idx):  # the pool indices of c N, c = 1, ..., q - 1
+        if first_only or q == 2:  # F_2 has c = 1 only; N is the first of its class
+            return (idx,)
+        return [tuple(bisect_left(p, tuple(vec_scale(ctx, c, r) for r in p[i].rows), key=by_rows)
+                      for p, i in zip(right_pools, idx)) for c in range(1, q)]
+
     for sigma in admissible_permutations(shape):
         if any(dims[0][i] != d for i, d in zip(sigma, dims[1])):
             continue
         for mask in _transpose_masks(shape):
             best = None
             pairs = []
-            for idx in iter_product(*(range(len(pool)) for pool in right_pools)):
+            for idx in iter_product(leads, *(range(len(p)) for p in right_pools[1:])):
                 space = solve(sigma, mask, idx)
                 points = _invertible_points(ctx, kernel, left_blocks, space, best, first_only, memo)
                 if points:
                     # with a bound, each hit lies below every earlier one
-                    right = tuple(pool[i] for pool, i in zip(right_pools, idx))
-                    pairs += [(point, right) for point in points]
+                    pairs += [(point, each) for each in scaled(idx) for point in points]
                     best = None if all_witnesses else points[0]
-            # stable: for equal left tuples the right tuples stay in order
-            pairs.sort(key=lambda pair: pair[0])
-            for point, right in pairs if all_witnesses else pairs[:1]:
+            pairs.sort()  # by left tuple, then right tuple in gl_group order
+            for point, idx in pairs if all_witnesses else pairs[:1]:
+                right = tuple(p[i] for p, i in zip(right_pools, idx))
                 # one matrix per distinct left block, shared by the witnesses
                 blks = _blocks(point, left_blocks)
                 left = tuple(lefts.get(b) or lefts.setdefault(b, MatrixFq(ctx, b)) for b in blks)

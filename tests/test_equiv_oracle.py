@@ -8,6 +8,8 @@ helpers.left_equations gives on list rows.
 """
 
 import random
+from collections import Counter
+from math import prod
 
 import pytest
 
@@ -18,16 +20,18 @@ from sumrank import (
     admissible_permutations,
     equivalent_codes,
     gl_group,
+    gl_order,
     isometry_count,
     random_isometry,
 )
 from sumrank.errors import GroupTooLarge
-from sumrank.isom import GROUP_CAP, _blocks, _left_solver
+from sumrank.isom import GROUP_CAP, _blocks, _left_solver, _transpose_masks
 from sumrank.matfq import nullspace_rows
 
 from helpers import F2, F3, F4, F8, F9, brute_equivalence, left_equations, random_code
 
 F5 = FieldContext(5, 1)
+F7 = FieldContext(7, 1)
 
 # the field and shape of every equiv benchmark pair
 BENCH_SHAPES = [
@@ -203,3 +207,73 @@ def test_packed_left_system_matches_list_rows(ctx):
             assert list(solve(sigma, mask, idx)) == want
             partial += 0 < len(want) < unknowns
     assert partial
+
+
+# the fields whose right tuples fall into the largest scalar classes, each
+# class solved once, on shapes whose brute force stays near a second: on
+# (2,1)x(1,1) it walks every left tuple (25 s over F_7, 90 s over F_8), and
+# a line of (2,)x(1,) over F_8 or F_9 has thousands of witnesses to list
+_CLASS_CASES = [(ctx, (1, 1), (1, 1), True) for ctx in (F5, F7, F8, F9)] + [
+    (ctx, (2,), (1,), ctx.q < 8) for ctx in (F5, F7, F8, F9)
+] + [(F5, (2, 1), (1, 1), True)]
+_CLASS_IDS = [
+    f"q{c.q}-{','.join(map(str, m))}x{','.join(map(str, n))}" for c, m, n, _ in _CLASS_CASES
+]
+
+
+@pytest.mark.parametrize("ctx,m,n,lists", _CLASS_CASES, ids=_CLASS_IDS)
+def test_scalar_classes_keep_every_witness(ctx, m, n, lists):
+    rng = random.Random(149 + ctx.q)
+    shape = Shape(m, n)
+    code = random_code(rng, ctx, shape, 1)
+    image = random_isometry(ctx, shape, rng).apply_code(code)
+    assert _same_witness(code, image) is not None
+    if lists:
+        assert _same_witness_lists(code, image)
+    if shape.ell > 1:  # weight 1 against weight ell: no isometry maps one onto the other
+        unit = LinearCode(shape, ctx, [(1,) + (0,) * (shape.ambient_dim - 1)])
+        ones = LinearCode(shape, ctx, [(1,) * shape.ambient_dim])
+        assert _same_witness_lists(unit, ones) == []
+        assert equivalent_codes(unit, ones) is None
+
+
+def test_square_block_over_f4_keeps_the_first_witness():
+    # brute force lists the witnesses of an F_4 (2,)x(2,) pair in 1.7-3.9 s,
+    # so only first witnesses, which it finds early, are compared
+    rng = random.Random(151)
+    shape = Shape((2,), (2,))
+    for k in (1, 2, 3):
+        code = random_code(rng, F4, shape, k)
+        image = random_isometry(F4, shape, rng).apply_code(code)
+        assert _same_witness(code, image) is not None
+
+
+@pytest.mark.parametrize(
+    "ctx", [F2, F3, F4, F5, F8, F9], ids=["q2", "q3", "q4", "q5", "q8", "q9"]
+)
+def test_one_left_system_per_scalar_class(ctx, monkeypatch):
+    # (M, c N) solves exactly when (M, N) does, so each (sigma, mask) walked
+    # solves one right tuple of every scalar class: prod |GL(n_j, q)| / (q - 1)
+    import sumrank.isom as isom
+
+    calls = Counter()
+    real = isom._left_solver
+
+    def counting(*args):
+        solve = real(*args)
+        return lambda sigma, mask, idx: calls.update([(sigma, mask)]) or solve(sigma, mask, idx)
+
+    monkeypatch.setattr(isom, "_left_solver", counting)
+    rng = random.Random(157 + ctx.q)
+    shapes = [((1, 1), (1, 1)), ((2, 1), (1, 1))] + [((2,), (2,))] * (ctx.q <= 5)
+    for m, n in shapes:
+        shape = Shape(m, n)
+        walks = {(s, k) for s in admissible_permutations(shape) for k in _transpose_masks(shape)}
+        code = random_code(rng, ctx, shape, 1)
+        image = random_isometry(ctx, shape, rng).apply_code(code)
+        # every walk of the witness list, and the walks up to the first witness
+        for second, every in ((code, True), (image, False)):
+            calls.clear()
+            assert equivalent_codes(code, second, all_witnesses=every)
+            assert calls and set(calls) <= walks
+            assert set(calls.values()) == {prod(gl_order(d, ctx.q) for d in n) // (ctx.q - 1)}

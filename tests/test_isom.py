@@ -20,7 +20,7 @@ from sumrank import (
 )
 from sumrank.errors import GroupTooLarge, IllegalTranspose, ShapeMismatch, SingularFactor
 
-from helpers import F2, F3, F4, gl_group_reference, random_code, random_shape
+from helpers import F2, F3, F4, F5, gl_group_reference, random_code, random_shape
 
 
 def test_gl_order_values():
@@ -159,6 +159,12 @@ def test_isometry_guards():
         Isometry(
             tall, F2, (0,), (True,), (MatrixFq.identity(F2, 2),), (eye1,)
         )
+    # equivalent_codes refuses a cap that is not an int before it counts the
+    # group: 1e7 and 1.5 have no bit_length, and True would pass as a cap of 1
+    vast = LinearCode.zero(Shape((4000,), (1,)), F2)
+    for cap in [1e7, 1.5, "x", True]:
+        with pytest.raises(GroupTooLarge, match=f"cap {cap!r} is not an int"):
+            equivalent_codes(vast, vast, cap=cap)
 
 
 def test_admissible_permutations_and_count():
@@ -216,21 +222,24 @@ def test_automorphism_witnesses_of_a_line():
 def test_automorphism_witnesses_rank_each_shared_factor_once(monkeypatch):
     # the witnesses share one matrix per distinct factor and a matrix keeps
     # its rank, so Isometry's invertibility checks rank each factor once,
-    # not once per witness
+    # not once per witness; over F_5 each solved right tuple stands for four
+    # scalar multiples, taken from the GL pools
     import sumrank.matfq as matfq
 
     calls = []
     real = matfq.rank_rows
     monkeypatch.setattr(matfq, "rank_rows", lambda *a: calls.append(a) or real(*a))
-    code = random_code(random.Random(73), F3, Shape((2, 1), (1, 1)), 2)
-    autos = equivalent_codes(code, code, all_witnesses=True)
-    factors = {id(m) for w in autos for m in w.left + w.right}
-    assert len(autos) > len(factors) and len(calls) <= len(factors)
-    assert all(w.apply_code(code) == code for w in autos)
-    # a caller's factors are still checked: a singular one is refused
-    with pytest.raises(SingularFactor):
-        Isometry(code.shape, F3, (0, 1), (False, False),
-                 (MatrixFq(F3, [[1, 1], [1, 1]]),) + autos[0].left[1:], autos[0].right)
+    for ctx in (F3, F5):
+        calls.clear()
+        code = random_code(random.Random(73), ctx, Shape((2, 1), (1, 1)), 2)
+        autos = equivalent_codes(code, code, all_witnesses=True)
+        factors = {id(m) for w in autos for m in w.left + w.right}
+        assert len(autos) > len(factors) and len(calls) <= len(factors)
+        assert all(w.apply_code(code) == code for w in autos)
+        # a caller's factors are still checked: a singular one is refused
+        with pytest.raises(SingularFactor):
+            Isometry(code.shape, ctx, (0, 1), (False, False),
+                     (MatrixFq(ctx, [[1, 1], [1, 1]]),) + autos[0].left[1:], autos[0].right)
 
 
 def test_equivalence_is_reflexive_with_witness():
